@@ -227,9 +227,9 @@ def run_episode(env: NavEnv, controller, scenario: GeneratedScenario | None = No
             break
         result = env.step(raws)
         step += 1
+        obs = env.observations()
         if logger is not None:
             _log_step(logger, env, trial, step, raws, result)
-        obs = env.observations()
     return env
 
 

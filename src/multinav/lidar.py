@@ -62,12 +62,14 @@ def raycast(world: World, agent_index: int) -> LidarScan:
 
 def apply_lidar_noise(scan: LidarScan, rng: np.random.Generator,
                       sigma: float = 0.035) -> LidarScan:
-    """Perturb each range r to r * (1 + eps), eps ~ Normal(0, sigma), then
-    re-clip into (0, max_range]."""
+    """Perturb each returned range r to r * (1 + eps), eps ~ Normal(0, sigma),
+    then re-clip into (0, max_range]. Beams without a return stay at exactly
+    max_range; every beam still draws its eps."""
     if sigma == 0.0:
         return scan
     noisy = scan.ranges * (1.0 + rng.normal(0.0, sigma, size=scan.ranges.shape))
     noisy = np.clip(noisy, RANGE_EPS, scan.max_range)
+    noisy[scan.ranges >= scan.max_range] = scan.max_range
     return LidarScan(ranges=noisy, timestamp=scan.timestamp, max_range=scan.max_range)
 
 

@@ -75,6 +75,29 @@ class OccupancyGrid:
                         return True
         return False
 
+    def occupied_near_points(self, points: np.ndarray, margin: float) -> np.ndarray:
+        """occupied_near for every row of an (n, 2) array of points at once."""
+        r = int(math.ceil(margin / self.resolution))
+        offsets = np.arange(-r, r + 1)
+        x, y = points[:, 0, None, None], points[:, 1, None, None]
+        cx = np.floor((x - self.origin[0]) / self.resolution).astype(int)
+        cy = np.floor((y - self.origin[1]) / self.resolution).astype(int)
+        # (n, w, w) cell indices of each point's window
+        ix, iy = np.broadcast_arrays(cx + offsets[:, None], cy + offsets)
+        nx, ny = self.cells.shape
+        inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        occupied = np.zeros(ix.shape, dtype=bool)
+        occupied[inside] = self.cells[ix[inside], iy[inside]]
+        dx = self.origin[0] + (ix + 0.5) * self.resolution - x
+        dy = self.origin[1] + (iy + 0.5) * self.resolution - y
+        dist = np.hypot(dx, dy)
+        near = dist <= margin
+        # np.hypot and math.hypot may round one ulp apart: settle the
+        # near-ties the way occupied_near does
+        for k in np.flatnonzero(np.abs(dist - margin) <= 2 * np.spacing(margin)):
+            near.flat[k] = math.hypot(dx.flat[k], dy.flat[k]) <= margin
+        return (occupied & near).any(axis=(1, 2))
+
 
 def rasterize(config: WorldConfig, resolution: float = 0.1) -> OccupancyGrid:
     """Boolean grid over the world bounds, obstacles inflated by the robot

@@ -64,12 +64,14 @@ class NavEnv:
         self.spec = spec
         self.cfg = env_cfg or EnvConfig()
         self._seeds = np.random.SeedSequence(seed)
-        child = self._seeds.spawn(3)
+        child = self._seeds.spawn(4)
         self.lidar_rng = np.random.default_rng(child[0])
-        self.state_rng = np.random.default_rng(child[1])
+        self.state_rng = np.random.default_rng(child[1])   # baselines' feed
         self._episode_rng = np.random.default_rng(child[2])
+        self.obs_rng = np.random.default_rng(child[3])     # observation noise
         self.world: World | None = None
         self.scenario: GeneratedScenario | None = None
+        self._bundles: list = []          # what the last observations() built
 
     # ---- episode lifecycle ---------------------------------------------------
 
@@ -131,26 +133,21 @@ class NavEnv:
         """Normalized observation per agent; None for frozen robots."""
         if not self.cfg.build_observations:
             return [None] * self.n_agents
-        out = []
-        for i, robot in enumerate(self.world.robots):
-            if robot.status != Status.ACTIVE:
-                out.append(None)
-                continue
-            bundle = build_observation(
+        self._bundles = [
+            build_observation(
                 self.world, i, self.histories[i],
                 self.trackers[i].dynamic_tracks(), self.target_point(i),
                 noise_cfg=self.cfg.noise, ablation=self.cfg.ablation,
-                rng=self.state_rng)
-            out.append(normalize(bundle, self.diameter))
-        return out
+                rng=self.obs_rng)
+            if robot.status == Status.ACTIVE else None
+            for i, robot in enumerate(self.world.robots)]
+        return [None if b is None else normalize(b, self.diameter)
+                for b in self._bundles]
 
     def observation_bundle(self, i: int):
-        """Un-normalized bundle for one active agent (logging support)."""
-        robot = self.world.robots[i]
-        return build_observation(
-            self.world, i, self.histories[i], self.trackers[i].dynamic_tracks(),
-            self.target_point(i), noise_cfg=self.cfg.noise,
-            ablation=self.cfg.ablation, rng=self.state_rng)
+        """The un-normalized bundle the last observations() call built for
+        agent i (logging support: reading it draws no noise)."""
+        return self._bundles[i]
 
     def noisy_neighbor_states(self, i: int):
         """Ground-truth neighbor (position, velocity, radius) triples with the

@@ -2,10 +2,13 @@
 
 Pipeline per observer and frame: adjacent-beam clustering of scan returns,
 a coarse static/dynamic split against the inflated static map, nearest-
-predicted-point association refined by translation-only ICP with outlier
-trimming, a velocity gate on accepted matches, and a constant-velocity
-estimate smoothed by an exponential moving average. Discs make rotation
-unobservable, so tracks carry linear velocity only.
+predicted-point association of the dynamic clusters refined by
+translation-only ICP with outlier trimming, a velocity gate on accepted
+matches, and a constant-velocity estimate smoothed by an exponential moving
+average. Static clusters are classified, not tracked: each frame reports
+them as zero-velocity STATIC entries with id STATIC_ID, and they take no
+part in association. Discs make rotation unobservable, so tracks carry
+linear velocity only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .planner import OccupancyGrid
 class TrackClass(enum.Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
+
+
+STATIC_ID = -1                       # id of every static entry: never a track
 
 
 @dataclass
@@ -46,10 +52,10 @@ class Cluster:
 
 @dataclass
 class ClusterTrack:
-    id: int
+    id: int                          # STATIC_ID for a static entry
     closest_point: np.ndarray
     velocity_estimate: np.ndarray    # (2,) m/s world frame
-    age: int = 1
+    age: int = 1                     # frames since spawn; 0 for static entries
     classification: TrackClass = TrackClass.DYNAMIC
     points: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     observations: int = 1
@@ -106,6 +112,13 @@ def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
     return clusters
 
 
+def _sorted_median(s: np.ndarray):
+    """np.median along axis 0 of an array already sorted along it: the middle
+    element, or the mean of the two middle ones."""
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def icp_translation(src: np.ndarray, dst: np.ndarray, iterations: int = 40,
                     tol: float = 1e-6) -> np.ndarray:
     """Translation-only ICP of a 2-D point set onto another, with outlier
@@ -119,27 +132,30 @@ def icp_translation(src: np.ndarray, dst: np.ndarray, iterations: int = 40,
     """
     # per-axis median init: projection updates cannot fix a tangential error
     # inherited from an outlier-skewed centroid
-    t = np.median(dst, axis=0) - np.median(src, axis=0)
+    t = (_sorted_median(np.sort(dst, axis=0))
+         - _sorted_median(np.sort(src, axis=0)))
     single = len(dst) == 1
     if not single:
-        a, b = dst[:-1], dst[1:]
-        seg = b - a
-        seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-18)
+        rows = np.arange(len(src))
+        a = dst[:-1].T[:, None, :]                   # (2, 1, m): x, y planes
+        seg = dst[1:].T[:, None, :] - a
+        seg_len2 = np.maximum(seg[0] * seg[0] + seg[1] * seg[1], 1e-18)
     for _ in range(iterations):
         moved = src + t
         if single:
-            proj = np.tile(dst[0], (len(src), 1))
+            diff = dst[0] - moved
         else:
-            ap = moved[:, None, :] - a[None, :, :]
-            tt = np.clip((ap * seg[None]).sum(axis=2) / seg_len2[None], 0.0, 1.0)
-            q = a[None] + tt[..., None] * seg[None]          # (n, m, 2)
-            d2 = ((moved[:, None, :] - q) ** 2).sum(axis=2)
-            j = np.argmin(d2, axis=1)
-            proj = q[np.arange(len(src)), j]
-        residuals = np.hypot(*(proj - moved).T)
-        med = np.median(residuals)
-        keep = residuals <= 3.0 * med + 1e-12
-        delta = (proj[keep] - moved[keep]).mean(axis=0)
+            m = moved.T[:, :, None]                  # (2, n, 1)
+            ap = (m - a) * seg
+            tt = np.clip((ap[0] + ap[1]) / seg_len2, 0.0, 1.0)
+            q = a + tt * seg                         # (2, n, m) segment points
+            d = m - q
+            d *= d
+            nearest = (d[0] + d[1]).argmin(axis=1)
+            diff = q[:, rows, nearest].T - moved
+        residuals = np.hypot(diff[:, 0], diff[:, 1])
+        keep = residuals <= 3.0 * _sorted_median(np.sort(residuals)) + 1e-12
+        delta = np.add.reduce(diff[keep], axis=0) / np.count_nonzero(keep)
         t = t + delta
         if np.hypot(*delta) < tol:
             break
@@ -176,12 +192,11 @@ class Tracker:
         self.tracks: list[ClusterTrack] = []
         self._next_id = 0
 
-    def _new_track(self, cluster: Cluster, classification: TrackClass) -> ClusterTrack:
+    def _new_track(self, cluster: Cluster) -> ClusterTrack:
         track = ClusterTrack(
             id=self._next_id,
             closest_point=cluster.closest_point.copy(),
             velocity_estimate=np.zeros(2),
-            classification=classification,
             points=cluster.points.copy(),
             history=[(0, cluster.points.copy())],
         )
@@ -190,122 +205,110 @@ class Tracker:
 
     def update(self, scan: LidarScan, observer_pose: tuple[float, float, float],
                grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
+        """Dynamic tracks after this frame, then this frame's static
+        entries."""
         clusters = cluster_scan(scan, observer_pose, self.config.cluster_gap,
                                 self.config.hit_margin)
-        self.tracks = associate(self.tracks, clusters, grid, dt, self.config,
-                                self._take_id)
+        self.tracks = associate(self.tracks, clusters, grid, dt,
+                                self._new_track, self.config)
         return self.tracks
-
-    def _take_id(self, cluster: Cluster, classification: TrackClass) -> ClusterTrack:
-        return self._new_track(cluster, classification)
 
     def dynamic_tracks(self) -> list[ClusterTrack]:
         return [t for t in self.tracks if t.classification == TrackClass.DYNAMIC
                 and t.misses == 0]
 
 
+def _static_entry(cluster: Cluster) -> ClusterTrack:
+    return ClusterTrack(id=STATIC_ID, closest_point=cluster.closest_point,
+                        velocity_estimate=np.zeros(2), age=0,
+                        classification=TrackClass.STATIC, points=cluster.points,
+                        observations=0)
+
+
 def associate(prev_tracks: list[ClusterTrack], clusters: list[Cluster],
-              grid: OccupancyGrid, dt: float,
-              config: TrackerConfig | None = None,
-              spawn=None) -> list[ClusterTrack]:
-    """Hierarchical data association of clusters to tracks.
+              grid: OccupancyGrid, dt: float, spawn,
+              config: TrackerConfig | None = None) -> list[ClusterTrack]:
+    """Hierarchical data association of clusters to dynamic tracks.
 
     Coarse stage: clusters whose points all sit within the static margin of
-    inflated occupancy become Static with zero velocity. Fine stage: the
-    rest are matched to predicted track positions under the gating radius,
+    inflated occupancy are returned as static entries with zero velocity,
+    after the dynamic tracks. Fine stage: the rest are matched to predicted
+    positions of the dynamic tracks in prev_tracks under the gating radius,
     aligned by trimmed ICP, and accepted only when the implied speed stays
-    below the gate; rejected or unmatched clusters spawn new tracks, and
-    unmatched tracks coast for a few frames before dropping.
+    below the gate; rejected or unmatched clusters become new tracks through
+    spawn(cluster), and unmatched tracks coast for a few frames before
+    dropping.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = config or TrackerConfig()
-    if spawn is None:
-        counter = [max((t.id for t in prev_tracks), default=-1) + 1]
-
-        def spawn(cluster, classification):
-            track = ClusterTrack(
-                id=counter[0], closest_point=cluster.closest_point.copy(),
-                velocity_estimate=np.zeros(2), classification=classification,
-                points=cluster.points.copy(),
-                history=[(0, cluster.points.copy())])
-            counter[0] += 1
-            return track
 
     static_clusters, dynamic_clusters = [], []
-    for c in clusters:
-        on_static = all(grid.occupied_near(p[0], p[1], cfg.static_margin)
-                        for p in c.points)
-        (static_clusters if on_static else dynamic_clusters).append(c)
+    if clusters:
+        near = grid.occupied_near_points(
+            np.concatenate([c.points for c in clusters]), cfg.static_margin)
+        starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
+        for c, on_static in zip(clusters, np.logical_and.reduceat(near, starts)):
+            (static_clusters if on_static else dynamic_clusters).append(c)
 
+    tracks = [t for t in prev_tracks if t.classification == TrackClass.DYNAMIC]
     out: list[ClusterTrack] = []
     matched_tracks: set[int] = set()
 
-    def match_pool(pool_tracks, pool_clusters, classification):
-        # greedy nearest predicted-position assignment under the gate
-        pairs = []
-        for t in pool_tracks:
-            pred = t.closest_point + t.velocity_estimate * dt
-            for ci, c in enumerate(pool_clusters):
-                d = float(np.hypot(*(c.closest_point - pred)))
-                if d <= cfg.gating_radius:
-                    pairs.append((d, t.id, ci))
-        pairs.sort()
-        used_clusters: set[int] = set()
-        by_id = {t.id: t for t in pool_tracks}
-        for d, tid, ci in pairs:
-            if tid in matched_tracks or ci in used_clusters:
-                continue
-            track, cluster = by_id[tid], pool_clusters[ci]
-            shift = icp_translation(track.points, cluster.points)
-            if np.hypot(*shift) / dt > cfg.v_max_gate:
-                continue  # spatiotemporal consistency gate: spawn fresh later
-            matched_tracks.add(tid)
-            used_clusters.add(ci)
-            if classification == TrackClass.DYNAMIC:
-                if track.history:
-                    frames, base_points = max(track.history, key=lambda e: e[0])
-                    base_shift = icp_translation(base_points, cluster.points)
-                else:
-                    frames, base_shift = 1, shift
-                track.velocity_estimate = estimate_velocity(
-                    track, cluster, dt, displacement=base_shift,
-                    beta=cfg.ema_beta, baseline_steps=frames)
-            else:
-                track.velocity_estimate = np.zeros(2)
-            track.closest_point = cluster.closest_point.copy()
-            track.points = cluster.points.copy()
-            track.history.append((0, cluster.points.copy()))
-            track.age += 1
-            track.observations += 1
-            track.misses = 0
-            out.append(track)
-        return [c for ci, c in enumerate(pool_clusters) if ci not in used_clusters]
+    # greedy nearest predicted-position assignment under the gate
+    pairs = []
+    for t in tracks:
+        pred = t.closest_point + t.velocity_estimate * dt
+        for ci, c in enumerate(dynamic_clusters):
+            d = float(np.hypot(*(c.closest_point - pred)))
+            if d <= cfg.gating_radius:
+                pairs.append((d, t.id, ci))
+    pairs.sort()
+    used_clusters: set[int] = set()
+    by_id = {t.id: t for t in tracks}
+    for d, tid, ci in pairs:
+        if tid in matched_tracks or ci in used_clusters:
+            continue
+        track, cluster = by_id[tid], dynamic_clusters[ci]
+        shift = icp_translation(track.points, cluster.points)
+        if np.hypot(*shift) / dt > cfg.v_max_gate:
+            continue  # spatiotemporal consistency gate: spawn fresh later
+        matched_tracks.add(tid)
+        used_clusters.add(ci)
+        # the oldest snapshot spans the baseline; a track spawned last frame
+        # has one snapshot, equal to track.points, so its baseline shift is
+        # the gate's shift
+        frames, base_points = track.history[0] if track.history else (1, None)
+        base_shift = (shift if frames == 1
+                      else icp_translation(base_points, cluster.points))
+        track.velocity_estimate = estimate_velocity(
+            track, cluster, dt, displacement=base_shift,
+            beta=cfg.ema_beta, baseline_steps=frames)
+        track.closest_point = cluster.closest_point.copy()
+        track.points = cluster.points.copy()
+        track.history.append((0, cluster.points.copy()))
+        track.age += 1
+        track.observations += 1
+        track.misses = 0
+        out.append(track)
 
-    prev_static = [t for t in prev_tracks if t.classification == TrackClass.STATIC]
-    prev_dynamic = [t for t in prev_tracks if t.classification == TrackClass.DYNAMIC]
-    leftover_static = match_pool(prev_static, static_clusters, TrackClass.STATIC)
-    leftover_dynamic = match_pool(prev_dynamic, dynamic_clusters, TrackClass.DYNAMIC)
+    for ci, c in enumerate(dynamic_clusters):
+        if ci not in used_clusters:
+            out.append(spawn(c))
 
-    for c in leftover_static:
-        out.append(spawn(c, TrackClass.STATIC))
-    for c in leftover_dynamic:
-        out.append(spawn(c, TrackClass.DYNAMIC))
-
-    for t in prev_tracks:
+    for t in tracks:
         if t.id in matched_tracks:
             continue
         t.misses += 1
         if t.misses > cfg.grace_steps:
             continue
         t.age += 1
-        if t.classification == TrackClass.DYNAMIC:
-            t.closest_point = t.closest_point + t.velocity_estimate * dt
-            t.points = t.points + t.velocity_estimate * dt
+        t.closest_point = t.closest_point + t.velocity_estimate * dt
+        t.points = t.points + t.velocity_estimate * dt
         out.append(t)
 
     # age the baseline snapshots one frame, keep the window bounded
     for t in out:
         t.history = [(frames + 1, pts) for frames, pts in t.history
                      if frames + 1 <= cfg.velocity_baseline_steps]
-    return out
+    return out + [_static_entry(c) for c in static_clusters]

@@ -30,6 +30,17 @@ class TestRunCommand:
         assert run_cli(*argv, "--out", b) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_logging_leaves_noisy_orca_unchanged(self, tmp_path):
+        # observation logging must not draw from the stream that feeds ORCA
+        argv = ["run", "--scenario", "circle", "--agents", "10",
+                "--controller", "orca", "--trials", "1", "--seed", "0",
+                "--noise"]
+        plain, logged = str(tmp_path / "plain.csv"), str(tmp_path / "logged.csv")
+        assert run_cli(*argv, "--out", plain) == 0
+        assert run_cli(*argv, "--out", logged, "--log", str(tmp_path / "t.jsonl"),
+                       "--log-obs", "--log-scans", "--log-tracks") == 0
+        assert open(plain, "rb").read() == open(logged, "rb").read()
+
     def test_unknown_controller_is_config_error(self, tmp_path):
         with pytest.raises(SystemExit):  # argparse rejects the choice
             run_cli("run", "--scenario", "circle", "--agents", "2",

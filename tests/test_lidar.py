@@ -7,6 +7,7 @@ from multinav.geometry import Circle, Wall, dist_aabb_surface, dist_circle_surfa
 from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, ScanHistory,
                             apply_lidar_noise, raycast)
 from multinav.sim import RobotState, World, WorldConfig
+from multinav.tracker import cluster_scan
 
 
 def world_with(circles=(), walls=(), robots=((0.0, 0.0, 0.0),), radius=0.25):
@@ -154,6 +155,15 @@ class TestLidarNoise:
             out = apply_lidar_noise(scan, rng)
             assert np.all(out.ranges <= MAX_RANGE)
             assert np.all(out.ranges > 0)
+
+    def test_non_returns_stay_at_max_range(self):
+        # an empty world has no return; noise must not invent any
+        scan = raycast(world_with(), 0)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            out = apply_lidar_noise(scan, rng, sigma=0.035)
+            assert np.all(out.ranges == MAX_RANGE)
+            assert cluster_scan(out, (0.0, 0.0, 0.0)) == []
 
 
 class TestScanHistory:

@@ -99,6 +99,53 @@ class TestRasterize:
         assert (tmp_path / "map.pgm.json").exists()
 
 
+class TestOccupiedNearPoints:
+    def test_matches_scalar_test(self):
+        cfg = WorldConfig(bounds=(-3, -2, 4, 5),
+                          circles=[Circle(0.5, 1.0, 0.6), Circle(3.2, 4.1, 0.3)],
+                          walls=[Wall(-2.0, -1.0, 2.5, -1.0, thickness=0.2)])
+        grid = rasterize(cfg, 0.1)
+        margin = 0.15
+        rng = np.random.default_rng(29)
+        inside = rng.uniform([-3, -2], [4, 5], (3000, 2))
+        outside = rng.uniform([-4, -3], [5, 6], (3000, 2))    # off-grid too
+        # points exactly margin away from occupied cell centers, along the
+        # axes and in random directions
+        cells = np.argwhere(grid.cells)[rng.integers(0, grid.cells.sum(), 3000)]
+        centers = np.array(grid.origin) + (cells + 0.5) * grid.resolution
+        theta = rng.uniform(-math.pi, math.pi, 3000)
+        ring = centers + margin * np.column_stack([np.cos(theta), np.sin(theta)])
+        axis = centers + margin * np.array([[1, 0], [0, -1], [-1, 0]])[
+            np.arange(3000) % 3]
+        for points in (inside, outside, ring, axis):
+            want = [grid.occupied_near(x, y, margin) for x, y in points]
+            assert grid.occupied_near_points(points, margin).tolist() == want
+
+    def test_near_ties_follow_the_scalar_test(self):
+        # isolated occupied cells and points a margin away from them; keep the
+        # points where np.hypot and math.hypot round to opposite sides of the
+        # margin, which a plain vectorized distance would misjudge
+        cells = np.zeros((60, 60), dtype=bool)
+        cells[5::10, 5::10] = True
+        grid = OccupancyGrid(resolution=0.1, origin=(0.0, 0.0), cells=cells,
+                             inflation_radius=0.0)
+        margin = 0.15
+        rng = np.random.default_rng(31)
+        centers = (np.argwhere(cells)[rng.integers(0, 36, 100000)] + 0.5) * 0.1
+        theta = rng.uniform(-math.pi, math.pi, 100000)
+        points = centers + margin * np.column_stack([np.cos(theta), np.sin(theta)])
+        ties = [p for p, (dx, dy) in zip(points, centers - points)
+                if (np.hypot(dx, dy) <= margin) != (math.hypot(dx, dy) <= margin)]
+        points = np.array(ties + list(points[:500]))
+        want = [grid.occupied_near(x, y, margin) for x, y in points]
+        assert grid.occupied_near_points(points, margin).tolist() == want
+
+    def test_empty_grid_and_no_points(self):
+        grid = rasterize(WorldConfig(bounds=(0, 0, 2, 2)), 0.1)
+        assert not grid.occupied_near_points(np.full((5, 2), 1.0), 0.15).any()
+        assert grid.occupied_near_points(np.zeros((0, 2)), 0.15).shape == (0,)
+
+
 class TestAstar:
     def grid_from(self, cells, resolution=1.0):
         return OccupancyGrid(resolution=resolution, origin=(0.0, 0.0),

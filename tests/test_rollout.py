@@ -2,7 +2,7 @@ import json
 import math
 
 import numpy as np
-from multinav.observations import AblationConfig
+from multinav.observations import AblationConfig, NoiseConfig, normalize
 from multinav.ppo import TrainConfig, train
 from multinav.policy import PolicyConfig
 from multinav.rollout import EnvConfig, NavEnv
@@ -49,6 +49,23 @@ class TestNavEnv:
         d_target = np.hypot(*(env.world.robots[0].position - target))
         if d_goal > 1.5:
             assert d_target < d_goal
+
+    def test_observation_bundle_is_the_one_observed(self):
+        # under state noise, the logged bundle must be the one the policy
+        # read, and reading it must draw no noise
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=4,
+                            rng_seed=3)
+        env = NavEnv(spec, EnvConfig(noise=NoiseConfig()), seed=3)
+        env.reset()
+        env.step([(0.5, 0.0)] * 4)
+        obs = env.observations()
+        assert any(len(o.nodes) for o in obs)
+        state = env.obs_rng.bit_generator.state
+        for i, o in enumerate(obs):
+            again = normalize(env.observation_bundle(i), env.diameter)
+            assert np.array_equal(again.nodes, o.nodes)
+            assert np.array_equal(again.extras, o.extras)
+        assert env.obs_rng.bit_generator.state == state
 
     def test_no_gp_ablation_targets_goal(self):
         env = NavEnv(single_agent_spec(scale=8.0),

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from multinav import tracker as tracker_module
 from multinav.geometry import Wall
 from multinav.lidar import raycast
 from multinav.planner import rasterize
 from multinav.sim import Action, RobotState, World, WorldConfig
-from multinav.tracker import (Cluster, ClusterTrack, TrackClass, Tracker,
-                              TrackerConfig, cluster_scan, estimate_velocity,
-                              icp_translation)
+from multinav.tracker import (STATIC_ID, Cluster, ClusterTrack, TrackClass,
+                              Tracker, TrackerConfig, cluster_scan,
+                              estimate_velocity, icp_translation)
 
 
 def make_world(robots, circles=(), walls=()):
@@ -79,6 +80,69 @@ class TestIcp:
         dst = curve + np.array([0.04, 0.0])
         t = icp_translation(src, dst)
         assert np.allclose(t, [0.04, 0.0], atol=5e-3)
+
+
+def reference_icp(src, dst, iterations=40, tol=1e-6):
+    """The original (n, m, 2) formulation of icp_translation."""
+    t = np.median(dst, axis=0) - np.median(src, axis=0)
+    single = len(dst) == 1
+    if not single:
+        a, b = dst[:-1], dst[1:]
+        seg = b - a
+        seg_len2 = np.maximum((seg * seg).sum(axis=1), 1e-18)
+    for _ in range(iterations):
+        moved = src + t
+        if single:
+            proj = np.tile(dst[0], (len(src), 1))
+        else:
+            ap = moved[:, None, :] - a[None, :, :]
+            tt = np.clip((ap * seg[None]).sum(axis=2) / seg_len2[None], 0.0, 1.0)
+            q = a[None] + tt[..., None] * seg[None]
+            d2 = ((moved[:, None, :] - q) ** 2).sum(axis=2)
+            j = np.argmin(d2, axis=1)
+            proj = q[np.arange(len(src)), j]
+        residuals = np.hypot(*(proj - moved).T)
+        med = np.median(residuals)
+        keep = residuals <= 3.0 * med + 1e-12
+        delta = (proj[keep] - moved[keep]).mean(axis=0)
+        t = t + delta
+        if np.hypot(*delta) < tol:
+            break
+    return t
+
+
+def icp_cases():
+    rng = np.random.default_rng(17)
+    line = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros(7)])
+    cases = [
+        (np.array([[0.3, 0.4]]), np.array([[0.5, 0.1]])),             # 1 to 1
+        (np.array([[0.3, 0.4]]), np.array([[0.0, 0.0], [1.0, 0.0]])),  # 1 to 2
+        (np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([[0.2, 0.3]])),  # 2 to 1
+        (np.zeros((4, 2)), np.zeros((3, 2))),                       # all at 0
+        (np.array([[1.0, 1.0]] * 3), np.array([[1.2, 0.9]] * 5)),   # duplicates
+        (line, line + [0.05, 0.0]),                                 # collinear
+        (line[:6], line[:6] + [0.0, -0.02]),                        # even n
+        (line, line[::-1]),                                         # reversed
+        (np.vstack([line, [[4.0, -3.0]]]), line + [0.03, 0.01]),   # outlier
+    ]
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 40):
+        for m in (1, 2, 3, 6, 11):
+            src = rng.normal(0.0, 0.5, (n, 2))
+            dst = rng.normal(0.0, 0.5, (m, 2)) + rng.uniform(-0.1, 0.1, 2)
+            cases.append((src, dst))
+            arc = np.column_stack([np.cos(np.linspace(0, 1, n)),
+                                   np.sin(np.linspace(0, 1, n))])
+            cases.append((arc, arc[:m] + rng.normal(0.0, 0.01, 2)))
+    return cases
+
+
+class TestIcpMatchesReference:
+    def test_bit_for_bit(self):
+        for src, dst in icp_cases():
+            want = reference_icp(src, dst)
+            got = icp_translation(src, dst)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 class TestEstimateVelocity:
@@ -182,6 +246,45 @@ class TestAssociate:
             assert len(tracker.tracks) == 1  # coasting through the grace window
         tracker.update(scan_of(empty), (0, 0, 0), grid, 0.1)
         assert tracker.tracks == []
+
+    def test_static_clusters_cost_no_icp(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return np.zeros(2)
+
+        monkeypatch.setattr(tracker_module, "icp_translation", counted)
+        cfg = WorldConfig(bounds=(-10, -10, 10, 10),
+                          walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
+        grid = rasterize(cfg, 0.1)
+        w = World(cfg, [RobotState(position=np.zeros(2), heading=0.0,
+                                   goal=np.array([9.0, 9.0]))])
+        tracker = Tracker()
+        for _ in range(5):
+            tracks = tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+            assert tracks and all(t.id == STATIC_ID for t in tracks)
+        assert calls == []
+
+    def test_second_frame_match_costs_one_icp(self, monkeypatch):
+        calls = []
+
+        def counted(src, dst, *a, **k):
+            calls.append(len(src))
+            return icp_translation(src, dst, *a, **k)
+
+        monkeypatch.setattr(tracker_module, "icp_translation", counted)
+        w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
+        grid = empty_grid()
+        tracker = Tracker()
+        counts = []
+        for step in range(3):
+            w.robots[1].position = np.array([1.5, 0.04 * step])
+            tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [0, 1, 2]  # spawn; gate only; gate plus baseline
+        assert len(tracker.dynamic_tracks()) == 1
 
     def test_no_dynamic_track_from_static_points(self):
         rng = np.random.default_rng(55)
