@@ -22,7 +22,7 @@ import numpy as np
 from .observations import AblationConfig, NoiseConfig
 from .orca import OrcaConfig, nh_track, orca_velocity, preferred_velocity
 from .policy import (ActionDistribution, ActorCritic, batch_obs,
-                     deterministic_action)
+                     deterministic_action, gaussian_sample)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import Status, trajectory_record
@@ -113,12 +113,13 @@ class PolicyController:
         if not live:
             return raws
         mean, std, _ = self.net.forward_batch(batch_obs([obs[i] for i in live]))
+        raw = None if self.deterministic else gaussian_sample(mean, std, self.rng)
         for k, i in enumerate(live):
             if self.deterministic:
                 a = deterministic_action(ActionDistribution(mean[k], std[k]))
                 raws[i] = (a.v, a.w)
             else:
-                raws[i] = tuple(mean[k] + std[k] * self.rng.standard_normal(2))
+                raws[i] = tuple(raw[k])
         return raws
 
 
@@ -177,21 +178,21 @@ def _log_step(logger: JsonlLogger, env: NavEnv, trial: int, step: int,
                           "agent": i, "node_count": b.o_c.node_count,
                           "o_gp": [float(x) for x in b.o_gp],
                           "o_g": [float(x) for x in b.o_g]})
-        if fl.scans:
-            for i in range(env.n_agents):
-                if env.world.robots[i].status != Status.ACTIVE:
-                    continue
-                logger.write({"type": "scan", "trial": trial, "step": step,
-                              "agent": i,
-                              "ranges": [round(float(r), 4)
-                                         for r in env.histories[i].frames[-1].ranges]})
-        if fl.tracks:
-            for i in range(env.n_agents):
-                for t in env.trackers[i].dynamic_tracks():
-                    logger.write({"type": "track", "trial": trial, "step": step,
-                                  "agent": i, "id": t.id,
-                                  "closest": [float(x) for x in t.closest_point],
-                                  "velocity": [float(x) for x in t.velocity_estimate]})
+    if fl.scans:
+        for i in range(env.n_agents):
+            if env.world.robots[i].status != Status.ACTIVE:
+                continue
+            logger.write({"type": "scan", "trial": trial, "step": step,
+                          "agent": i,
+                          "ranges": [round(float(r), 4)
+                                     for r in env.histories[i].frames[-1].ranges]})
+    if fl.tracks:
+        for i in range(env.n_agents):
+            for t in env.trackers[i].dynamic_tracks():
+                logger.write({"type": "track", "trial": trial, "step": step,
+                              "agent": i, "id": t.id,
+                              "closest": [float(x) for x in t.closest_point],
+                              "velocity": [float(x) for x in t.velocity_estimate]})
 
 
 # ---- episode + trials --------------------------------------------------------

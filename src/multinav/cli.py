@@ -121,12 +121,7 @@ def cmd_train(args) -> int:
     specs = [ScenarioSpec.from_dict(d) for d in doc["scenarios"]]
     train_cfg = TrainConfig(**doc.get("train", {}))
     policy_doc = doc.get("policy")
-    policy_cfg = None
-    if policy_doc:
-        for key in ("conv_channels", "trunk"):
-            if key in policy_doc:
-                policy_doc[key] = tuple(policy_doc[key])
-        policy_cfg = PolicyConfig(**policy_doc)
+    policy_cfg = PolicyConfig.from_dict(policy_doc) if policy_doc else None
     env_doc = doc.get("env", {})
     env_cfg = EnvConfig(horizon=env_doc.get("horizon", 5))
     if "ablation" in env_doc:

@@ -56,6 +56,12 @@ class PolicyConfig:
                    attention_heads=2, attention_head_dim=4, score_dim=8,
                    trunk=(32, 32))
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "PolicyConfig":
+        """Build from JSON, where the tuple fields arrive as lists."""
+        return cls(**{k: tuple(v) if k in ("conv_channels", "trunk") else v
+                      for k, v in d.items()})
+
 
 @dataclass
 class BatchedObs:
@@ -129,7 +135,6 @@ class _Tower:
         b, n, _ = nodes.shape
         self._graph_empty = n == 0
         if self._graph_empty:
-            self._empty_batch = b
             return np.tile(self.pool.null[None, :], (b, 1))
         h = self.node_relu.forward(self.node_mlp.forward(nodes))
         h = self.attn.forward(h, mask)
@@ -275,10 +280,7 @@ class ActorCritic:
             doc = json.load(f)
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-        cfg_d = doc["config"]
-        for key in ("conv_channels", "trunk"):
-            cfg_d[key] = tuple(cfg_d[key])
-        net = cls(PolicyConfig(**cfg_d), seed=0)
+        net = cls(PolicyConfig.from_dict(doc["config"]), seed=0)
         params = net.named_params()
         for name, spec in doc["params"].items():
             arr = np.frombuffer(base64.b64decode(spec["data"]),
@@ -293,9 +295,18 @@ class ActionDistribution:
     std: np.ndarray                  # (sigma_v, sigma_w), strictly positive
 
 
-def gaussian_log_prob(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> float:
+def gaussian_log_prob(x: np.ndarray, mean: np.ndarray, std: np.ndarray):
+    """Log-density of x under independent Normals, summed over the last
+    axis: a scalar for one (v, w) row, one value per row for a batch."""
     z = (x - mean) / std
-    return float(np.sum(-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI))
+    return np.sum(-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI, axis=-1)
+
+
+def gaussian_sample(mean: np.ndarray, std: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One draw per row. A (k, 2) draw takes the same numbers from rng as
+    k draws of one row, in row order."""
+    return mean + std * rng.standard_normal(np.shape(mean))
 
 
 @dataclass
@@ -308,11 +319,11 @@ class SampledAction:
 def sample_action(dist: ActionDistribution, rng: np.random.Generator) -> SampledAction:
     """Draw from the two independent Normals; the log-prob is of the
     pre-clamp sample, clamping is treated as part of the environment."""
-    raw = dist.mean + dist.std * rng.standard_normal(2)
+    raw = gaussian_sample(dist.mean, dist.std, rng)
     return SampledAction(
         action=clamp_action(Action(float(raw[0]), float(raw[1]))),
         raw=raw,
-        log_prob=gaussian_log_prob(raw, dist.mean, dist.std),
+        log_prob=float(gaussian_log_prob(raw, dist.mean, dist.std)),
     )
 
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bench import PolicyController, run_episode
 from .nn import Adam, clip_grad_norm
-from .policy import (ActorCritic, NumericalDivergence, PolicyConfig,
-                     batch_obs, deterministic_action)
+from .policy import (LOG_2PI, ActorCritic, NumericalDivergence, PolicyConfig,
+                     batch_obs, gaussian_log_prob, gaussian_sample)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import ScenarioSpec
 from .sim import Status
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -174,7 +173,7 @@ def ppo_update(buffer: RolloutBuffer, net: ActorCritic, cfg: TrainConfig,
                 mean, std, value = net.forward_batch(batch)
                 a = raws[idx]
                 z = (a - mean) / std
-                logp = (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
+                logp = gaussian_log_prob(a, mean, std)
                 ratio = np.exp(logp - old_logp[idx])
                 adv_b = adv[idx]
                 unclipped = ratio * adv_b
@@ -231,22 +230,13 @@ def ppo_update(buffer: RolloutBuffer, net: ActorCritic, cfg: TrainConfig,
 
 def evaluate_policy(net: ActorCritic, spec: ScenarioSpec, env_cfg: EnvConfig,
                     episodes: int, seed: int) -> float:
-    """Deterministic-policy success rate over fresh episodes."""
+    """Deterministic-policy success rate over fresh episodes, run by the
+    benchmark's episode runner and policy controller."""
     reached = total = 0
     env = NavEnv(spec, env_cfg, seed=seed)
+    controller = PolicyController(net)
     for _ in range(episodes):
-        obs = env.reset()
-        while not env.done:
-            raws = []
-            for i in range(env.n_agents):
-                if obs[i] is None:
-                    raws.append(None)
-                    continue
-                dist, _ = net.forward_one(obs[i])
-                act = deterministic_action(dist)
-                raws.append((act.v, act.w))
-            env.step(raws)
-            obs = env.observations()
+        run_episode(env, controller)
         for r in env.world.robots:
             total += 1
             reached += r.status == Status.REACHED_GOAL
@@ -302,31 +292,31 @@ def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
     while env_steps < cfg.total_env_steps:
         buffer = RolloutBuffer()
         for _ in range(cfg.rollout_length):
-            pairs = [(e, i) for e in range(len(envs))
-                     for i in range(envs[e].n_agents) if obs[e][i] is not None]
-            if pairs:
-                batch = batch_obs([obs[e][i] for e, i in pairs])
-                mean, std, value = net.forward_batch(batch)
-                raw_lists = [[None] * envs[e].n_agents for e in range(len(envs))]
-                samples = {}
-                for k, (e, i) in enumerate(pairs):
-                    raw = mean[k] + std[k] * sample_rng.standard_normal(2)
-                    z = (raw - mean[k]) / std[k]
-                    logp = float(np.sum(-0.5 * z * z - np.log(std[k])
-                                        - 0.5 * LOG_2PI))
-                    samples[(e, i)] = (raw, float(value[k]), logp)
-                    raw_lists[e][i] = raw
+            # an observation is live exactly when its robot is active, and
+            # only then does the step return a reward for it
+            acting = [[i for i, o in enumerate(env_obs) if o is not None]
+                      for env_obs in obs]
+            acting_obs = [obs[e][i] for e, agents in enumerate(acting)
+                          for i in agents]
+            if acting_obs:
+                mean, std, value = net.forward_batch(batch_obs(acting_obs))
+                raw = gaussian_sample(mean, std, sample_rng)
+                logp = gaussian_log_prob(raw, mean, std)
+            first = 0
             for e, env in enumerate(envs):
-                if not any(o is not None for o in obs[e]):
+                agents = acting[e]
+                if not agents:
                     continue
-                result = env.step(raw_lists[e])
-                for i in range(env.n_agents):
-                    if (e, i) not in samples or result.rewards[i] is None:
-                        continue
-                    raw, value_i, logp = samples.pop((e, i))
-                    buffer.add(e, i, obs[e][i], raw, result.rewards[i],
-                               value_i, logp, result.dones[i])
-                    env_steps += 1
+                batch_rows = range(first, first + len(agents))
+                first += len(agents)
+                raws = [None] * env.n_agents
+                for i, r in zip(agents, batch_rows):
+                    raws[i] = raw[r]
+                result = env.step(raws)
+                for i, r in zip(agents, batch_rows):
+                    buffer.add(e, i, obs[e][i], raw[r], result.rewards[i],
+                               float(value[r]), float(logp[r]), result.dones[i])
+                env_steps += len(agents)
                 if env.done:
                     episode_rewards.append(float(env.episode_rewards.mean()))
                     obs[e] = env.reset()

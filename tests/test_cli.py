@@ -30,16 +30,43 @@ class TestRunCommand:
         assert run_cli(*argv, "--out", b) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_logging_leaves_noisy_orca_unchanged(self, tmp_path):
-        # observation logging must not draw from the stream that feeds ORCA
-        argv = ["run", "--scenario", "circle", "--agents", "10",
-                "--controller", "orca", "--trials", "1", "--seed", "0",
-                "--noise"]
+    @pytest.mark.parametrize("controller", ["orca", "straight", "policy"])
+    def test_logging_leaves_noisy_runs_unchanged(self, tmp_path, controller):
+        # logging must not draw from a stream that feeds a controller, e.g.
+        # the neighbour noise ORCA reads or the observation noise the policy
+        # reads; the two robots start 3 m apart, in each other's range, so
+        # the observations carry noisy neighbour nodes from the first step
+        ckpt = str(tmp_path / "p.json")
+        ActorCritic(PolicyConfig.reduced(), seed=0).save(ckpt)
+        argv = ["run", "--scenario", "circle", "--agents", "2", "--scale", "3",
+                "--controller", controller, "--checkpoint", ckpt,
+                "--trials", "1", "--seed", "0", "--noise"]
         plain, logged = str(tmp_path / "plain.csv"), str(tmp_path / "logged.csv")
+        bare_log, full_log = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         assert run_cli(*argv, "--out", plain) == 0
-        assert run_cli(*argv, "--out", logged, "--log", str(tmp_path / "t.jsonl"),
-                       "--log-obs", "--log-scans", "--log-tracks") == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "bare.csv"),
+                       "--log", bare_log) == 0
+        assert run_cli(*argv, "--out", logged, "--log", full_log,
+                       "--log-obs", "--log-rewards", "--log-scans",
+                       "--log-paths", "--log-tracks") == 0
         assert open(plain, "rb").read() == open(logged, "rb").read()
+
+        # the untrained policy only turns in place, which the CSV cannot
+        # show; the trajectory records can
+        def trajectory(path):
+            return [line for line in open(path)
+                    if json.loads(line)["type"] == "trajectory"]
+        assert trajectory(bare_log) == trajectory(full_log)
+
+    def test_scan_and_track_logs_need_no_obs_log(self, tmp_path):
+        # the two robots drive head on, so each comes into the other's range
+        log = str(tmp_path / "t.jsonl")
+        assert run_cli("run", "--scenario", "circle", "--agents", "2",
+                       "--scale", "6", "--controller", "straight",
+                       "--trials", "1", "--log", log, "--log-scans",
+                       "--log-tracks", "--out", str(tmp_path / "m.csv")) == 0
+        types = {json.loads(line)["type"] for line in open(log)}
+        assert {"scan", "track"} <= types
 
     def test_unknown_controller_is_config_error(self, tmp_path):
         with pytest.raises(SystemExit):  # argparse rejects the choice
