@@ -7,6 +7,16 @@ policy, an ORCA baseline for nonholonomic robots, parametric training and
 evaluation scenarios, and a four-metric benchmark harness.
 """
 
+import os
+
+# One BLAS thread unless the user says otherwise: the policy's matrices are
+# small, so threading them only adds overhead, and `run --workers N` would
+# oversubscribe the cores. This takes effect only if numpy is not loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .geometry import Circle, Wall, wrap_angle
 from .sim import (Action, ActionArity, NonFiniteAction, RobotState, Status,
                   StepReport, World, WorldConfig, clamp_action, integrate)

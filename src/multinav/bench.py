@@ -21,8 +21,8 @@ import numpy as np
 
 from .observations import AblationConfig, NoiseConfig
 from .orca import OrcaConfig, nh_track, orca_velocity, preferred_velocity
-from .policy import (ActionDistribution, ActorCritic, batch_obs,
-                     deterministic_action, gaussian_sample)
+from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
+                     batch_obs, deterministic_action, gaussian_sample)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import Status, trajectory_record
@@ -202,8 +202,10 @@ def run_episode(env: NavEnv, controller, scenario: GeneratedScenario | None = No
                 logger: JsonlLogger | None = None, trial: int = 0):
     """Drive one episode to completion; returns the env for inspection.
 
-    A controller that raises mid-episode strands its robots: everything
-    still active is recorded as stuck rather than crashing the trial.
+    A controller that fails numerically mid-episode (NumericalDivergence or
+    FloatingPointError) strands its robots: everything still active is
+    recorded as stuck rather than crashing the trial. Any other exception
+    propagates.
     """
     obs = env.reset(scenario)
     if logger is not None:
@@ -219,7 +221,7 @@ def run_episode(env: NavEnv, controller, scenario: GeneratedScenario | None = No
     while not env.done:
         try:
             raws = controller.act(env, obs)
-        except Exception:
+        except (NumericalDivergence, FloatingPointError):
             for robot, rec in zip(env.world.robots, env.records):
                 if robot.status == Status.ACTIVE:
                     robot.status = Status.STUCK

@@ -156,48 +156,60 @@ def astar(grid: OccupancyGrid, start: tuple[float, float],
     if s == g:
         return GlobalPath.from_waypoints([grid.cell_center(*s)])
 
+    # Cells are flat indices into the grid padded with one ring of occupied
+    # cells: padded cell (ix + 1, iy + 1) is index (ix + 1) * w + iy + 1, so
+    # a move is an index offset and needs no bounds test.
     res = grid.resolution
+    nx, ny = grid.cells.shape
+    w = ny + 2
+    padded = np.ones((nx + 2, w), dtype=bool)
+    padded[1:-1, 1:-1] = grid.cells
+    blocked = padded.tobytes()
+    moves = [(dx * w + dy, step * res) for dx, dy, step in _MOVES]
+    # cell-center coordinates per padded row and column, the same
+    # arithmetic as OccupancyGrid.cell_center
+    ox, oy = grid.origin
+    xs = [ox + (ix + 0.5) * res for ix in range(-1, nx + 1)]
+    ys = [oy + (iy + 0.5) * res for iy in range(-1, ny + 1)]
     gx, gy = grid.cell_center(*g)
+    src = (s[0] + 1) * w + s[1] + 1
+    dst = (g[0] + 1) * w + g[1] + 1
 
-    def heuristic(c):
-        px, py = grid.cell_center(*c)
-        return math.hypot(px - gx, py - gy)
-
-    cells = grid.cells
-    nx, ny = cells.shape
-    dist = {s: 0.0}
-    parent = {}
+    inf = math.inf
+    hypot, heappush, heappop = math.hypot, heapq.heappush, heapq.heappop
+    dist = [inf] * len(blocked)
+    dist[src] = 0.0
+    parent = [-1] * len(blocked)
+    closed = bytearray(len(blocked))
     counter = 0
-    open_heap = [(heuristic(s), counter, s)]
-    closed = set()
+    open_heap = [(hypot(xs[src // w] - gx, ys[src % w] - gy), counter, src)]
     while open_heap:
-        _, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        cur = heappop(open_heap)[2]
+        if closed[cur]:
             continue
-        if cur == g:
+        if cur == dst:
             break
-        closed.add(cur)
-        cx, cy = cur
+        closed[cur] = 1
         base = dist[cur]
-        for dx, dy, step in _MOVES:
-            vx, vy = cx + dx, cy + dy
-            if not (0 <= vx < nx and 0 <= vy < ny) or cells[vx, vy]:
+        for offset, cost in moves:
+            v = cur + offset
+            if blocked[v]:
                 continue
-            nd = base + step * res
-            v = (vx, vy)
-            if nd < dist.get(v, math.inf):
+            nd = base + cost
+            if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = cur
                 counter += 1
-                heapq.heappush(open_heap, (nd + heuristic(v), counter, v))
-    if g not in dist:
+                heappush(open_heap,
+                         (nd + hypot(xs[v // w] - gx, ys[v % w] - gy), counter, v))
+    if dist[dst] == inf:
         raise Unreachable(f"no path from {s} to {g}")
 
-    chain = [g]
-    while chain[-1] != s:
+    chain = [dst]
+    while chain[-1] != src:
         chain.append(parent[chain[-1]])
     chain.reverse()
-    return GlobalPath.from_waypoints([grid.cell_center(*c) for c in chain])
+    return GlobalPath.from_waypoints([(xs[c // w], ys[c % w]) for c in chain])
 
 
 def path_cost_counts(path: GlobalPath, resolution: float) -> tuple[int, int]:

@@ -17,7 +17,10 @@ import numpy as np
 from .lidar import ScanHistory, apply_lidar_noise, raycast
 from .observations import (AblationConfig, NoiseConfig, build_observation,
                            normalize)
-from .planner import TargetPoint, astar, rasterize, running_target
+# astar and rasterize are not called here (GeneratedScenario.plan plans each
+# episode); they stay importable from this module by name for tracers that
+# wrap them, such as perfbench/spans.py
+from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import RewardConfig, reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import V_MAX, Action, Status, World
@@ -27,7 +30,6 @@ from .tracker import Tracker, TrackerConfig
 @dataclass
 class EnvConfig:
     horizon: int = 5                       # running-target lookahead, waypoints
-    resolution: float = 0.1
     noise: NoiseConfig = field(default_factory=NoiseConfig.disabled)
     ablation: AblationConfig = field(default_factory=AblationConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
@@ -82,11 +84,11 @@ class NavEnv:
             scenario = generate(replace(self.spec, rng_seed=seed))
         self.scenario = scenario
         self.world = scenario.make_world()
-        self.grid = rasterize(self.world.config, self.cfg.resolution)
+        # the plan generate() checked reachability with; a scenario loaded
+        # from JSON plans here
+        self.grid, self.paths = scenario.plan(self.spec.resolution)
         xmin, ymin, xmax, ymax = self.world.config.bounds
         self.diameter = math.hypot(xmax - xmin, ymax - ymin)
-        self.paths = [astar(self.grid, s[:2], g)
-                      for s, g in zip(scenario.starts, scenario.goals)]
         n = len(self.world.robots)
         self.trackers = [Tracker(self.cfg.tracker) for _ in range(n)]
         self.histories = [ScanHistory() for _ in range(n)]
@@ -152,24 +154,26 @@ class NavEnv:
     def noisy_neighbor_states(self, i: int):
         """Ground-truth neighbor (position, velocity, radius) triples with the
         evaluation noise protocol applied; the baseline controllers' feed."""
-        me = self.world.robots[i]
-        out = []
-        for j, r in enumerate(self.world.robots):
-            if j == i:
-                continue
-            pos = r.position.copy()
-            th = r.heading
-            vel = np.array([r.linear_velocity * math.cos(th),
-                            r.linear_velocity * math.sin(th)])
-            nc = self.cfg.noise
-            if nc.position_bound > 0.0:
-                pos = pos + self.state_rng.uniform(-nc.position_bound,
-                                                   nc.position_bound, 2)
-            if nc.velocity_bound > 0.0:
-                vel = vel + self.state_rng.uniform(-nc.velocity_bound,
-                                                   nc.velocity_bound, 2)
-            out.append((pos, vel, r.radius))
-        return out
+        others = [r for j, r in enumerate(self.world.robots) if j != i]
+        if not others:
+            return []
+        pos = np.array([r.position for r in others])
+        vel = np.array([(r.linear_velocity * math.cos(r.heading),
+                         r.linear_velocity * math.sin(r.heading))
+                        for r in others])
+        # one draw per observer: row k holds neighbour k's position noise,
+        # then its velocity noise (a zero bound draws nothing), scaled as
+        # Generator.uniform scales, so the values equal those of a
+        # uniform(-b, b, 2) call per neighbour and bound
+        nc = self.cfg.noise
+        b = np.repeat([x for x in (nc.position_bound, nc.velocity_bound)
+                       if x > 0.0], 2)
+        noise = -b + (b - -b) * self.state_rng.random((len(others), len(b)))
+        if nc.position_bound > 0.0:
+            pos, noise = pos + noise[:, :2], noise[:, 2:]
+        if nc.velocity_bound > 0.0:
+            vel = vel + noise
+        return [(p, v, r.radius) for p, v, r in zip(pos, vel, others)]
 
     # ---- stepping --------------------------------------------------------
 

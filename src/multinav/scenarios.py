@@ -6,8 +6,9 @@ on a ring with antipodal goals), Plus (two crossing corridors), Doorway (a
 room split by a wall with a gap two robot diameters wide), Room (walled box
 with random interior walls), Hallway (narrow corridor, two groups swapping
 ends). Placements are rejection-sampled until starts and goals are mutually
-clear, sit on free inflated cells and every goal is reachable by A*.
-Generation is pure in the seed: the same spec yields the same world.
+clear, sit on free inflated cells and every goal is reachable by A*; the
+grid and paths of that check are kept as the episode's plan. Generation is
+pure in the seed: the same spec yields the same world.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Circle, Wall
-from .planner import InvalidEndpoint, Unreachable, astar, rasterize
+from .planner import (GlobalPath, InvalidEndpoint, OccupancyGrid, Unreachable,
+                      astar, rasterize)
 from .sim import World, WorldConfig
 
 SPAWN_MARGIN = 0.1   # extra surface clearance between spawned robots
@@ -70,9 +72,29 @@ class GeneratedScenario:
     config: WorldConfig
     starts: list                   # (x, y, heading) per agent
     goals: list                    # (x, y) per agent
+    # the plan() cache: neither serialized nor compared
+    grid: OccupancyGrid | None = field(default=None, repr=False, compare=False)
+    paths: list[GlobalPath] | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def make_world(self) -> World:
         return World.from_starts(self.config, self.starts, self.goals)
+
+    def plan(self, resolution: float) -> tuple[OccupancyGrid, list[GlobalPath]]:
+        """The inflated occupancy grid and one A* path per agent.
+
+        Computed on the first call and cached, so the reachability check in
+        `generate` and the episode's global paths are one plan. A grid the
+        builder rasterized for placement is reused when its resolution
+        matches. Raises Unreachable or InvalidEndpoint for an unplannable
+        agent.
+        """
+        if self.grid is None or self.grid.resolution != resolution:
+            self.grid, self.paths = rasterize(self.config, resolution), None
+        if self.paths is None:
+            self.paths = [astar(self.grid, s[:2], g)
+                          for s, g in zip(self.starts, self.goals)]
+        return self.grid, self.paths
 
     def to_dict(self) -> dict:
         return {
@@ -114,15 +136,6 @@ def _sample_clear(rng, box, taken, grid, radius, tries=MAX_PLACE_TRIES):
     raise Overconstrained(f"could not place a point in {box}")
 
 
-def _check_reachable(grid, starts, goals) -> bool:
-    for s, g in zip(starts, goals):
-        try:
-            astar(grid, s[:2], g)
-        except (Unreachable, InvalidEndpoint):
-            return False
-    return True
-
-
 def _box_walls(xmin, ymin, xmax, ymax, thickness=0.1) -> list[Wall]:
     return [Wall(xmin, ymin, xmax, ymin, thickness),
             Wall(xmin, ymax, xmax, ymax, thickness),
@@ -148,10 +161,12 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         except Overconstrained as e:
             last_err = e
             continue
-        grid = rasterize(scenario.config, spec.resolution)
-        if _check_reachable(grid, scenario.starts, scenario.goals):
-            return scenario
-        last_err = Overconstrained("a goal was unreachable")
+        try:
+            scenario.plan(spec.resolution)
+        except (Unreachable, InvalidEndpoint):
+            last_err = Overconstrained("a goal was unreachable")
+            continue
+        return scenario
     raise Overconstrained(f"layout failed after {MAX_LAYOUT_TRIES} attempts: {last_err}")
 
 
@@ -193,7 +208,7 @@ def _gen_random(spec: ScenarioSpec, rng) -> GeneratedScenario:
         g = _sample_clear(rng, box, goals, grid, spec.robot_radius)
         starts.append((s[0], s[1], _heading_towards(s, g)))
         goals.append(g)
-    return GeneratedScenario(cfg, starts, goals)
+    return GeneratedScenario(cfg, starts, goals, grid)
 
 
 def _gen_plus(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -224,7 +239,7 @@ def _gen_plus(spec: ScenarioSpec, rng) -> GeneratedScenario:
             raise Overconstrained("plus placement fell on occupancy")
         starts.append((s[0], s[1], _heading_towards(s, g)))
         goals.append(g)
-    return GeneratedScenario(cfg, starts, goals)
+    return GeneratedScenario(cfg, starts, goals, grid)
 
 
 def _gen_doorway(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -247,7 +262,7 @@ def _gen_doorway(spec: ScenarioSpec, rng) -> GeneratedScenario:
         g = _sample_clear(rng, right, goals, grid, spec.robot_radius)
         starts.append((s[0], s[1], _heading_towards(s, g)))
         goals.append(g)
-    return GeneratedScenario(cfg, starts, goals)
+    return GeneratedScenario(cfg, starts, goals, grid)
 
 
 def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -272,7 +287,7 @@ def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
         g = _sample_clear(rng, box, goals, grid, spec.robot_radius)
         starts.append((s[0], s[1], _heading_towards(s, g)))
         goals.append(g)
-    return GeneratedScenario(cfg, starts, goals)
+    return GeneratedScenario(cfg, starts, goals, grid)
 
 
 def _gen_hallway(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -301,7 +316,7 @@ def _gen_hallway(spec: ScenarioSpec, rng) -> GeneratedScenario:
             d = math.hypot(goals[i][0] - goals[j][0], goals[i][1] - goals[j][1])
             if d < 2.0 * spec.robot_radius + SPAWN_MARGIN:
                 raise Overconstrained("mirrored hallway goals collide")
-    return GeneratedScenario(cfg, starts, goals)
+    return GeneratedScenario(cfg, starts, goals, grid)
 
 
 TRAINING_SET = [

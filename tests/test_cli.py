@@ -1,15 +1,65 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multinav
 from multinav.cli import main
 from multinav.policy import ActorCritic, PolicyConfig
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS")
+
+# run in a fresh interpreter: import the package, then numpy, and report the
+# thread variables and the thread count of the OpenBLAS numpy loaded
+BLAS_PROBE = """
+import ctypes, json, os
+import multinav, numpy
+threads, libs = None, []
+if os.path.exists("/proc/self/maps"):       # Linux: the libraries loaded
+    with open("/proc/self/maps") as f:
+        libs = sorted({l.split()[-1] for l in f
+                       if "openblas" in l.lower() and "/" in l})
+for path in libs:
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(path), sym, None)
+        if fn is not None and threads is None:
+            threads = int(fn())
+print(json.dumps({"env": {v: os.environ.get(v) for v in %r}, "threads": threads}))
+""" % (BLAS_VARS,)
+
+
+def probe_blas(**env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_vars)
+    src = str(Path(multinav.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+class TestBlasThreads:
+    def test_pinned_to_one_thread_by_default(self):
+        got = probe_blas()
+        assert got["env"] == {v: "1" for v in BLAS_VARS}
+        if got["threads"] is not None:        # numpy linked OpenBLAS
+            assert got["threads"] == 1
+
+    def test_a_value_the_user_set_wins(self):
+        got = probe_blas(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+        assert got["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                              "MKL_NUM_THREADS": "3", "BLIS_NUM_THREADS": "1"}
 
 
 class TestRunCommand:

@@ -9,9 +9,76 @@ from multinav.planner import (EmptyPath, GlobalPath, InvalidEndpoint,
                               OccupancyGrid, Unreachable, astar,
                               path_cost_counts, rasterize, running_target,
                               save_pgm)
+from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import WorldConfig
 
 SQRT2 = math.sqrt(2.0)
+MOVES = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+         (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2)]
+
+
+def reference_astar(grid, start, goal):
+    """The A* that `astar` replaced, over (ix, iy) tuples with dict and set
+    state and a bounds test per move: same heuristic, step costs and heap
+    entries, so both must return the same bytes."""
+    s = grid.world_to_cell(*start)
+    g = grid.world_to_cell(*goal)
+    for name, c in (("start", s), ("goal", g)):
+        if not grid.in_bounds(*c) or grid.cells[c]:
+            raise InvalidEndpoint(f"{name} cell {c} is occupied or out of bounds")
+    if s == g:
+        return GlobalPath.from_waypoints([grid.cell_center(*s)])
+    res = grid.resolution
+    gx, gy = grid.cell_center(*g)
+
+    def heuristic(c):
+        px, py = grid.cell_center(*c)
+        return math.hypot(px - gx, py - gy)
+
+    cells = grid.cells
+    nx, ny = cells.shape
+    dist = {s: 0.0}
+    parent = {}
+    counter = 0
+    open_heap = [(heuristic(s), counter, s)]
+    closed = set()
+    while open_heap:
+        _, _, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == g:
+            break
+        closed.add(cur)
+        cx, cy = cur
+        base = dist[cur]
+        for dx, dy, step in MOVES:
+            vx, vy = cx + dx, cy + dy
+            if not (0 <= vx < nx and 0 <= vy < ny) or cells[vx, vy]:
+                continue
+            nd = base + step * res
+            v = (vx, vy)
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                parent[v] = cur
+                counter += 1
+                heapq.heappush(open_heap, (nd + heuristic(v), counter, v))
+    if g not in dist:
+        raise Unreachable(f"no path from {s} to {g}")
+    chain = [g]
+    while chain[-1] != s:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return GlobalPath.from_waypoints([grid.cell_center(*c) for c in chain])
+
+
+def plan_outcome(planner, grid, start, goal):
+    """Waypoint and length bytes of a plan, or the exception's type and
+    message."""
+    try:
+        path = planner(grid, start, goal)
+    except (InvalidEndpoint, Unreachable) as e:
+        return type(e), str(e)
+    return path.waypoints.tobytes(), path.cumulative_length.tobytes()
 
 
 def dijkstra_cost(cells, start, goal, resolution):
@@ -209,6 +276,45 @@ class TestAstar:
             straight, diag = path_cost_counts(path, grid.resolution)
             assert oracle == (straight, diag), f"grid {attempts}"
             checked += 1
+
+
+class TestAstarMatchesReference:
+    def test_seeded_random_grids(self):
+        # resolutions 0.1/0.25/1, random origins, obstacle densities 0-0.35,
+        # a splitting wall (sometimes with a gap) on a quarter of the grids,
+        # and endpoints that may be occupied or off the grid
+        rng = np.random.default_rng(2024)
+        kinds = {"path": 0, InvalidEndpoint: 0, Unreachable: 0}
+        for _ in range(2000):
+            res = float(rng.choice([0.1, 0.25, 1.0]))
+            nx, ny = rng.integers(1, 41, 2)
+            cells = rng.random((nx, ny)) < rng.uniform(0.0, 0.35)
+            if rng.random() < 0.25:
+                cells[rng.integers(nx), :] = True
+                if rng.random() < 0.5:
+                    cells[:, rng.integers(ny)] = False
+            grid = OccupancyGrid(resolution=res,
+                                 origin=tuple(rng.uniform(-20.0, 20.0, 2)),
+                                 cells=cells, inflation_radius=0.25)
+            lo = np.array(grid.origin)
+            hi = lo + np.array([nx, ny]) * res
+            if rng.random() < 0.15:
+                lo, hi = lo - res, hi + res
+            start, goal = rng.uniform(lo, hi, (2, 2))
+            want = plan_outcome(reference_astar, grid, start, goal)
+            assert plan_outcome(astar, grid, start, goal) == want
+            kinds[want[0] if isinstance(want[0], type) else "path"] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+    @pytest.mark.parametrize("kind,agents", [(Kind.CIRCLE, 40), (Kind.DOORWAY, 15),
+                                             (Kind.RANDOM, 40), (Kind.HALLWAY, 16)])
+    def test_evaluation_layouts(self, kind, agents):
+        spec = eval_suite(kind, agents, rng_seed=0)
+        scenario = generate(spec)
+        grid, paths = scenario.plan(spec.resolution)
+        for (x, y, _), goal, path in zip(scenario.starts, scenario.goals, paths):
+            want = plan_outcome(reference_astar, grid, (x, y), goal)
+            assert (path.waypoints.tobytes(), path.cumulative_length.tobytes()) == want
 
 
 class TestRunningTarget:

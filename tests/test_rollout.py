@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from multinav.observations import AblationConfig, NoiseConfig, normalize
-from multinav.ppo import TrainConfig, train
-from multinav.policy import PolicyConfig
+from multinav.ppo import TrainConfig, evaluate_policy, train
+from multinav.policy import NumericalDivergence, PolicyConfig
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import GeneratedScenario, Kind, ScenarioSpec, generate
 from multinav.sim import Status
@@ -112,6 +116,85 @@ class TestNavEnv:
         doc = GeneratedScenario.from_json(scenario.to_json())
         assert doc.to_dict() == scenario.to_dict()
 
+    def test_json_round_trip_resets_to_the_same_plan(self):
+        spec = ScenarioSpec(kind=Kind.DOORWAY, scale=8.0, num_agents=4,
+                            rng_seed=5)
+        scenario = generate(spec)
+        loaded = GeneratedScenario.from_json(scenario.to_json())
+        assert loaded.grid is None and loaded.paths is None   # not serialized
+        assert loaded == scenario                             # nor compared
+        envs = []
+        for sc in (scenario, loaded):
+            env = NavEnv(spec, EnvConfig(build_observations=False), seed=0)
+            env.reset(sc)
+            envs.append(env)
+        a, b = envs
+        assert a.grid.cells.tobytes() == b.grid.cells.tobytes()
+        assert (a.grid.origin, a.grid.resolution) == (b.grid.origin, b.grid.resolution)
+        assert len(a.paths) == len(b.paths) == 4
+        for p, q in zip(a.paths, b.paths):
+            assert p.waypoints.tobytes() == q.waypoints.tobytes()
+            assert p.cumulative_length.tobytes() == q.cumulative_length.tobytes()
+
+
+def _neighbor_states_reference(env, i):
+    """The per-neighbour loop the array feed replaced: two uniform draws
+    per neighbour, position noise first."""
+    out = []
+    for j, r in enumerate(env.world.robots):
+        if j == i:
+            continue
+        pos = r.position.copy()
+        th = r.heading
+        vel = np.array([r.linear_velocity * math.cos(th),
+                        r.linear_velocity * math.sin(th)])
+        nc = env.cfg.noise
+        if nc.position_bound > 0.0:
+            pos = pos + env.state_rng.uniform(-nc.position_bound,
+                                              nc.position_bound, 2)
+        if nc.velocity_bound > 0.0:
+            vel = vel + env.state_rng.uniform(-nc.velocity_bound,
+                                              nc.velocity_bound, 2)
+        out.append((pos, vel, r.radius))
+    return out
+
+
+class TestNoisyNeighborStates:
+    @pytest.mark.parametrize("bounds", [(0.1, 0.1), (0.1, 0.0), (0.0, 0.2),
+                                        (0.0, 0.0), (0.37, 0.011)])
+    def test_matches_per_neighbour_draws(self, bounds):
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=7,
+                            rng_seed=2)
+        noise = NoiseConfig(position_bound=bounds[0], velocity_bound=bounds[1])
+        envs = []
+        for _ in range(2):
+            env = NavEnv(spec, EnvConfig(noise=noise, build_observations=False),
+                         seed=9)
+            env.reset()
+            envs.append(env)
+        for env in envs:      # moving robots, so velocities are not zero
+            for _ in range(3):
+                env.step([(0.6, 0.4 - 0.1 * k) for k in range(7)])
+        fast, slow = envs
+        for _ in range(2):
+            for i in range(7):
+                got = fast.noisy_neighbor_states(i)
+                want = _neighbor_states_reference(slow, i)
+                assert len(got) == len(want) == 6
+                for (p, v, r), (wp, wv, wr) in zip(got, want):
+                    assert p.tobytes() == wp.tobytes()
+                    assert v.tobytes() == wv.tobytes()
+                    assert r == wr
+        assert fast.state_rng.bit_generator.state == slow.state_rng.bit_generator.state
+
+    def test_lone_robot_has_no_neighbours(self):
+        env = NavEnv(single_agent_spec(), EnvConfig(noise=NoiseConfig(),
+                                                    build_observations=False))
+        env.reset()
+        state = env.state_rng.bit_generator.state
+        assert env.noisy_neighbor_states(0) == []
+        assert env.state_rng.bit_generator.state == state
+
 
 class TestControllerFailure:
     def test_controller_exception_records_stuck(self):
@@ -120,13 +203,46 @@ class TestControllerFailure:
             name = "broken"
 
             def act(self, env, obs):
-                raise RuntimeError("controller blew up")
+                raise NumericalDivergence("controller blew up")
 
         from multinav.bench import run_episode
         env = NavEnv(single_agent_spec(), EnvConfig(build_observations=False),
                      seed=0)
         run_episode(env, BrokenController())
         assert env.world.robots[0].status == Status.STUCK
+
+    def test_floating_point_error_records_stuck(self):
+        class OverflowingController:
+            needs_observations = False
+            name = "overflowing"
+
+            def act(self, env, obs):
+                with np.errstate(over="raise"):
+                    np.float64(1e308) * 10.0
+
+        from multinav.bench import run_episode
+        env = NavEnv(single_agent_spec(), EnvConfig(build_observations=False),
+                     seed=0)
+        run_episode(env, OverflowingController())
+        assert env.world.robots[0].status == Status.STUCK
+
+    def test_programming_error_propagates(self):
+        class BuggyController:
+            needs_observations = False
+            name = "buggy"
+
+            def act(self, env, obs):
+                raise RuntimeError("a bug, not a numerical failure")
+
+        from multinav.bench import run_episode
+        env = NavEnv(single_agent_spec(), EnvConfig(build_observations=False),
+                     seed=0)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_episode(env, BuggyController())
+
+    def test_evaluation_without_a_network_raises(self):
+        with pytest.raises(AttributeError):
+            evaluate_policy(None, single_agent_spec(), EnvConfig(), 2, 0)
 
 
 class TestTrainDeterminism:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from multinav import rollout, scenarios
 from multinav.planner import astar, rasterize
+from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import (EVAL_AGENT_GRID, Kind, Overconstrained,
                                 ScenarioSpec, TRAINING_SET, eval_suite,
                                 generate)
@@ -82,6 +84,86 @@ class TestInvariants:
     def test_overconstrained_raises(self):
         with pytest.raises(Overconstrained):
             generate(ScenarioSpec(Kind.DOORWAY, scale=6.0, num_agents=120))
+
+
+class TestOnePlan:
+    """generate checks reachability with the plan the episode then uses:
+    one rasterize per layout and one A* per agent across generate and
+    NavEnv.reset."""
+
+    BUILDERS = ["_gen_circle", "_gen_random", "_gen_plus", "_gen_doorway",
+                "_gen_room", "_gen_hallway"]
+
+    def counting(self, monkeypatch):
+        calls = {"astar": 0, "rasterize": 0, "layouts": 0}
+
+        def wrap(module, name, key):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (scenarios, rollout):
+            wrap(module, "astar", "astar")
+            wrap(module, "rasterize", "rasterize")
+        for name in self.BUILDERS:
+            wrap(scenarios, name, "layouts")
+        return calls
+
+    @pytest.mark.parametrize("spec", ALL_KINDS,
+                             ids=[s.kind.value for s in ALL_KINDS])
+    def test_generate_then_reset(self, spec, monkeypatch):
+        calls = self.counting(monkeypatch)
+        env = NavEnv(spec, EnvConfig(build_observations=False), seed=0)
+        env.reset(generate(spec))
+        assert calls["layouts"] == 1
+        assert calls["rasterize"] == 1
+        assert calls["astar"] == spec.num_agents == len(env.paths)
+
+    def test_reset_draws_and_plans_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        spec = eval_suite(Kind.DOORWAY, 5, rng_seed=4)
+        env = NavEnv(spec, EnvConfig(build_observations=False), seed=4)
+        for episode in range(1, 4):
+            env.reset()
+            assert calls["rasterize"] == calls["layouts"] == episode
+            assert calls["astar"] == 5 * episode
+
+    def test_a_failed_layout_is_not_reused(self, monkeypatch):
+        # the first layout's first goal is unreachable: generate draws a
+        # second layout and plans it from scratch
+        calls = self.counting(monkeypatch)
+        real = scenarios.astar
+        failures = []
+
+        def first_goal_unreachable(grid, start, goal):
+            if not failures:
+                failures.append(goal)
+                raise scenarios.Unreachable("test")
+            return real(grid, start, goal)
+
+        monkeypatch.setattr(scenarios, "astar", first_goal_unreachable)
+        spec = ScenarioSpec(Kind.DOORWAY, scale=10.0, num_agents=5, rng_seed=3)
+        scenario = generate(spec)
+        assert calls["layouts"] == calls["rasterize"] == 2
+        assert scenario.goals[0] != failures[0]
+        grid, paths = scenario.plan(spec.resolution)
+        assert len(paths) == 5 and calls["rasterize"] == 2
+
+    def test_plan_at_another_resolution_replans(self):
+        spec = ScenarioSpec(Kind.DOORWAY, scale=10.0, num_agents=3, rng_seed=3)
+        scenario = generate(spec)
+        grid, paths = scenario.plan(spec.resolution)
+        assert scenario.plan(spec.resolution)[1] is paths
+        coarse, coarse_paths = scenario.plan(0.25)
+        assert coarse.resolution == 0.25 and coarse.shape != grid.shape
+        want = [astar(rasterize(scenario.config, 0.25), s[:2], g)
+                for s, g in zip(scenario.starts, scenario.goals)]
+        for p, q in zip(coarse_paths, want):
+            assert p.waypoints.tobytes() == q.waypoints.tobytes()
 
 
 class TestPlus:
