@@ -24,11 +24,6 @@ def wrap_angle(a: float) -> float:
     return r
 
 
-def wrap_angle_array(a: np.ndarray) -> np.ndarray:
-    r = np.asarray(a, dtype=float) % TWO_PI
-    return np.where(r > math.pi, r - TWO_PI, r)
-
-
 @dataclass(frozen=True)
 class Circle:
     cx: float
@@ -141,11 +136,6 @@ def dist_aabb_surface(points: np.ndarray, box: tuple[float, float, float, float]
     outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
     inside = np.minimum(np.maximum(dx, dy), 0.0)
     return outside + inside
-
-
-def closest_point_on_aabb(p: np.ndarray, box: tuple[float, float, float, float]) -> np.ndarray:
-    xmin, ymin, xmax, ymax = box
-    return np.array([min(max(p[0], xmin), xmax), min(max(p[1], ymin), ymax)])
 
 
 def obstacle_surface_distance(points: np.ndarray, circles: list[Circle],

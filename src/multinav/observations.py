@@ -27,12 +27,11 @@ N_MAX_NEIGHBORS = 16  # nearest-first cap; bounds rollout memory, not the model
 @dataclass
 class NoiseConfig:
     """Observation-noise magnitudes. Position/velocity noise is uniform per
-    axis by default (switchable to Gaussian with the same scale)."""
+    axis."""
 
     lidar_sigma: float = 0.035
     position_bound: float = 0.1
     velocity_bound: float = 0.1
-    gaussian_state_noise: bool = False
 
     @classmethod
     def disabled(cls) -> "NoiseConfig":
@@ -152,8 +151,6 @@ def apply_state_noise(bundle: ObservationBundle, rng: np.random.Generator,
     def draw(bound, size):
         if bound == 0.0:
             return np.zeros(size)
-        if noise_cfg.gaussian_state_noise:
-            return rng.normal(0.0, bound, size=size)
         return rng.uniform(-bound, bound, size=size)
 
     xy = np.column_stack([nodes[:, 0] * np.cos(nodes[:, 1]),

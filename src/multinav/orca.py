@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, Wall, closest_point_on_aabb, wrap_angle
+from .geometry import Circle, Wall, wrap_angle
 from .sim import Action, RobotState, V_MAX, W_MAX
 
 EPS = 1e-10
@@ -40,80 +40,87 @@ class OrcaConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
-class HalfPlane:
-    """Directed line: permitted velocities lie on the left of (point,
-    direction)."""
-    point: np.ndarray
-    direction: np.ndarray
+def _cross(a, b):
+    """z component of a x b, row-wise: positive when b points left of a."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _det(a, b) -> float:
-    return a[0] * b[1] - a[1] * b[0]
+def _dots(a, b):
+    """Row-wise dot products. Batched matmul runs each row through the same
+    BLAS ddot as `a[k] @ b[k]`, which can differ in the last bit from
+    `a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]` because ddot may fuse the
+    multiply-add."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _orca_halfplane(rel_pos, rel_vel, combined_radius, tau, dt, responsibility):
-    """Half-plane for one neighbor, RVO-style.
+def _orca_lines(rel_pos, rel_vel, dist_sq, combined_radius, tau,
+                responsibility, dt):
+    """One half-plane per row, RVO-style: permitted velocity changes lie on
+    the left of the directed line (point, direction).
 
-    rel_pos points from self to the neighbor; rel_vel is v_self - v_other.
-    Already-penetrating pairs use a one-timestep horizon so the constraint
-    pushes the agents apart.
+    rel_pos (n, 2) points from self to each obstacle or neighbor, rel_vel
+    (n, 2) is v_self - v_other and dist_sq is rel_pos . rel_pos; the other
+    arguments hold one value per row. Rows project on the cut-off circle or
+    the nearer leg of the truncated cone; already-penetrating pairs use a
+    one-timestep horizon so the constraint pushes the agents apart. Returns
+    (points, directions), the points scaled by each row's responsibility.
     """
-    dist_sq = float(rel_pos @ rel_pos)
     r_sq = combined_radius * combined_radius
-    if dist_sq > r_sq:
-        w = rel_vel - rel_pos / tau
-        w_len_sq = float(w @ w)
-        dot1 = float(w @ rel_pos)
-        if dot1 < 0.0 and dot1 * dot1 > r_sq * w_len_sq:
-            # project on the cut-off circle
-            w_len = math.sqrt(w_len_sq)
-            unit_w = w / w_len
-            direction = np.array([unit_w[1], -unit_w[0]])
-            u = (combined_radius / tau - w_len) * unit_w
-        else:
-            # project on the nearer leg of the cone
-            leg = math.sqrt(dist_sq - r_sq)
-            if _det(rel_pos, w) > 0.0:
-                direction = np.array([rel_pos[0] * leg - rel_pos[1] * combined_radius,
-                                      rel_pos[0] * combined_radius + rel_pos[1] * leg]) / dist_sq
-            else:
-                direction = -np.array([rel_pos[0] * leg + rel_pos[1] * combined_radius,
-                                       -rel_pos[0] * combined_radius + rel_pos[1] * leg]) / dist_sq
-            u = float(rel_vel @ direction) * direction - rel_vel
-    else:
-        # collision: push apart over a single timestep
-        inv_dt = 1.0 / dt
-        w = rel_vel - rel_pos * inv_dt
-        w_len = math.hypot(*w)
-        unit_w = w / w_len if w_len > EPS else np.array([1.0, 0.0])
-        direction = np.array([unit_w[1], -unit_w[0]])
-        u = (combined_radius * inv_dt - w_len) * unit_w
-    return HalfPlane(point=responsibility * u, direction=direction), u
+    coll = ~(dist_sq > r_sq)
+    inv_dt = 1.0 / dt
+    w = rel_vel - np.where(coll[:, None], rel_pos * inv_dt,
+                           rel_pos / tau[:, None])
+    w_len_sq = _dots(w, w)
+    dot1 = _dots(w, rel_pos)
+    leg = ~(coll | ((dot1 < 0.0) & (dot1 * dot1 > r_sq * w_len_sq)))
+
+    # cut-off circle, or the collision circle
+    w_len = np.sqrt(w_len_sq)
+    if coll.any():
+        w_len[coll] = [math.hypot(x, y) for x, y in w[coll].tolist()]
+    degenerate = coll & (w_len <= EPS)
+    unit_w = w / np.where(leg | degenerate, 1.0, w_len)[:, None]
+    unit_w[degenerate] = (1.0, 0.0)
+    reach = np.where(coll, combined_radius * inv_dt, combined_radius / tau)
+    u = (reach - w_len)[:, None] * unit_w
+    direction = unit_w[:, ::-1] * (1.0, -1.0)
+
+    # nearer leg of the cone: (x l - y r, y l + x r) / |p|^2 on the left,
+    # -(x l + y r, y l - x r) / |p|^2 on the right, l the leg length
+    if leg.any():
+        along = rel_pos[leg] * np.sqrt(dist_sq[leg] - r_sq[leg])[:, None]
+        across = rel_pos[leg, ::-1] * combined_radius[leg, None]
+        left = (_cross(rel_pos[leg], w[leg]) > 0.0)[:, None]
+        d = np.where(left, along + across * (-1.0, 1.0),
+                     -(along + across * (1.0, -1.0))) / dist_sq[leg, None]
+        v = rel_vel[leg]
+        direction[leg] = d
+        u[leg] = _dots(v, d)[:, None] * d - v
+    return responsibility[:, None] * u, direction
 
 
-def _lp1(lines, line_no, radius, opt_velocity, direction_opt, result):
-    """Optimize along one line, respecting earlier lines and the speed disc.
-    Returns the new point or None when infeasible."""
-    p, d = lines[line_no].point, lines[line_no].direction
+def _lp1(P, D, line_no, radius, opt_velocity, direction_opt):
+    """Optimize along line line_no, respecting earlier lines and the speed
+    disc. Returns the new point or None when infeasible."""
+    p, d = P[line_no], D[line_no]
     dot = float(p @ d)
     disc = dot * dot + radius * radius - float(p @ p)
     if disc < 0.0:
         return None
     sq = math.sqrt(disc)
     t_left, t_right = -dot - sq, -dot + sq
-    for i in range(line_no):
-        den = _det(d, lines[i].direction)
-        num = _det(lines[i].direction, p - lines[i].point)
-        if abs(den) <= EPS:
-            if num < 0.0:
-                return None
-            continue
-        t = num / den
-        if den >= 0.0:
-            t_right = min(t_right, t)
-        else:
-            t_left = max(t_left, t)
+    if line_no:
+        den = _cross(d, D[:line_no])
+        num = _cross(D[:line_no], p - P[:line_no])
+        crossing = np.abs(den) > EPS
+        # a parallel earlier line either holds along all of this one or
+        # nowhere on it
+        if (num[~crossing] < 0.0).any():
+            return None
+        t = num[crossing] / den[crossing]
+        right = den[crossing] >= 0.0
+        t_right = min(t_right, t[right].min(initial=math.inf))
+        t_left = max(t_left, t[~right].max(initial=-math.inf))
         if t_left > t_right:
             return None
     if direction_opt:
@@ -123,100 +130,108 @@ def _lp1(lines, line_no, radius, opt_velocity, direction_opt, result):
     return p + t * d
 
 
-def _lp2(lines, radius, opt_velocity, direction_opt):
+def _lp2(P, D, radius, opt_velocity, direction_opt):
     """Feasible velocity closest to opt_velocity inside the speed disc.
-    Returns (index of first failing line or len(lines), result)."""
+    Returns (index of first failing line or len(P), result)."""
     if direction_opt:
         result = opt_velocity * radius
     elif float(opt_velocity @ opt_velocity) > radius * radius:
         result = opt_velocity / math.hypot(*opt_velocity) * radius
     else:
         result = opt_velocity.copy()
-    for i, line in enumerate(lines):
-        if _det(line.direction, line.point - result) > 0.0:
-            new = _lp1(lines, i, radius, opt_velocity, direction_opt, result)
+    # violation tests on plain floats: the same arithmetic as on the rows,
+    # without numpy's per-scalar overhead
+    r0, r1 = result.tolist()
+    for i, ((p0, p1), (d0, d1)) in enumerate(zip(P.tolist(), D.tolist())):
+        if d0 * (p1 - r1) - d1 * (p0 - r0) > 0.0:
+            new = _lp1(P, D, i, radius, opt_velocity, direction_opt)
             if new is None:
                 return i, result
             result = new
-    return len(lines), result
+            r0, r1 = result.tolist()
+    return len(P), result
 
 
-def _lp3(lines, num_obst_lines, begin_line, radius, result):
+def _lp3(P, D, num_obst_lines, begin_line, radius, result):
     """Infeasible fallback: minimize the maximum violation over the agent
     lines while keeping obstacle lines hard."""
     distance = 0.0
-    for i in range(begin_line, len(lines)):
-        if _det(lines[i].direction, lines[i].point - result) > distance:
-            proj = list(lines[:num_obst_lines])
-            for j in range(num_obst_lines, i):
-                den = _det(lines[i].direction, lines[j].direction)
-                if abs(den) <= EPS:
-                    if float(lines[i].direction @ lines[j].direction) > 0.0:
-                        continue
-                    point = 0.5 * (lines[i].point + lines[j].point)
-                else:
-                    t = _det(lines[j].direction,
-                             lines[i].point - lines[j].point) / den
-                    point = lines[i].point + t * lines[i].direction
-                direction = lines[j].direction - lines[i].direction
-                direction = direction / math.hypot(*direction)
-                proj.append(HalfPlane(point, direction))
-            opt = np.array([-lines[i].direction[1], lines[i].direction[0]])
-            fail, new = _lp2(proj, radius, opt, True)
-            if fail == len(proj):
+    for i in range(begin_line, len(P)):
+        if _cross(D[i], P[i] - result) > distance:
+            # each earlier agent line j becomes the bisector of lines i and
+            # j; a parallel j pointing the same way adds no constraint
+            pj, dj = P[num_obst_lines:i], D[num_obst_lines:i]
+            den = _cross(D[i], dj)
+            parallel = np.abs(den) <= EPS
+            keep = ~parallel | ~(_dots(D[i], dj) > 0.0)
+            t = _cross(dj, P[i] - pj) / np.where(parallel, 1.0, den)
+            point = np.where(parallel[:, None], 0.5 * (P[i] + pj),
+                             P[i] + t[:, None] * D[i])[keep]
+            direction = (dj - D[i])[keep]
+            norm = [math.hypot(x, y) for x, y in direction.tolist()]
+            direction = direction / np.array(norm).reshape(-1, 1)
+            fail, new = _lp2(np.vstack([P[:num_obst_lines], point]),
+                             np.vstack([D[:num_obst_lines], direction]),
+                             radius, np.array([-D[i, 1], D[i, 0]]), True)
+            if fail == num_obst_lines + len(point):
                 result = new
-            distance = _det(lines[i].direction, lines[i].point - result)
+            distance = _cross(D[i], P[i] - result)
     return result
 
 
 def orca_velocity(self_pos: np.ndarray, self_vel: np.ndarray, radius: float,
-                  neighbor_states, circles: list[Circle], walls: list[Wall],
+                  neighbors, circles: list[Circle], walls: list[Wall],
                   preferred_velocity: np.ndarray, cfg: OrcaConfig,
                   dt: float = 0.1):
     """Collision-avoiding holonomic velocity closest to the preferred one.
 
-    neighbor_states is a list of (position, velocity, radius) triples (the
-    baseline sees ground-truth neighbor states, optionally noise-perturbed
-    upstream). Returns (velocity, feasible) where feasible is False when the
-    3-D fallback had to relax agent constraints.
+    neighbors is a (positions (k, 2), velocities (k, 2), radii (k,)) triple
+    of arrays (the baseline sees ground-truth neighbor states, optionally
+    noise-perturbed upstream). Returns (velocity, feasible) where feasible
+    is False when the 3-D fallback had to relax agent constraints.
 
     Agent pairs are inflated by 2x the tracking error bound (both robots
     deviate from their holonomic tracks); static obstacles are exactly
     mapped and use the raw radius.
     """
-    lines: list[HalfPlane] = []
-
-    # static obstacles first: they stay hard in the infeasible fallback
-    statics = []
-    for c in circles:
-        statics.append((c.center, c.r))
+    # static obstacles first: they stay hard in the infeasible fallback.
+    # A wall acts as a zero-radius obstacle at its point closest to self.
+    x, y = self_pos
+    statics = [(c.cx, c.cy, c.r) for c in circles]
     for w in walls:
-        q = closest_point_on_aabb(self_pos, w.aabb)
-        statics.append((q, 0.0))
-    for q, r_obs in statics:
-        rel_pos = np.asarray(q, dtype=float) - self_pos
-        if float(rel_pos @ rel_pos) > (cfg.neighbor_range + r_obs) ** 2:
-            continue
-        hp, u = _orca_halfplane(rel_pos, self_vel, radius + r_obs,
-                                cfg.time_horizon_obstacles, dt,
-                                responsibility=1.0)
-        lines.append(HalfPlane(self_vel + hp.point, hp.direction))
-    num_obst = len(lines)
+        xmin, ymin, xmax, ymax = w.aabb
+        statics.append((min(max(x, xmin), xmax), min(max(y, ymin), ymax),
+                        0.0))
+    statics = np.array(statics).reshape(-1, 3)
+    positions, velocities, radii = neighbors
+    n_static = len(statics)
 
-    for pos, vel, r_other in neighbor_states:
-        rel_pos = np.asarray(pos, dtype=float) - self_pos
-        if float(rel_pos @ rel_pos) > cfg.neighbor_range ** 2:
-            continue
-        rel_vel = self_vel - np.asarray(vel, dtype=float)
-        hp, u = _orca_halfplane(rel_pos, rel_vel,
-                                radius + r_other + 2.0 * cfg.epsilon_tracking,
-                                cfg.time_horizon_agents, dt, responsibility=0.5)
-        lines.append(HalfPlane(self_vel + hp.point, hp.direction))
+    rel_pos = np.concatenate([statics[:, :2], positions]) - self_pos
+    dist_sq = _dots(rel_pos, rel_pos)
+    r_other = np.concatenate([statics[:, 2], radii])
+    agent = np.arange(len(r_other)) >= n_static
+    max_dist = cfg.neighbor_range + np.where(agent, 0.0, r_other)
+    near = ~(dist_sq > max_dist ** 2)
+    agent, combined = agent[near], radius + r_other[near]
+    points, D = _orca_lines(
+        rel_pos[near],
+        self_vel - np.concatenate([np.zeros((n_static, 2)), velocities])[near],
+        dist_sq[near],
+        np.where(agent, combined + 2.0 * cfg.epsilon_tracking, combined),
+        np.where(agent, cfg.time_horizon_agents, cfg.time_horizon_obstacles),
+        np.where(agent, 0.5, 1.0), dt)
+    P = self_vel + points
+    num_obst = int(near[:n_static].sum())
 
-    fail, result = _lp2(lines, cfg.max_speed, np.asarray(preferred_velocity,
-                                                         dtype=float), False)
-    if fail < len(lines):
-        result = _lp3(lines, num_obst, fail, cfg.max_speed, result)
+    fail, result = _lp2(P, D, cfg.max_speed,
+                        np.asarray(preferred_velocity, dtype=float), False)
+    if fail < len(P):
+        result = _lp3(P, D, num_obst, fail, cfg.max_speed, result)
+        # nearly parallel agent lines give _lp3 far-off projected lines, on
+        # which _lp1's disc test cancels and can land outside the disc
+        speed = math.hypot(*result)
+        if speed > cfg.max_speed:
+            result = result * (cfg.max_speed / speed)
         return result, False
     return result, True
 

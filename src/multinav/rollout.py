@@ -97,6 +97,7 @@ class NavEnv:
             lower_bound_time=max(p.length - self.world.config.goal_tolerance, 0.0)
             / V_MAX) for p in self.paths]
         self.episode_rewards = np.zeros(n)
+        self._targets = [self._find_target(i) for i in range(n)]
         self._sense()
         return self.observations()
 
@@ -109,7 +110,11 @@ class NavEnv:
 
     def target_point(self, i: int) -> TargetPoint:
         """Running target on agent i's global path (final goal under the
-        no-global-path ablation)."""
+        no-global-path ablation) at its current position, as the last reset
+        or step found it."""
+        return self._targets[i]
+
+    def _find_target(self, i: int) -> TargetPoint:
         robot = self.world.robots[i]
         if self.cfg.ablation.no_global_path:
             return TargetPoint(position=robot.goal.copy(), path_direction=0.0,
@@ -152,15 +157,14 @@ class NavEnv:
         return self._bundles[i]
 
     def noisy_neighbor_states(self, i: int):
-        """Ground-truth neighbor (position, velocity, radius) triples with the
-        evaluation noise protocol applied; the baseline controllers' feed."""
+        """Ground-truth neighbor (positions (k, 2), velocities (k, 2), radii
+        (k,)) arrays with the evaluation noise protocol applied; the baseline
+        controllers' feed."""
         others = [r for j, r in enumerate(self.world.robots) if j != i]
-        if not others:
-            return []
-        pos = np.array([r.position for r in others])
+        pos = np.array([r.position for r in others]).reshape(-1, 2)
         vel = np.array([(r.linear_velocity * math.cos(r.heading),
                          r.linear_velocity * math.sin(r.heading))
-                        for r in others])
+                        for r in others]).reshape(-1, 2)
         # one draw per observer: row k holds neighbour k's position noise,
         # then its velocity noise (a zero bound draws nothing), scaled as
         # Generator.uniform scales, so the values equal those of a
@@ -173,7 +177,7 @@ class NavEnv:
             pos, noise = pos + noise[:, :2], noise[:, 2:]
         if nc.velocity_bound > 0.0:
             vel = vel + noise
-        return [(p, v, r.radius) for p, v, r in zip(pos, vel, others)]
+        return pos, vel, np.array([r.radius for r in others])
 
     # ---- stepping --------------------------------------------------------
 
@@ -196,7 +200,8 @@ class NavEnv:
                 dones.append(False)
                 targets.append(None)
                 continue
-            target = self.target_point(i).position
+            self._targets[i] = self._find_target(i)
+            target = self._targets[i].position
             terms = reward_terms(robot.status, float(report.d_min[i]),
                                  prev_pos[i], robot.position, target,
                                  self.cfg.reward)

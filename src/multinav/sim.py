@@ -153,8 +153,6 @@ class StepReport:
     d_min: np.ndarray             # per-agent signed clearance after the step
     statuses: list[Status]
     sim_time: float
-    newly_reached: list[int] = field(default_factory=list)
-    newly_collided: list[int] = field(default_factory=list)
 
 
 class World:
@@ -226,24 +224,19 @@ class World:
 
         d = self._separations()
         timed_out = self.sim_time >= cfg.max_episode_time
-        newly_reached, newly_collided = [], []
         for i, robot in enumerate(self.robots):
             if not was_active[i]:
                 continue
             if d[i] < 0.0:
                 robot.status = Status.COLLIDED
-                newly_collided.append(i)
             elif float(np.hypot(*(robot.position - robot.goal))) < cfg.goal_tolerance:
                 robot.status = Status.REACHED_GOAL
-                newly_reached.append(i)
             elif timed_out:
                 robot.status = Status.STUCK
         return StepReport(
             d_min=d,
             statuses=[r.status for r in self.robots],
             sim_time=self.sim_time,
-            newly_reached=newly_reached,
-            newly_collided=newly_collided,
         )
 
     @property

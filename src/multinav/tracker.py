@@ -46,7 +46,6 @@ class TrackerConfig:
 @dataclass
 class Cluster:
     points: np.ndarray               # (n, 2) world frame
-    centroid: np.ndarray
     closest_point: np.ndarray        # cluster point nearest the observer
 
 
@@ -107,8 +106,7 @@ def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
     for idx in groups:
         pts = np.column_stack([px[idx], py[idx]])
         nearest = int(np.argmin(scan.ranges[idx]))
-        clusters.append(Cluster(points=pts, centroid=pts.mean(axis=0),
-                                closest_point=pts[nearest].copy()))
+        clusters.append(Cluster(points=pts, closest_point=pts[nearest].copy()))
     return clusters
 
 

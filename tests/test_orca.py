@@ -1,14 +1,28 @@
+import collections
+import json
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from multinav.geometry import Wall
-from multinav.orca import (HalfPlane, OrcaConfig, _det, _lp2, nh_track,
+from multinav.geometry import Circle, Wall
+from multinav.orca import (EPS, OrcaConfig, _cross, _lp2, _lp3, nh_track,
                            orca_velocity, preferred_velocity)
 from multinav.sim import RobotState
 
 CFG = OrcaConfig()
+NO_NEIGHBORS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def neighbors(*states):
+    """(positions, velocities, radii) arrays from (position, velocity,
+    radius) triples."""
+    return (np.array([s[0] for s in states], dtype=float).reshape(-1, 2),
+            np.array([s[1] for s in states], dtype=float).reshape(-1, 2),
+            np.array([s[2] for s in states], dtype=float))
 
 
 def agent(x, y, th=0.0):
@@ -16,7 +30,258 @@ def agent(x, y, th=0.0):
                       goal=np.array([9.0, 9.0]))
 
 
-def grid_search_lp(lines, radius, pref, levels=14, res=121):
+# ---- scalar reference: one HalfPlane per neighbor, one line at a time --------
+
+
+@dataclass
+class HalfPlane:
+    """Directed line: permitted velocities lie on the left of (point,
+    direction)."""
+    point: np.ndarray
+    direction: np.ndarray
+
+
+def _det(a, b) -> float:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _ref_halfplane(rel_pos, rel_vel, combined_radius, tau, dt, responsibility):
+    """Half-plane for one neighbor, RVO-style, and the branch that built it.
+
+    rel_pos points from self to the neighbor; rel_vel is v_self - v_other.
+    Already-penetrating pairs use a one-timestep horizon so the constraint
+    pushes the agents apart.
+    """
+    dist_sq = float(rel_pos @ rel_pos)
+    r_sq = combined_radius * combined_radius
+    if dist_sq > r_sq:
+        w = rel_vel - rel_pos / tau
+        w_len_sq = float(w @ w)
+        dot1 = float(w @ rel_pos)
+        if dot1 < 0.0 and dot1 * dot1 > r_sq * w_len_sq:
+            # project on the cut-off circle
+            w_len = math.sqrt(w_len_sq)
+            unit_w = w / w_len
+            direction = np.array([unit_w[1], -unit_w[0]])
+            u = (combined_radius / tau - w_len) * unit_w
+            branch = "cut-off"
+        else:
+            # project on the nearer leg of the cone
+            leg = math.sqrt(dist_sq - r_sq)
+            if _det(rel_pos, w) > 0.0:
+                direction = np.array([rel_pos[0] * leg - rel_pos[1] * combined_radius,
+                                      rel_pos[0] * combined_radius + rel_pos[1] * leg]) / dist_sq
+                branch = "left leg"
+            else:
+                direction = -np.array([rel_pos[0] * leg + rel_pos[1] * combined_radius,
+                                       -rel_pos[0] * combined_radius + rel_pos[1] * leg]) / dist_sq
+                branch = "right leg"
+            u = float(rel_vel @ direction) * direction - rel_vel
+    else:
+        # collision: push apart over a single timestep
+        inv_dt = 1.0 / dt
+        w = rel_vel - rel_pos * inv_dt
+        w_len = math.hypot(*w)
+        unit_w = w / w_len if w_len > EPS else np.array([1.0, 0.0])
+        direction = np.array([unit_w[1], -unit_w[0]])
+        u = (combined_radius * inv_dt - w_len) * unit_w
+        branch = "collision"
+    return HalfPlane(point=responsibility * u, direction=direction), branch
+
+
+def _ref_lp1(lines, line_no, radius, opt_velocity, direction_opt):
+    p, d = lines[line_no].point, lines[line_no].direction
+    dot = float(p @ d)
+    disc = dot * dot + radius * radius - float(p @ p)
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    t_left, t_right = -dot - sq, -dot + sq
+    for i in range(line_no):
+        den = _det(d, lines[i].direction)
+        num = _det(lines[i].direction, p - lines[i].point)
+        if abs(den) <= EPS:
+            if num < 0.0:
+                return None
+            continue
+        t = num / den
+        if den >= 0.0:
+            t_right = min(t_right, t)
+        else:
+            t_left = max(t_left, t)
+        if t_left > t_right:
+            return None
+    if direction_opt:
+        t = t_right if float(opt_velocity @ d) > 0.0 else t_left
+    else:
+        t = min(max(float(d @ (opt_velocity - p)), t_left), t_right)
+    return p + t * d
+
+
+def _ref_lp2(lines, radius, opt_velocity, direction_opt):
+    if direction_opt:
+        result = opt_velocity * radius
+    elif float(opt_velocity @ opt_velocity) > radius * radius:
+        result = opt_velocity / math.hypot(*opt_velocity) * radius
+    else:
+        result = opt_velocity.copy()
+    for i, line in enumerate(lines):
+        if _det(line.direction, line.point - result) > 0.0:
+            new = _ref_lp1(lines, i, radius, opt_velocity, direction_opt)
+            if new is None:
+                return i, result
+            result = new
+    return len(lines), result
+
+
+def _ref_lp3(lines, num_obst_lines, begin_line, radius, result):
+    distance = 0.0
+    for i in range(begin_line, len(lines)):
+        if _det(lines[i].direction, lines[i].point - result) > distance:
+            proj = list(lines[:num_obst_lines])
+            for j in range(num_obst_lines, i):
+                den = _det(lines[i].direction, lines[j].direction)
+                if abs(den) <= EPS:
+                    if float(lines[i].direction @ lines[j].direction) > 0.0:
+                        continue
+                    point = 0.5 * (lines[i].point + lines[j].point)
+                else:
+                    t = _det(lines[j].direction,
+                             lines[i].point - lines[j].point) / den
+                    point = lines[i].point + t * lines[i].direction
+                direction = lines[j].direction - lines[i].direction
+                direction = direction / math.hypot(*direction)
+                proj.append(HalfPlane(point, direction))
+            opt = np.array([-lines[i].direction[1], lines[i].direction[0]])
+            fail, new = _ref_lp2(proj, radius, opt, True)
+            if fail == len(proj):
+                result = new
+            distance = _det(lines[i].direction, lines[i].point - result)
+    return result
+
+
+def reference_orca_velocity(self_pos, self_vel, radius, neighbor_arrays,
+                            circles, walls, preferred_velocity, cfg, dt=0.1,
+                            branches=None):
+    """The scalar ORCA the array code replaced, kept as its byte-exact
+    reference, plus the program's speed-disc guard on the fallback. Appends
+    the branch of every half-plane to `branches`."""
+    lines: list[HalfPlane] = []
+
+    # static obstacles first: they stay hard in the infeasible fallback
+    statics = []
+    for c in circles:
+        statics.append((c.center, c.r, "circle"))
+    for w in walls:
+        xmin, ymin, xmax, ymax = w.aabb
+        q = np.array([min(max(self_pos[0], xmin), xmax),
+                      min(max(self_pos[1], ymin), ymax)])
+        statics.append((q, 0.0, "wall"))
+    for q, r_obs, kind in statics:
+        rel_pos = np.asarray(q, dtype=float) - self_pos
+        if float(rel_pos @ rel_pos) > (cfg.neighbor_range + r_obs) ** 2:
+            continue
+        hp, branch = _ref_halfplane(rel_pos, self_vel, radius + r_obs,
+                                    cfg.time_horizon_obstacles, dt,
+                                    responsibility=1.0)
+        lines.append(HalfPlane(self_vel + hp.point, hp.direction))
+        if branches is not None:
+            branches.append(f"{kind} {branch}")
+    num_obst = len(lines)
+
+    for pos, vel, r_other in zip(*neighbor_arrays):
+        rel_pos = np.asarray(pos, dtype=float) - self_pos
+        if float(rel_pos @ rel_pos) > cfg.neighbor_range ** 2:
+            continue
+        rel_vel = self_vel - np.asarray(vel, dtype=float)
+        hp, branch = _ref_halfplane(
+            rel_pos, rel_vel, radius + r_other + 2.0 * cfg.epsilon_tracking,
+            cfg.time_horizon_agents, dt, responsibility=0.5)
+        lines.append(HalfPlane(self_vel + hp.point, hp.direction))
+        if branches is not None:
+            branches.append(branch)
+
+    fail, result = _ref_lp2(lines, cfg.max_speed,
+                            np.asarray(preferred_velocity, dtype=float), False)
+    if fail < len(lines):
+        result = _ref_lp3(lines, num_obst, fail, cfg.max_speed, result)
+        # the program's guard against _lp1's rounding on nearly parallel
+        # lines: back onto the speed disc
+        speed = math.hypot(*result)
+        if speed > cfg.max_speed:
+            result = result * (cfg.max_speed / speed)
+        return result, False
+    return result, True
+
+
+def random_orca_call(rng):
+    """One seeded orca_velocity input: a robot among 0-13 neighbors at
+    0.3-4 m (so some overlap it), 0-2 circles and 0-2 walls."""
+    def around(center, lo, hi, n):
+        a = rng.uniform(0.0, 2.0 * math.pi, n)
+        d = rng.uniform(lo, hi, n)
+        return center + np.column_stack([d * np.cos(a), d * np.sin(a)])
+
+    def disc_velocity(n, speed=1.0):
+        return around(np.zeros(2), 0.0, speed, n)
+
+    self_pos = rng.uniform(-1.0, 1.0, 2)
+    k = int(rng.integers(0, 14))
+    nb = (around(self_pos, 0.3, 4.0, k), disc_velocity(k),
+          rng.uniform(0.2, 0.3, k))
+    circles = [Circle(*c, r) for c, r in zip(around(self_pos, 0.4, 3.5,
+                                                    int(rng.integers(0, 3))),
+                                             rng.uniform(0.2, 0.8, 3))]
+    walls = []
+    for c in around(self_pos, 0.3, 3.0, int(rng.integers(0, 3))):
+        half = rng.uniform(0.3, 2.0)
+        if rng.random() < 0.5:
+            walls.append(Wall(c[0] - half, c[1], c[0] + half, c[1], 0.2))
+        else:
+            walls.append(Wall(c[0], c[1] - half, c[0], c[1] + half, 0.2))
+    pref = disc_velocity(1, 1.2)[0]
+    return (self_pos, disc_velocity(1)[0], 0.25, nb, circles, walls, pref,
+            CFG)
+
+
+def violation(P, D, v):
+    """Signed distance by which v lies right of each line (> 0 violates)."""
+    return D[:, 0] * (P[:, 1] - v[1]) - D[:, 1] * (P[:, 0] - v[0])
+
+
+def minimax_violation(P, D, n_obst, radius, levels=40, res=81):
+    """Oracle for the 3-D fallback: the least worst violation of the agent
+    lines (rows from n_obst on) over the speed disc with the obstacle lines
+    held, by grid search over that set, refined around the best cell.
+
+    The worst violation is convex and 1-Lipschitz, so a cell of size h
+    misses the minimum over the set's grid points by at most h; each level
+    keeps a window of several cells around the best point."""
+    center = np.zeros(2)
+    span = radius
+    best = math.inf
+    for _ in range(levels):
+        xs = np.linspace(center[0] - span, center[0] + span, res)
+        ys = np.linspace(center[1] - span, center[1] + span, res)
+        gx, gy = np.meshgrid(xs, ys)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        feas = (pts ** 2).sum(axis=1) <= radius * radius
+        for point, direction in zip(P[:n_obst], D[:n_obst]):
+            feas &= (direction[0] * (point[1] - pts[:, 1])
+                     - direction[1] * (point[0] - pts[:, 0])) <= 0.0
+        worst = np.full(len(pts), -np.inf)
+        for point, direction in zip(P[n_obst:], D[n_obst:]):
+            worst = np.maximum(worst, direction[0] * (point[1] - pts[:, 1])
+                               - direction[1] * (point[0] - pts[:, 0]))
+        worst[~feas] = np.inf
+        k = int(np.argmin(worst))
+        if worst[k] < best:
+            best, center = float(worst[k]), pts[k]
+        span *= 0.6
+    return best
+
+
+def grid_search_lp(P, D, radius, pref, levels=14, res=121):
     """Oracle: dense grid search over the feasible disc, refined around the
     best cell. Independent of the incremental LP.
 
@@ -34,10 +299,10 @@ def grid_search_lp(lines, radius, pref, levels=14, res=121):
         gx, gy = np.meshgrid(xs, ys)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         feas = (pts ** 2).sum(axis=1) <= radius * radius
-        for line in lines:
-            rel = line.point[None, :] - pts
-            feas &= (line.direction[0] * rel[:, 1]
-                     - line.direction[1] * rel[:, 0]) <= 1e-12
+        for point, direction in zip(P, D):
+            rel = point[None, :] - pts
+            feas &= (direction[0] * rel[:, 1]
+                     - direction[1] * rel[:, 0]) <= 1e-12
         if not feas.any():
             return None
         d = np.hypot(*(pts - pref).T)
@@ -58,9 +323,9 @@ def grid_search_lp(lines, radius, pref, levels=14, res=121):
     def best_step(p, step):
         cand = p[None, :] + step * fan
         feas = (cand ** 2).sum(axis=1) <= radius * radius + 1e-15
-        for l in lines:
-            feas &= (l.direction[0] * (l.point[1] - cand[:, 1])
-                     - l.direction[1] * (l.point[0] - cand[:, 0])) <= 1e-12
+        for point, direction in zip(P, D):
+            feas &= (direction[0] * (point[1] - cand[:, 1])
+                     - direction[1] * (point[0] - cand[:, 0])) <= 1e-12
         if not feas.any():
             return None
         d = np.hypot(*(cand - pref).T)
@@ -81,12 +346,14 @@ def grid_search_lp(lines, radius, pref, levels=14, res=121):
 
 class TestLinearProgram:
     def test_no_constraints_returns_pref(self):
-        fail, v = _lp2([], 1.0, np.array([0.3, -0.2]), False)
+        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+                       np.array([0.3, -0.2]), False)
         assert fail == 0
         assert np.allclose(v, [0.3, -0.2])
 
     def test_pref_clipped_to_disc(self):
-        fail, v = _lp2([], 1.0, np.array([3.0, 4.0]), False)
+        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+                       np.array([3.0, 4.0]), False)
         assert np.hypot(*v) == pytest.approx(1.0)
         assert np.allclose(v, [0.6, 0.8])
 
@@ -95,37 +362,52 @@ class TestLinearProgram:
         checked = 0
         while checked < 60:
             n = rng.integers(1, 7)
-            lines = [HalfPlane(point=rng.uniform(-0.4, 0.4, 2),
-                               direction=None) for _ in range(n)]
-            for hp in lines:
-                a = rng.uniform(0, 2 * math.pi)
-                hp.direction = np.array([math.cos(a), math.sin(a)])
+            P = np.array([rng.uniform(-0.4, 0.4, 2) for _ in range(n)])
+            D = np.array([(math.cos(a), math.sin(a)) for a in
+                          (rng.uniform(0, 2 * math.pi) for _ in range(n))])
             pref = rng.uniform(-1, 1, 2)
-            oracle = grid_search_lp(lines, 1.0, pref)
-            fail, v = _lp2(lines, 1.0, pref, False)
-            if fail < len(lines) or oracle is None:
+            oracle = grid_search_lp(P, D, 1.0, pref)
+            fail, v = _lp2(P, D, 1.0, pref, False)
+            if fail < n or oracle is None:
                 continue  # infeasible sets checked separately
             # guard against razor-thin regions the grid cannot resolve
-            margin = min(float(_det(l.direction, l.point - oracle))
-                         for l in lines)
+            margin = float(_cross(D, P - oracle).min())
             if margin > -0.02:
                 continue
             assert np.hypot(*(v - oracle)) < 1e-3
             checked += 1
 
-    def test_infeasible_fallback_returns_something_finite(self):
-        # two opposing half-planes with a gap of negative width
-        lines = [HalfPlane(np.array([0.0, 0.5]), np.array([1.0, 0.0])),
-                 HalfPlane(np.array([0.0, -0.5]), np.array([-1.0, 0.0]))]
-        v, feasible = orca_velocity(
-            np.zeros(2), np.zeros(2), 0.25, [], [], [], np.array([1.0, 0.0]),
-            CFG)  # sanity: plain call works
-        assert np.isfinite(v).all()
+    def test_fallback_minimizes_worst_agent_violation(self):
+        # obstacle lines through the speed disc that leave the origin free,
+        # then agent lines until the set is infeasible
+        rng = np.random.default_rng(107)
+        checked = 0
+        while checked < 12:
+            n_obst = int(rng.integers(1, 3))
+            n = n_obst + int(rng.integers(2, 7))
+            a = rng.uniform(0.0, 2.0 * math.pi, n)
+            D = np.column_stack([np.cos(a), np.sin(a)])
+            offset = np.where(np.arange(n) < n_obst, rng.uniform(0.1, 0.6, n),
+                              rng.uniform(-0.9, 0.1, n))
+            P = offset[:, None] * np.column_stack([D[:, 1], -D[:, 0]])
+            fail, v = _lp2(P, D, 1.0, rng.uniform(-1.0, 1.0, 2), False)
+            if fail == n or fail < n_obst:
+                continue
+            v = _lp3(P, D, n_obst, fail, 1.0, v)
+            oracle = minimax_violation(P, D, n_obst, 1.0)
+            assert np.isfinite(v).all()
+            assert math.hypot(*v) <= 1.0 + 1e-12
+            assert (violation(P[:n_obst], D[:n_obst], v) <= 1e-12).all()
+            worst = violation(P[n_obst:], D[n_obst:], v).max()
+            assert worst > 0.0
+            assert abs(worst - oracle) <= 1e-6
+            checked += 1
 
 
 class TestOrcaVelocity:
     def test_no_neighbors_returns_pref(self):
-        v, feasible = orca_velocity(np.zeros(2), np.zeros(2), 0.25, [], [], [],
+        v, feasible = orca_velocity(np.zeros(2), np.zeros(2), 0.25,
+                                    NO_NEIGHBORS, [], [],
                                     np.array([0.4, 0.1]), CFG)
         assert feasible
         assert np.allclose(v, [0.4, 0.1])
@@ -133,17 +415,18 @@ class TestOrcaVelocity:
     def test_symmetric_head_on_mirror(self):
         pa, pb = np.array([0.0, 0.0]), np.array([2.0, 0.0])
         va, vb = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out_a, _ = orca_velocity(pa, va, 0.25, [(pb, vb, 0.25)], [], [],
-                                 np.array([1.0, 0.0]), CFG)
-        out_b, _ = orca_velocity(pb, vb, 0.25, [(pa, va, 0.25)], [], [],
-                                 np.array([-1.0, 0.0]), CFG)
+        out_a, _ = orca_velocity(pa, va, 0.25, neighbors((pb, vb, 0.25)),
+                                 [], [], np.array([1.0, 0.0]), CFG)
+        out_b, _ = orca_velocity(pb, vb, 0.25, neighbors((pa, va, 0.25)),
+                                 [], [], np.array([-1.0, 0.0]), CFG)
         assert out_a[1] == pytest.approx(-out_b[1], abs=1e-9)
         assert abs(out_a[1]) > 1e-6  # actually dodging sideways
 
     def test_wall_constraint_blocks_through_traffic(self):
         wall = Wall(1.0, -2.0, 1.0, 2.0, 0.2)
-        v, _ = orca_velocity(np.zeros(2), np.array([1.0, 0.0]), 0.25, [],
-                             [], [wall], np.array([1.0, 0.0]), CFG)
+        v, _ = orca_velocity(np.zeros(2), np.array([1.0, 0.0]), 0.25,
+                             NO_NEIGHBORS, [], [wall], np.array([1.0, 0.0]),
+                             CFG)
         # 0.65 m of clearance shrinking at 1.3 s horizon: must slow down
         assert v[0] < 1.0
 
@@ -163,10 +446,12 @@ class TestOrcaVelocity:
             vb = rng.uniform(-1, 1, 2) * 0.7
             prefa = rng.uniform(-1, 1, 2)
             prefb = rng.uniform(-1, 1, 2)
-            out_a, fa = orca_velocity(pa, va, radius, [(pb, vb, radius)],
-                                      [], [], prefa, cfg)
-            out_b, fb = orca_velocity(pb, vb, radius, [(pa, va, radius)],
-                                      [], [], prefb, cfg)
+            out_a, fa = orca_velocity(pa, va, radius,
+                                      neighbors((pb, vb, radius)), [], [],
+                                      prefa, cfg)
+            out_b, fb = orca_velocity(pb, vb, radius,
+                                      neighbors((pa, va, radius)), [], [],
+                                      prefb, cfg)
             if not (fa and fb):
                 continue
             t = np.linspace(0.0, cfg.time_horizon_agents, 400)
@@ -175,6 +460,42 @@ class TestOrcaVelocity:
             d = np.hypot(*(rel0[:, None] + relv[:, None] * t[None, :]))
             assert d.min() >= combined - 1e-9
             checked += 1
+
+    def test_matches_scalar_reference_bytes(self):
+        rng = np.random.default_rng(109)
+        branches = collections.Counter()
+        fallbacks = 0
+        for _ in range(2500):
+            call = random_orca_call(rng)
+            seen = []
+            want, want_ok = reference_orca_velocity(*call, branches=seen)
+            got, ok = orca_velocity(*call)
+            assert got.tobytes() == want.tobytes()
+            assert ok == want_ok
+            branches.update(seen)
+            fallbacks += not ok
+        assert fallbacks >= 500
+        for branch in ("collision", "cut-off", "left leg", "right leg",
+                       "circle cut-off", "circle left leg",
+                       "circle right leg", "wall left leg", "wall right leg"):
+            assert branches[branch] > 0, branch
+
+    def test_recorded_fallback_stays_within_speed_bound(self):
+        # nearly parallel agent lines in _lp3 once returned a velocity of
+        # norm 1.00000007 here
+        with open(os.path.join(DATA, "orca_speed_bound.json")) as f:
+            doc = json.load(f)
+
+        def arr(key, *shape):
+            return np.array([float.fromhex(x) for x in doc[key]]).reshape(shape)
+
+        v, feasible = orca_velocity(
+            arr("self_pos", 2), arr("self_vel", 2), float.fromhex(doc["radius"]),
+            (arr("neighbor_positions", -1, 2), arr("neighbor_velocities", -1, 2),
+             arr("neighbor_radii", -1)), [], [], arr("preferred_velocity", 2),
+            CFG, dt=float.fromhex(doc["dt"]))
+        assert not feasible
+        assert math.hypot(*v) <= CFG.max_speed + 1e-12
 
 
 class TestNhTrack:

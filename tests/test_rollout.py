@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from multinav import rollout
+from multinav.bench import OrcaController, PolicyController, StraightController
 from multinav.observations import AblationConfig, NoiseConfig, normalize
 from multinav.ppo import TrainConfig, evaluate_policy, train
-from multinav.policy import NumericalDivergence, PolicyConfig
+from multinav.policy import ActorCritic, NumericalDivergence, PolicyConfig
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import GeneratedScenario, Kind, ScenarioSpec, generate
 from multinav.sim import Status
@@ -78,6 +80,36 @@ class TestNavEnv:
         env.reset()
         result = env.step([(1.0, 0.0)])
         assert np.allclose(result.targets[0], env.world.robots[0].goal)
+
+    @pytest.mark.parametrize("controller", ["orca", "straight", "policy"])
+    def test_one_running_target_per_active_agent_step(self, controller,
+                                                      monkeypatch):
+        running_target = rollout.running_target
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return running_target(*args)
+
+        monkeypatch.setattr(rollout, "running_target", counted)
+        if controller == "policy":
+            ctrl = PolicyController(ActorCritic(TINY_POLICY, seed=0))
+        else:
+            ctrl = {"orca": OrcaController,
+                    "straight": StraightController}[controller]()
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=4,
+                            rng_seed=3)
+        env = NavEnv(spec, EnvConfig(noise=NoiseConfig(),
+                                     build_observations=ctrl.needs_observations),
+                     seed=3)
+        obs = env.reset()
+        assert len(calls) == 4
+        for _ in range(40):
+            active = sum(env.active())
+            calls.clear()
+            env.step(ctrl.act(env, obs))
+            obs = env.observations()
+            assert len(calls) == active
 
     def test_records_track_distance_and_outcome(self):
         env = NavEnv(single_agent_spec(), EnvConfig(build_observations=False),
@@ -180,8 +212,8 @@ class TestNoisyNeighborStates:
             for i in range(7):
                 got = fast.noisy_neighbor_states(i)
                 want = _neighbor_states_reference(slow, i)
-                assert len(got) == len(want) == 6
-                for (p, v, r), (wp, wv, wr) in zip(got, want):
+                assert len(got[0]) == len(want) == 6
+                for (p, v, r), (wp, wv, wr) in zip(zip(*got), want):
                     assert p.tobytes() == wp.tobytes()
                     assert v.tobytes() == wv.tobytes()
                     assert r == wr
@@ -192,7 +224,8 @@ class TestNoisyNeighborStates:
                                                     build_observations=False))
         env.reset()
         state = env.state_rng.bit_generator.state
-        assert env.noisy_neighbor_states(0) == []
+        pos, vel, radii = env.noisy_neighbor_states(0)
+        assert pos.shape == vel.shape == (0, 2) and radii.shape == (0,)
         assert env.state_rng.bit_generator.state == state
 
 

@@ -153,7 +153,7 @@ class TestEstimateVelocity:
 
     def cluster_at(self, x, y):
         p = np.array([[x, y]])
-        return Cluster(points=p, centroid=p[0], closest_point=p[0].copy())
+        return Cluster(points=p, closest_point=p[0].copy())
 
     def test_first_observation_zero(self):
         v = estimate_velocity(self.track(0), self.cluster_at(0.05, 0), 0.1)

@@ -1,0 +1,66 @@
+"""Regenerate the fixed-seed metrics CSV set and print one sha256 per file.
+
+    python3 tools/csv_digest.py OUT_DIR
+
+Runs `multinav run` for the straight and ORCA controllers (2 trials) and the
+policy (1 trial, on a checkpoint saved from `ActorCritic(PolicyConfig(),
+seed=0)`), each with and without `--noise`, on circle-20 (seed 0),
+doorway-10 (seed 3), random-10 (seed 5) and hallway-8 (seed 7): 24 CSVs.
+The package is imported from this tree's `src`, so running the script in two
+checkouts and diffing the printed lines checks that a change keeps the
+metrics byte-identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from multinav.cli import main  # noqa: E402
+from multinav.policy import ActorCritic, PolicyConfig  # noqa: E402
+
+CELLS = (("circle", 20, 0), ("doorway", 10, 3), ("random", 10, 5),
+         ("hallway", 8, 7))
+CONTROLLERS = (("straight", 2), ("orca", 2), ("policy", 1))
+
+
+def digest(out_dir: str) -> list[str]:
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt = os.path.join(out_dir, "policy-seed0.json")
+    ActorCritic(PolicyConfig(), seed=0).save(ckpt)
+    lines = []
+    for scenario, agents, seed in CELLS:
+        for controller, trials in CONTROLLERS:
+            for noise in (False, True):
+                name = (f"{controller}-{scenario}{agents}-seed{seed}"
+                        f"{'-noise' if noise else ''}.csv")
+                out = os.path.join(out_dir, name)
+                argv = ["run", "--scenario", scenario, "--agents", str(agents),
+                        "--controller", controller, "--trials", str(trials),
+                        "--seed", str(seed), "--out", out]
+                if controller == "policy":
+                    argv += ["--checkpoint", ckpt]
+                if noise:
+                    argv.append("--noise")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                if code != 0:
+                    raise SystemExit(f"multinav {' '.join(argv)} exited "
+                                     f"{code}")
+                with open(out, "rb") as f:
+                    digest_hex = hashlib.sha256(f.read()).hexdigest()
+                lines.append(f"{digest_hex}  {name}")
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    for line in digest(sys.argv[1]):
+        print(line, flush=True)
