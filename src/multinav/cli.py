@@ -14,7 +14,7 @@ import os
 import sys
 
 from .bench import ConfigError, LogFlags, replay_svg, report, run_trials
-from .observations import AblationConfig
+from .observations import AblationConfig, NoiseConfig
 from .policy import NumericalDivergence, PolicyConfig
 from .ppo import TrainConfig, train
 from .rollout import EnvConfig
@@ -115,6 +115,11 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+# keys of a training config's "env" object; "noise": true trains under the
+# evaluation noise protocol
+TRAIN_ENV_KEYS = ("horizon", "ablation", "noise")
+
+
 def cmd_train(args) -> int:
     with open(args.config) as f:
         doc = json.load(f)
@@ -123,9 +128,17 @@ def cmd_train(args) -> int:
     policy_doc = doc.get("policy")
     policy_cfg = PolicyConfig.from_dict(policy_doc) if policy_doc else None
     env_doc = doc.get("env", {})
+    unknown = set(env_doc) - set(TRAIN_ENV_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown env keys {sorted(unknown)}")
     env_cfg = EnvConfig(horizon=env_doc.get("horizon", 5))
     if "ablation" in env_doc:
         env_cfg.ablation = AblationConfig.from_name(env_doc["ablation"])
+    noise = env_doc.get("noise", False)
+    if not isinstance(noise, bool):
+        raise ConfigError(f"env noise must be true or false, not {noise!r}")
+    if noise:
+        env_cfg.noise = NoiseConfig()
     result = train(specs, train_cfg, args.out, policy_cfg=policy_cfg,
                    env_cfg=env_cfg)
     print(f"checkpoint: {result.checkpoint_path}")

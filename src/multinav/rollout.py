@@ -24,7 +24,7 @@ from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import RewardConfig, reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import V_MAX, Action, Status, World
-from .tracker import Tracker, TrackerConfig
+from .tracker import Tracker, TrackerConfig, update_trackers
 
 
 @dataclass
@@ -74,6 +74,7 @@ class NavEnv:
         self.world: World | None = None
         self.scenario: GeneratedScenario | None = None
         self._bundles: list = []          # what the last observations() built
+        self._truth = None   # robots' (positions, velocities, radii) arrays
 
     # ---- episode lifecycle ---------------------------------------------------
 
@@ -84,6 +85,7 @@ class NavEnv:
             scenario = generate(replace(self.spec, rng_seed=seed))
         self.scenario = scenario
         self.world = scenario.make_world()
+        self._truth = None
         # the plan generate() checked reachability with; a scenario loaded
         # from JSON plans here
         self.grid, self.paths = scenario.plan(self.spec.resolution)
@@ -124,17 +126,19 @@ class NavEnv:
     def _sense(self) -> None:
         if not self.cfg.build_observations:
             return
-        for i, robot in enumerate(self.world.robots):
-            if robot.status != Status.ACTIVE:
-                continue
+        robots = self.world.robots
+        live = [i for i, r in enumerate(robots) if r.status == Status.ACTIVE]
+        scans = []
+        for i in live:
             scan = raycast(self.world, i)
             if self.cfg.noise.lidar_sigma > 0.0:
                 scan = apply_lidar_noise(scan, self.lidar_rng,
                                          self.cfg.noise.lidar_sigma)
             self.histories[i].push(scan)
-            self.trackers[i].update(
-                scan, (*robot.position, robot.heading), self.grid,
-                self.world.config.dt)
+            scans.append(scan)
+        update_trackers([self.trackers[i] for i in live], scans,
+                        [(*robots[i].position, robots[i].heading) for i in live],
+                        self.grid, self.world.config.dt)
 
     def observations(self):
         """Normalized observation per agent; None for frozen robots."""
@@ -160,11 +164,16 @@ class NavEnv:
         """Ground-truth neighbor (positions (k, 2), velocities (k, 2), radii
         (k,)) arrays with the evaluation noise protocol applied; the baseline
         controllers' feed."""
-        others = [r for j, r in enumerate(self.world.robots) if j != i]
-        pos = np.array([r.position for r in others]).reshape(-1, 2)
-        vel = np.array([(r.linear_velocity * math.cos(r.heading),
-                         r.linear_velocity * math.sin(r.heading))
-                        for r in others]).reshape(-1, 2)
+        if self._truth is None:          # once per world state
+            robots = self.world.robots
+            self._truth = (
+                np.array([r.position for r in robots]).reshape(-1, 2),
+                np.array([(r.linear_velocity * math.cos(r.heading),
+                           r.linear_velocity * math.sin(r.heading))
+                          for r in robots]).reshape(-1, 2),
+                np.array([r.radius for r in robots]))
+        pos, vel, radii = (np.concatenate((x[:i], x[i + 1:]))
+                           for x in self._truth)
         # one draw per observer: row k holds neighbour k's position noise,
         # then its velocity noise (a zero bound draws nothing), scaled as
         # Generator.uniform scales, so the values equal those of a
@@ -172,12 +181,12 @@ class NavEnv:
         nc = self.cfg.noise
         b = np.repeat([x for x in (nc.position_bound, nc.velocity_bound)
                        if x > 0.0], 2)
-        noise = -b + (b - -b) * self.state_rng.random((len(others), len(b)))
+        noise = -b + (b - -b) * self.state_rng.random((len(pos), len(b)))
         if nc.position_bound > 0.0:
             pos, noise = pos + noise[:, :2], noise[:, 2:]
         if nc.velocity_bound > 0.0:
             vel = vel + noise
-        return pos, vel, np.array([r.radius for r in others])
+        return pos, vel, radii
 
     # ---- stepping --------------------------------------------------------
 
@@ -191,6 +200,7 @@ class NavEnv:
                    else Action(0.0, 0.0)
                    for i, a in enumerate(raw_actions)]
         report = world.step(actions)
+        self._truth = None
 
         rewards, terms_list, dones, targets = [], [], [], []
         for i, robot in enumerate(world.robots):

@@ -8,7 +8,9 @@ matches, and a constant-velocity estimate smoothed by an exponential moving
 average. Static clusters are classified, not tracked: each frame reports
 them as zero-velocity STATIC entries with id STATIC_ID, and they take no
 part in association. Discs make rotation unobservable, so tracks carry
-linear velocity only.
+linear velocity only. update_trackers advances the trackers of all
+observers by one frame and solves all their ICP pairs in one lockstep
+batch.
 """
 
 from __future__ import annotations
@@ -110,54 +112,161 @@ def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
     return clusters
 
 
-def _sorted_median(s: np.ndarray):
-    """np.median along axis 0 of an array already sorted along it: the middle
-    element, or the mean of the two middle ones."""
-    k = len(s) // 2
-    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+# Pad coordinate of the segments that fill a short polyline up to the batch
+# width: every real point lies far closer to a real segment than to one of
+# these, so the nearest-segment argmin never picks a pad, and its squared
+# distance (~1e300) stays finite.
+_FAR = 1e150
+# Cap on a lockstep batch: its source points times its longest polyline's
+# segments, the size of its (2, segments, points) buffers (up to 128 KB
+# each). A doorway-10 step's jobs come to ~8,000 and mostly fit one batch.
+_BATCH_ELEMENTS = 8192
 
 
-def icp_translation(src: np.ndarray, dst: np.ndarray, iterations: int = 40,
+def _padded(arrays: list, lengths: np.ndarray, width: int,
+            fill: float) -> np.ndarray:
+    """(B, width, 2) array whose row b holds arrays[b], then fill."""
+    out = np.full((len(arrays), width, 2), fill)
+    rows = np.repeat(np.arange(len(arrays)), lengths)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths,
+                                            lengths)
+    out[rows, cols] = np.concatenate(arrays)
+    return out
+
+
+def _row_median(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Median along axis 1 of each row's first lengths[b] entries of x, which
+    holds +inf after them: the middle element, or the mean of the two middle
+    ones (for an odd count, the middle element plus itself halved, which is
+    that element exactly)."""
+    s = np.sort(x, axis=1)
+    rows = np.arange(len(x))
+    return (s[rows, (lengths - 1) // 2] + s[rows, lengths // 2]) / 2
+
+
+def _icp_batch(srcs: list, dsts: list, iterations: int, tol: float,
+               out: np.ndarray, slots: np.ndarray) -> None:
+    """Run the ICP of every (srcs[b], dsts[b]) pair in lockstep and write
+    pair b's translation to out[slots[b]].
+
+    Per-row arrays are padded to the longest source, points first and the
+    batch last, (N, 2, B); the sum over a row's points then runs in point
+    order, as the per-pair sum over an (n, 2) array does. Source pads get
+    +inf residuals (sorted after the real ones, never kept) and -0.0
+    differences (the additive identity, so each sum equals the per-pair one
+    bit for bit, signed zeros included). The projection onto the polylines
+    runs on the real points of the rows with two or more dst points only,
+    (2, M, P) with M the most segments in the batch; pad segments lie at
+    _FAR. A row leaves the batch at the iteration where its own loop would
+    stop; the finished rows are dropped once they are a quarter of the
+    batch.
+    """
+    n = np.array([len(s) for s in srcs])
+    m = np.array([len(d) for d in dsts])
+    width, segments = int(n.max()), max(int(m.max()) - 1, 1)
+    src = _padded(srcs, n, width, np.inf)                  # (B, N, 2)
+    dst = _padded(dsts, m, segments + 1, np.inf)
+    # per-axis median init: projection updates cannot fix a tangential error
+    # inherited from an outlier-skewed centroid
+    t = (_row_median(dst, m) - _row_median(src, n)).T      # (2, B)
+    pad = np.arange(width)[:, None] >= n                   # (N, B)
+    src = src.transpose(1, 2, 0).copy()                    # (N, 2, B)
+    np.copyto(src, 0.0, where=pad[:, None])
+    seg_pad = np.arange(segments)[:, None] >= m - 1        # (M, B)
+    a = dst[:, :-1].transpose(2, 1, 0).copy()              # (2, M, B)
+    a[:, seg_pad] = _FAR
+    seg = dst[:, 1:].transpose(2, 1, 0) - a
+    seg[:, seg_pad] = 0.0
+    seg_len2 = np.maximum(seg[0] * seg[0] + seg[1] * seg[1], 1e-18)
+    first = dst[:, 0].T.copy()        # (2, B): the match of a single dst
+    lo, hi = (n - 1) // 2, n // 2
+    live = np.ones(len(n), dtype=bool)   # rows still iterating
+    left = iterations                    # iterations still to run
+    while True:
+        b = len(n)
+        middle = np.stack([lo, hi]) * b + np.arange(b)     # flat in (N, B)
+        pi, pb = np.nonzero(~pad & (m > 1))                # points on polylines
+        p = len(pi)
+        at = pi * (2 * b) + np.arange(2)[:, None] * b + pb  # flat in (N, 2, B)
+        pa, ps, pl = (np.take(x, pb, axis=-1) for x in (a, seg, seg_len2))
+        corner = np.arange(2)[:, None] * (segments * p) + np.arange(p)
+        # work buffers for the projection, reused by every iteration
+        ap, qs, tt = np.empty(pa.shape), np.empty(pa.shape), np.empty(pl.shape)
+        for left in range(left - 1, -1, -1):
+            moved = src + t                                # (N, 2, B)
+            q = np.broadcast_to(first, moved.shape).copy()
+            if p:
+                mv = moved.ravel()[at][:, None]            # (2, 1, P)
+                np.subtract(mv, pa, out=ap)                # (2, M, P)
+                ap *= ps
+                np.add(ap[0], ap[1], out=tt)
+                tt /= pl
+                np.clip(tt, 0.0, 1.0, out=tt)
+                np.multiply(tt, ps, out=qs)
+                qs += pa                                   # segment points
+                d = np.subtract(mv, qs, out=ap)
+                d *= d
+                nearest = np.add(d[0], d[1], out=tt).argmin(axis=0)  # (P,)
+                q.ravel()[at] = qs.ravel()[nearest * p + corner]
+            diff = q - moved
+            residuals = np.hypot(diff[:, 0], diff[:, 1])   # (N, B)
+            np.copyto(residuals, np.inf, where=pad)
+            mid = np.sort(residuals, axis=0).ravel()[middle]
+            keep = residuals <= 3.0 * ((mid[0] + mid[1]) / 2) + 1e-12
+            np.copyto(diff, -0.0, where=~keep[:, None])
+            delta = np.add.reduce(diff, axis=0) / keep.sum(axis=0)
+            t = t + delta
+            done = live & (np.hypot(delta[0], delta[1]) < tol)
+            if not done.any():
+                continue
+            out[slots[done]] = t[:, done].T
+            live &= ~done
+            if not live.any():
+                return
+            if 4 * np.count_nonzero(live) <= 3 * len(live):
+                break
+        else:
+            out[slots[live]] = t[:, live].T
+            return
+        src, t, a, seg, seg_len2, pad, first, n, m, lo, hi, slots = (
+            x.compress(live, axis=-1) for x in (
+                src, t, a, seg, seg_len2, pad, first, n, m, lo, hi, slots))
+        live = live[live]
+
+
+def icp_translation(srcs: list, dsts: list, iterations: int = 40,
                     tol: float = 1e-6) -> np.ndarray:
-    """Translation-only ICP of a 2-D point set onto another, with outlier
-    trimming.
+    """Translation-only ICP of each 2-D point set srcs[b] onto dsts[b], with
+    outlier trimming, all pairs in lockstep; returns the (B, 2)
+    translations.
 
     Correspondences project src+T onto the polyline through the dst points
     (plain nearest point when dst is a single point), which avoids the
     vertex-aliasing that plagues sparse LiDAR silhouettes. Matches with
-    residuals beyond 3x the median residual are dropped before each update.
-    Returns the estimated translation.
+    residuals beyond 3x the median residual are dropped before each update;
+    a pair stops once its update moves less than tol, or after iterations
+    updates. Every row equals the pair's own ICP loop bit for bit. Pairs
+    with the most segments go first, into batches of bounded size.
     """
-    # per-axis median init: projection updates cannot fix a tangential error
-    # inherited from an outlier-skewed centroid
-    t = (_sorted_median(np.sort(dst, axis=0))
-         - _sorted_median(np.sort(src, axis=0)))
-    single = len(dst) == 1
-    if not single:
-        rows = np.arange(len(src))
-        a = dst[:-1].T[:, None, :]                   # (2, 1, m): x, y planes
-        seg = dst[1:].T[:, None, :] - a
-        seg_len2 = np.maximum(seg[0] * seg[0] + seg[1] * seg[1], 1e-18)
-    for _ in range(iterations):
-        moved = src + t
-        if single:
-            diff = dst[0] - moved
-        else:
-            m = moved.T[:, :, None]                  # (2, n, 1)
-            ap = (m - a) * seg
-            tt = np.clip((ap[0] + ap[1]) / seg_len2, 0.0, 1.0)
-            q = a + tt * seg                         # (2, n, m) segment points
-            d = m - q
-            d *= d
-            nearest = (d[0] + d[1]).argmin(axis=1)
-            diff = q[:, rows, nearest].T - moved
-        residuals = np.hypot(diff[:, 0], diff[:, 1])
-        keep = residuals <= 3.0 * _sorted_median(np.sort(residuals)) + 1e-12
-        delta = np.add.reduce(diff[keep], axis=0) / np.count_nonzero(keep)
-        t = t + delta
-        if np.hypot(*delta) < tol:
-            break
-    return t
+    out = np.empty((len(srcs), 2))
+    if len(srcs) == 0:
+        return out
+    n = [len(s) for s in srcs]
+    segments = [max(len(d) - 1, 1) for d in dsts]
+    order = sorted(range(len(srcs)), key=segments.__getitem__, reverse=True)
+    start = 0
+    while start < len(order):
+        points, cap = 0, _BATCH_ELEMENTS // segments[order[start]]
+        stop = start
+        while stop < len(order) and (stop == start
+                                     or points + n[order[stop]] <= cap):
+            points += n[order[stop]]
+            stop += 1
+        batch = order[start:stop]
+        _icp_batch([srcs[k] for k in batch], [dsts[k] for k in batch],
+                   iterations, tol, out, np.array(batch))
+        start = stop
+    return out
 
 
 def estimate_velocity(track: ClusterTrack, matched: Cluster, dt: float,
@@ -183,7 +292,7 @@ def estimate_velocity(track: ClusterTrack, matched: Cluster, dt: float,
 
 class Tracker:
     """Per-observer track store. One instance per agent; instances share
-    nothing and are safe to run in parallel across agents."""
+    nothing but the ICP batch of update_trackers."""
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
@@ -205,10 +314,7 @@ class Tracker:
                grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
         """Dynamic tracks after this frame, then this frame's static
         entries."""
-        clusters = cluster_scan(scan, observer_pose, self.config.cluster_gap,
-                                self.config.hit_margin)
-        self.tracks = associate(self.tracks, clusters, grid, dt,
-                                self._new_track, self.config)
+        update_trackers([self], [scan], [observer_pose], grid, dt)
         return self.tracks
 
     def dynamic_tracks(self) -> list[ClusterTrack]:
@@ -223,62 +329,107 @@ def _static_entry(cluster: Cluster) -> ClusterTrack:
                         observations=0)
 
 
-def associate(prev_tracks: list[ClusterTrack], clusters: list[Cluster],
-              grid: OccupancyGrid, dt: float, spawn,
-              config: TrackerConfig | None = None) -> list[ClusterTrack]:
-    """Hierarchical data association of clusters to dynamic tracks.
-
-    Coarse stage: clusters whose points all sit within the static margin of
-    inflated occupancy are returned as static entries with zero velocity,
-    after the dynamic tracks. Fine stage: the rest are matched to predicted
-    positions of the dynamic tracks in prev_tracks under the gating radius,
-    aligned by trimmed ICP, and accepted only when the implied speed stays
-    below the gate; rejected or unmatched clusters become new tracks through
-    spawn(cluster), and unmatched tracks coast for a few frames before
-    dropping.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    cfg = config or TrackerConfig()
-
-    static_clusters, dynamic_clusters = [], []
+def split_static(clusters: list[Cluster], grid: OccupancyGrid,
+                 margin: float) -> tuple[list[Cluster], list[Cluster]]:
+    """(static, dynamic) clusters: a cluster is static when all its points
+    sit within the margin of inflated occupancy."""
+    static, dynamic = [], []
     if clusters:
         near = grid.occupied_near_points(
-            np.concatenate([c.points for c in clusters]), cfg.static_margin)
+            np.concatenate([c.points for c in clusters]), margin)
         starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
         for c, on_static in zip(clusters, np.logical_and.reduceat(near, starts)):
-            (static_clusters if on_static else dynamic_clusters).append(c)
+            (static if on_static else dynamic).append(c)
+    return static, dynamic
 
-    tracks = [t for t in prev_tracks if t.classification == TrackClass.DYNAMIC]
-    out: list[ClusterTrack] = []
-    matched_tracks: set[int] = set()
 
-    # greedy nearest predicted-position assignment under the gate
+def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
+               radius: float) -> list[tuple[float, int, int]]:
+    """(distance, track id, cluster index) of every cluster within the
+    gating radius of a track's predicted position, nearest first."""
     pairs = []
     for t in tracks:
         pred = t.closest_point + t.velocity_estimate * dt
-        for ci, c in enumerate(dynamic_clusters):
+        for ci, c in enumerate(clusters):
             d = float(np.hypot(*(c.closest_point - pred)))
-            if d <= cfg.gating_radius:
+            if d <= radius:
                 pairs.append((d, t.id, ci))
     pairs.sort()
+    return pairs
+
+
+def update_trackers(trackers: list[Tracker], scans: list[LidarScan],
+                    poses: list, grid: OccupancyGrid, dt: float) -> None:
+    """Advance each observer's tracker by one frame; one ICP batch serves
+    them all.
+
+    Per observer: cluster the scan, split off the static clusters and gate
+    the dynamic tracks against the rest. Every gated pair's ICP inputs are
+    fixed before any match is accepted, so one icp_translation call solves,
+    for all observers at once, each pair's gate shift and, when its track
+    holds a multi-frame snapshot, its baseline shift; some of these go
+    unread when the greedy matching rejects the pair. associate then accepts
+    matches per observer and sets each tracker's tracks.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    observers, srcs, dsts = [], [], []
+    for tracker, scan, pose in zip(trackers, scans, poses):
+        cfg = tracker.config
+        static, dynamic = split_static(
+            cluster_scan(scan, pose, cfg.cluster_gap, cfg.hit_margin), grid,
+            cfg.static_margin)
+        tracks = [t for t in tracker.tracks
+                  if t.classification == TrackClass.DYNAMIC]
+        by_id = {t.id: t for t in tracks}
+        pairs = []                 # (track, cluster index, job, frames)
+        for _, tid, ci in gate_pairs(tracks, dynamic, dt, cfg.gating_radius):
+            track = by_id[tid]
+            # the oldest snapshot spans the velocity baseline; a track
+            # spawned last frame has one snapshot, equal to track.points, so
+            # its baseline shift is the gate's shift
+            frames, base = track.history[0] if track.history else (1, None)
+            pairs.append((track, ci, len(srcs), frames))
+            srcs.append(track.points)
+            dsts.append(dynamic[ci].points)
+            if frames != 1:
+                srcs.append(base)
+                dsts.append(dynamic[ci].points)
+        observers.append((tracker, tracks, static, dynamic, pairs))
+    shifts = icp_translation(srcs, dsts) if srcs else None
+    for tracker, tracks, static, dynamic, pairs in observers:
+        candidates = [(track, ci, shifts[k], shifts[k + (frames != 1)], frames)
+                      for track, ci, k, frames in pairs]
+        tracker.tracks = associate(tracks, static, dynamic, candidates, dt,
+                                   tracker._new_track, tracker.config)
+
+
+def associate(tracks: list[ClusterTrack], static_clusters: list[Cluster],
+              dynamic_clusters: list[Cluster], candidates: list, dt: float,
+              spawn, config: TrackerConfig | None = None) -> list[ClusterTrack]:
+    """Greedy association of dynamic clusters to dynamic tracks.
+
+    candidates holds (track, cluster index, ICP shift, baseline shift,
+    baseline frames) for every gated pair, nearest predicted position
+    first. A pair is accepted when neither side is taken yet and the speed
+    its ICP shift implies stays below the gate; the baseline shift then
+    updates the track's velocity. Rejected or unmatched clusters become new
+    tracks through spawn(cluster), and unmatched tracks coast for a few
+    frames before dropping. Returns the dynamic tracks, then the static
+    clusters as zero-velocity static entries.
+    """
+    cfg = config or TrackerConfig()
+    out: list[ClusterTrack] = []
+    matched_tracks: set[int] = set()
     used_clusters: set[int] = set()
-    by_id = {t.id: t for t in tracks}
-    for d, tid, ci in pairs:
-        if tid in matched_tracks or ci in used_clusters:
+    for track, ci, shift, base_shift, frames in candidates:
+        if track.id in matched_tracks or ci in used_clusters:
             continue
-        track, cluster = by_id[tid], dynamic_clusters[ci]
-        shift = icp_translation(track.points, cluster.points)
         if np.hypot(*shift) / dt > cfg.v_max_gate:
             continue  # spatiotemporal consistency gate: spawn fresh later
-        matched_tracks.add(tid)
+        matched_tracks.add(track.id)
         used_clusters.add(ci)
-        # the oldest snapshot spans the baseline; a track spawned last frame
-        # has one snapshot, equal to track.points, so its baseline shift is
-        # the gate's shift
-        frames, base_points = track.history[0] if track.history else (1, None)
-        base_shift = (shift if frames == 1
-                      else icp_translation(base_points, cluster.points))
+        cluster = dynamic_clusters[ci]
         track.velocity_estimate = estimate_velocity(
             track, cluster, dt, displacement=base_shift,
             beta=cfg.ema_beta, baseline_steps=frames)

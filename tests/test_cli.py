@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import multinav
+from multinav import cli
 from multinav.cli import main
+from multinav.observations import NoiseConfig
 from multinav.policy import ActorCritic, PolicyConfig
 
 
@@ -212,6 +215,37 @@ class TestTrainCommand:
     def test_bad_config_exit_two(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
+        assert run_cli("train", "--config", str(p)) == 2
+
+    @pytest.mark.parametrize("env,noise", [
+        ({}, NoiseConfig.disabled()), ({"noise": False}, NoiseConfig.disabled()),
+        ({"noise": True, "horizon": 4}, NoiseConfig())])
+    def test_env_noise_reaches_training(self, tmp_path, monkeypatch, env,
+                                        noise):
+        seen = []
+
+        def fake_train(specs, train_cfg, out, policy_cfg=None, env_cfg=None):
+            seen.append(env_cfg)
+            return SimpleNamespace(checkpoint_path="p", curve_path="c",
+                                   final_success_rate=0.0)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenarios": [{"kind": "random"}],
+                                 "env": env}))
+        assert run_cli("train", "--config", str(p), "--out",
+                       str(tmp_path / "out")) == 0
+        assert seen[0].noise == noise
+        assert seen[0].horizon == env.get("horizon", 5)
+
+    @pytest.mark.parametrize("env", [{"nosie": True}, {"noise": "yes"},
+                                     {"noise": 1}])
+    def test_bad_env_keys_exit_two(self, tmp_path, monkeypatch, env):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail(
+            "trained on a bad env config"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenarios": [{"kind": "random"}],
+                                 "env": env}))
         assert run_cli("train", "--config", str(p)) == 2
 
     def test_missing_config_exit_two(self, tmp_path):

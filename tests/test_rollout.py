@@ -208,15 +208,31 @@ class TestNoisyNeighborStates:
             for _ in range(3):
                 env.step([(0.6, 0.4 - 0.1 * k) for k in range(7)])
         fast, slow = envs
-        for _ in range(2):
-            for i in range(7):
-                got = fast.noisy_neighbor_states(i)
-                want = _neighbor_states_reference(slow, i)
-                assert len(got[0]) == len(want) == 6
-                for (p, v, r), (wp, wv, wr) in zip(zip(*got), want):
-                    assert p.tobytes() == wp.tobytes()
-                    assert v.tobytes() == wv.tobytes()
-                    assert r == wr
+        # twice per world state (the feed is built once per state), then
+        # again after a step, which must rebuild it
+        for k in range(3):
+            for _ in range(2):
+                for i in range(7):
+                    got = fast.noisy_neighbor_states(i)
+                    want = _neighbor_states_reference(slow, i)
+                    assert len(got[0]) == len(want) == 6
+                    for (p, v, r), (wp, wv, wr) in zip(zip(*got), want):
+                        assert p.tobytes() == wp.tobytes()
+                        assert v.tobytes() == wv.tobytes()
+                        assert r == wr
+                    assert (fast.state_rng.bit_generator.state
+                            == slow.state_rng.bit_generator.state)
+            for env in envs:
+                env.step([(0.3 + 0.1 * k, 0.2 - 0.1 * j) for j in range(7)])
+        # a reset rebuilds it too
+        for env in envs:
+            env.noisy_neighbor_states(0)
+            env.reset()
+        for i in range(7):
+            got = fast.noisy_neighbor_states(i)
+            want = _neighbor_states_reference(slow, i)
+            assert [p.tobytes() for p in got[0]] == [w[0].tobytes()
+                                                     for w in want]
         assert fast.state_rng.bit_generator.state == slow.state_rng.bit_generator.state
 
     def test_lone_robot_has_no_neighbours(self):

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from multinav import tracker as tracker_module
+from multinav.bench import StraightController
 from multinav.geometry import Wall
-from multinav.lidar import raycast
+from multinav.lidar import apply_lidar_noise, raycast
+from multinav.observations import NoiseConfig
 from multinav.planner import rasterize
-from multinav.sim import Action, RobotState, World, WorldConfig
+from multinav.rollout import EnvConfig, NavEnv
+from multinav.scenarios import Kind, eval_suite, generate
+from multinav.sim import Action, RobotState, Status, World, WorldConfig
 from multinav.tracker import (STATIC_ID, Cluster, ClusterTrack, TrackClass,
-                              Tracker, TrackerConfig, cluster_scan,
-                              estimate_velocity, icp_translation)
+                              Tracker, TrackerConfig, _static_entry,
+                              cluster_scan, estimate_velocity,
+                              icp_translation)
 
 
 def make_world(robots, circles=(), walls=()):
@@ -69,7 +74,7 @@ class TestIcp:
         rng = np.random.default_rng(41)
         src = rng.uniform(-1, 1, size=(12, 2))
         shift = np.array([0.05, -0.03])
-        t = icp_translation(src, src + shift)
+        t = icp_translation([src], [src + shift])[0]
         assert np.allclose(t, shift, atol=1e-9)
 
     def test_trims_outliers(self):
@@ -78,7 +83,7 @@ class TestIcp:
         curve = np.column_stack([np.cos(theta), np.sin(theta)])
         src = np.vstack([curve, [[5.0, 5.0]]])
         dst = curve + np.array([0.04, 0.0])
-        t = icp_translation(src, dst)
+        t = icp_translation([src], [dst])[0]
         assert np.allclose(t, [0.04, 0.0], atol=5e-3)
 
 
@@ -124,6 +129,11 @@ def icp_cases():
         (line[:6], line[:6] + [0.0, -0.02]),                        # even n
         (line, line[::-1]),                                         # reversed
         (np.vstack([line, [[4.0, -3.0]]]), line + [0.03, 0.01]),   # outlier
+        (np.zeros((9, 2)), np.zeros((1, 2))),                       # zeros, 1 dst
+        (np.zeros((1, 2)), np.zeros((6, 2))),
+        (np.zeros((12, 2)), np.zeros((12, 2))),
+        (np.zeros((1, 2)), np.full((1, 2), -0.0)),                  # signed zeros
+        (np.zeros((3, 2)), np.full((2, 2), -0.0)),
     ]
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 40):
         for m in (1, 2, 3, 6, 11):
@@ -133,6 +143,9 @@ def icp_cases():
             arc = np.column_stack([np.cos(np.linspace(0, 1, n)),
                                    np.sin(np.linspace(0, 1, n))])
             cases.append((arc, arc[:m] + rng.normal(0.0, 0.01, 2)))
+    for n in (8, 13, 21, 40):                    # many points onto one
+        cases.append((rng.normal(0.0, 0.5, (n, 2)),
+                      rng.normal(0.0, 0.5, (1, 2))))
     return cases
 
 
@@ -140,9 +153,33 @@ class TestIcpMatchesReference:
     def test_bit_for_bit(self):
         for src, dst in icp_cases():
             want = reference_icp(src, dst)
-            got = icp_translation(src, dst)
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()  # signed zeros too
+            got = icp_translation([src], [dst])
+            assert got.shape == (1, 2)
+            assert np.array_equal(got[0], want)
+            assert got[0].tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("batch_elements", [None, 64])
+    def test_mixed_batch_bit_for_bit(self, shuffle, batch_elements,
+                                     monkeypatch):
+        # every size, single-point dsts and all-zero sets in one call, in
+        # one lockstep batch or in many small ones: each row must not depend
+        # on the rows padded beside it
+        if batch_elements is not None:
+            monkeypatch.setattr(tracker_module, "_BATCH_ELEMENTS",
+                                batch_elements)
+        cases = icp_cases()
+        order = np.arange(len(cases))
+        if shuffle:
+            order = np.random.default_rng(5).permutation(len(cases))
+        got = icp_translation([cases[k][0] for k in order],
+                              [cases[k][1] for k in order])
+        assert got.shape == (len(cases), 2)
+        for row, k in zip(got, order):
+            assert row.tobytes() == reference_icp(*cases[k]).tobytes()
+
+    def test_empty_batch(self):
+        assert icp_translation([], []).shape == (0, 2)
 
 
 class TestEstimateVelocity:
@@ -250,9 +287,9 @@ class TestAssociate:
     def test_static_clusters_cost_no_icp(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return np.zeros(2)
+        def counted(srcs, dsts, *args, **kwargs):
+            calls.append(len(srcs))
+            return np.zeros((len(srcs), 2))
 
         monkeypatch.setattr(tracker_module, "icp_translation", counted)
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
@@ -264,14 +301,14 @@ class TestAssociate:
         for _ in range(5):
             tracks = tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
             assert tracks and all(t.id == STATIC_ID for t in tracks)
-        assert calls == []
+        assert sum(calls) == 0
 
     def test_second_frame_match_costs_one_icp(self, monkeypatch):
-        calls = []
+        calls = []                       # ICP jobs per batch
 
-        def counted(src, dst, *a, **k):
-            calls.append(len(src))
-            return icp_translation(src, dst, *a, **k)
+        def counted(srcs, dsts, *a, **k):
+            calls.append(len(srcs))
+            return icp_translation(srcs, dsts, *a, **k)
 
         monkeypatch.setattr(tracker_module, "icp_translation", counted)
         w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
@@ -281,7 +318,7 @@ class TestAssociate:
         for step in range(3):
             w.robots[1].position = np.array([1.5, 0.04 * step])
             tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
-            counts.append(len(calls))
+            counts.append(sum(calls))
             calls.clear()
         assert counts == [0, 1, 2]  # spawn; gate only; gate plus baseline
         assert len(tracker.dynamic_tracks()) == 1
@@ -299,6 +336,129 @@ class TestAssociate:
             for _ in range(5):
                 tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
             assert tracker.dynamic_tracks() == []
+
+
+def reference_update(tracker, scan, pose, grid, dt):
+    """The per-observer association loop the batched update replaced: one
+    ICP per gated pair, called only when the greedy matching reaches it."""
+    cfg = tracker.config
+    clusters = cluster_scan(scan, pose, cfg.cluster_gap, cfg.hit_margin)
+    static_clusters, dynamic_clusters = [], []
+    if clusters:
+        near = grid.occupied_near_points(
+            np.concatenate([c.points for c in clusters]), cfg.static_margin)
+        starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
+        for c, on_static in zip(clusters, np.logical_and.reduceat(near, starts)):
+            (static_clusters if on_static else dynamic_clusters).append(c)
+    tracks = [t for t in tracker.tracks
+              if t.classification == TrackClass.DYNAMIC]
+    out, matched_tracks, used_clusters = [], set(), set()
+    pairs = []
+    for t in tracks:
+        pred = t.closest_point + t.velocity_estimate * dt
+        for ci, c in enumerate(dynamic_clusters):
+            d = float(np.hypot(*(c.closest_point - pred)))
+            if d <= cfg.gating_radius:
+                pairs.append((d, t.id, ci))
+    pairs.sort()
+    by_id = {t.id: t for t in tracks}
+    for d, tid, ci in pairs:
+        if tid in matched_tracks or ci in used_clusters:
+            continue
+        track, cluster = by_id[tid], dynamic_clusters[ci]
+        shift = reference_icp(track.points, cluster.points)
+        if np.hypot(*shift) / dt > cfg.v_max_gate:
+            continue
+        matched_tracks.add(tid)
+        used_clusters.add(ci)
+        frames, base_points = track.history[0] if track.history else (1, None)
+        base_shift = (shift if frames == 1
+                      else reference_icp(base_points, cluster.points))
+        track.velocity_estimate = estimate_velocity(
+            track, cluster, dt, displacement=base_shift,
+            beta=cfg.ema_beta, baseline_steps=frames)
+        track.closest_point = cluster.closest_point.copy()
+        track.points = cluster.points.copy()
+        track.history.append((0, cluster.points.copy()))
+        track.age += 1
+        track.observations += 1
+        track.misses = 0
+        out.append(track)
+    for ci, c in enumerate(dynamic_clusters):
+        if ci not in used_clusters:
+            out.append(tracker._new_track(c))
+    for t in tracks:
+        if t.id in matched_tracks:
+            continue
+        t.misses += 1
+        if t.misses > cfg.grace_steps:
+            continue
+        t.age += 1
+        t.closest_point = t.closest_point + t.velocity_estimate * dt
+        t.points = t.points + t.velocity_estimate * dt
+        out.append(t)
+    for t in out:
+        t.history = [(frames + 1, pts) for frames, pts in t.history
+                     if frames + 1 <= cfg.velocity_baseline_steps]
+    tracker.tracks = out + [_static_entry(c) for c in static_clusters]
+
+
+class ReferenceEnv(NavEnv):
+    """NavEnv sensing the way it did before the batched update: each active
+    robot in turn raycasts, draws its noise and updates its own tracker."""
+
+    def _sense(self):
+        for i, robot in enumerate(self.world.robots):
+            if robot.status != Status.ACTIVE:
+                continue
+            scan = raycast(self.world, i)
+            if self.cfg.noise.lidar_sigma > 0.0:
+                scan = apply_lidar_noise(scan, self.lidar_rng,
+                                         self.cfg.noise.lidar_sigma)
+            self.histories[i].push(scan)
+            reference_update(self.trackers[i], scan,
+                             (*robot.position, robot.heading), self.grid,
+                             self.world.config.dt)
+
+
+def track_state(tracker):
+    return [(t.id, t.classification, t.age, t.misses, t.observations,
+             t.closest_point.tobytes(), t.points.tobytes(),
+             t.velocity_estimate.tobytes(),
+             [(f, p.tobytes()) for f, p in t.history])
+            for t in tracker.tracks]
+
+
+class TestBatchedUpdateMatchesReference:
+    @pytest.mark.parametrize("kind,agents,seed,noise", [
+        (Kind.DOORWAY, 10, 3, False), (Kind.CIRCLE, 20, 0, True)])
+    def test_tracks_and_observations_byte_identical(self, kind, agents, seed,
+                                                    noise):
+        spec = eval_suite(kind, agents, rng_seed=seed)
+        cfg = EnvConfig(noise=NoiseConfig() if noise else NoiseConfig.disabled())
+        scenario = generate(spec)
+        envs = [cls(spec, cfg, seed=seed) for cls in (NavEnv, ReferenceEnv)]
+        obs = [env.reset(scenario) for env in envs]
+        ctrl = StraightController()
+        matched = 0
+        for step in range(12):
+            for i in range(agents):
+                got, want = (track_state(env.trackers[i]) for env in envs)
+                assert got == want, (step, i)
+                matched += sum(t.age > 1 and t.misses == 0
+                               for t in envs[0].trackers[i].tracks)
+            for a, b in zip(*obs):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    for x, y in ((a.z3, b.z3), (a.extras, b.extras),
+                                 (a.nodes, b.nodes)):
+                        assert x.tobytes() == y.tobytes()
+            for env in envs:
+                env.step(ctrl.act(env, None))
+            obs = [env.observations() for env in envs]
+        assert matched > 0               # the comparison saw matched tracks
+        assert (envs[0].lidar_rng.bit_generator.state
+                == envs[1].lidar_rng.bit_generator.state)
 
 
 class TestClosedLoopFidelity:
