@@ -112,7 +112,7 @@ class PolicyController:
         raws = [None] * env.n_agents
         if not live:
             return raws
-        mean, std, _ = self.net.forward_batch(batch_obs([obs[i] for i in live]))
+        mean, std = self.net.policy_batch(batch_obs([obs[i] for i in live]))
         raw = None if self.deterministic else gaussian_sample(mean, std, self.rng)
         for k, i in enumerate(live):
             if self.deterministic:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .bench import ConfigError, LogFlags, replay_svg, report, run_trials
 from .observations import AblationConfig, NoiseConfig
@@ -44,6 +45,18 @@ RUN_DEFAULTS = {
 }
 
 
+def _check_keys(doc: dict, allowed, what: str) -> None:
+    """A key outside `allowed` is a configuration error, so a typo fails
+    instead of falling back to a default."""
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
 def _resolve_run_options(args) -> dict:
     """Layer options: hard defaults, then the JSON config file, then any
     flag the user actually passed."""
@@ -51,9 +64,7 @@ def _resolve_run_options(args) -> dict:
     if args.config:
         with open(args.config) as f:
             doc = json.load(f)
-        unknown = set(doc) - set(RUN_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        _check_keys(doc, RUN_DEFAULTS, "config")
         opts.update(doc)
     for key in RUN_DEFAULTS:
         v = getattr(args, key)
@@ -115,6 +126,7 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+TRAIN_KEYS = ("scenarios", "train", "policy", "env")
 # keys of a training config's "env" object; "noise": true trains under the
 # evaluation noise protocol
 TRAIN_ENV_KEYS = ("horizon", "ablation", "noise")
@@ -123,14 +135,22 @@ TRAIN_ENV_KEYS = ("horizon", "ablation", "noise")
 def cmd_train(args) -> int:
     with open(args.config) as f:
         doc = json.load(f)
+    _check_keys(doc, TRAIN_KEYS, "config")
+    if not doc.get("scenarios"):
+        raise ConfigError("a training config needs a non-empty scenarios list")
+    for d in doc["scenarios"]:
+        _check_keys(d, _field_names(ScenarioSpec), "scenario")
+        if "kind" not in d:
+            raise ConfigError("every scenario needs a kind")
     specs = [ScenarioSpec.from_dict(d) for d in doc["scenarios"]]
-    train_cfg = TrainConfig(**doc.get("train", {}))
+    train_doc = doc.get("train", {})
+    _check_keys(train_doc, _field_names(TrainConfig), "train")
+    train_cfg = TrainConfig(**train_doc)
     policy_doc = doc.get("policy")
+    _check_keys(policy_doc or {}, _field_names(PolicyConfig), "policy")
     policy_cfg = PolicyConfig.from_dict(policy_doc) if policy_doc else None
     env_doc = doc.get("env", {})
-    unknown = set(env_doc) - set(TRAIN_ENV_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown env keys {sorted(unknown)}")
+    _check_keys(env_doc, TRAIN_ENV_KEYS, "env")
     env_cfg = EnvConfig(horizon=env_doc.get("horizon", 5))
     if "ablation" in env_doc:
         env_cfg.ablation = AblationConfig.from_name(env_doc["ablation"])

@@ -1,9 +1,10 @@
 """Minimal numpy neural-network layers with explicit backward passes.
 
 Everything runs in float64 by default. Layers cache what the matching
-backward needs; the call pattern is always forward -> backward -> update.
-Parameter arrays are owned by the layers and mutated in place by the
-optimizer, which keeps flat-vector addressing stable.
+backward needs; the call pattern is forward -> backward -> update, with
+accumulate (backward without the input gradient) for a layer whose input
+gradient nobody reads. Parameter arrays are owned by the layers and
+mutated in place by the optimizer, which keeps flat-vector addressing stable.
 """
 
 from __future__ import annotations
@@ -51,12 +52,13 @@ class Linear(Layer):
         self._x = x
         return x @ self.w.T + self.b
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        x = self._x
+    def accumulate(self, gy: np.ndarray) -> None:
         flat_g = gy.reshape(-1, gy.shape[-1])
-        flat_x = x.reshape(-1, x.shape[-1])
-        self.grads["w"] += flat_g.T @ flat_x
+        self.grads["w"] += flat_g.T @ self._x.reshape(-1, self._x.shape[-1])
         self.grads["b"] += flat_g.sum(axis=0)
+
+    def backward(self, gy: np.ndarray) -> np.ndarray:
+        self.accumulate(gy)
         return gy @ self.w
 
 
@@ -116,15 +118,16 @@ class CircularConv1d(Layer):
         y = cols @ wmat.T + self.b                         # (B, L_out, c_out)
         return y.transpose(0, 2, 1)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        b = gy.shape[0]
+    def accumulate(self, gy: np.ndarray) -> None:
         g = gy.transpose(0, 2, 1)                          # (B, L_out, c_out)
-        cols = self._cols
-        wmat = self.w.reshape(self.c_out, self.c_in * self.kernel)
-        gw = g.reshape(-1, self.c_out).T @ cols.reshape(-1, self.c_in * self.kernel)
-        self.grads["w"] += gw.reshape(self.w.shape)
+        cols = self._cols.reshape(-1, self.c_in * self.kernel)
+        self.grads["w"] += (g.reshape(-1, self.c_out).T @ cols).reshape(self.w.shape)
         self.grads["b"] += g.sum(axis=(0, 1))
-        gcols = g @ wmat                                   # (B, L_out, c_in*k)
+
+    def backward(self, gy: np.ndarray) -> np.ndarray:
+        self.accumulate(gy)
+        b = gy.shape[0]
+        gcols = gy.transpose(0, 2, 1) @ self.w.reshape(self.c_out, -1)
         gg = gcols.reshape(b, self.out_length, self.c_in, self.kernel)
         gg = gg.transpose(0, 2, 1, 3).reshape(b, self.c_in,
                                               self.out_length * self.kernel)

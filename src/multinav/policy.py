@@ -114,7 +114,6 @@ class _Tower:
         self.fc1 = Linear(self.feature_dim, cfg.trunk[0], rng, f"{name}.fc1")
         self.fc2 = Linear(cfg.trunk[0], cfg.trunk[1], rng, f"{name}.fc2")
         self.relu_f1, self.relu_f2 = ReLU(), ReLU()
-        self._conv_out = conv_out
         self._shapes = None
 
     def layers(self):
@@ -156,17 +155,18 @@ class _Tower:
         gs, gt, gg = g[:, :ns], g[:, ns:ns + nt], g[:, ns + nt:ns + nt + ng]
         c2 = self.cfg.conv_channels[1]
         gs = gs.reshape(gs.shape[0], c2, -1)
-        self.conv_s1.backward(self.relu_s1.backward(
+        # the first layers read observations: no input gradient to compute
+        self.conv_s1.accumulate(self.relu_s1.backward(
             self.conv_s2.backward(self.relu_s2.backward(gs))))
         gt = gt.reshape(gt.shape[0], c2, -1)
-        self.conv_t1.backward(self.relu_t1.backward(
+        self.conv_t1.accumulate(self.relu_t1.backward(
             self.conv_t2.backward(self.relu_t2.backward(gt))))
         if self._graph_empty:
             self.pool.grads["null"] += gg.sum(axis=0)
         else:
             gh = self.pool.backward(gg)
             gh = self.attn.backward(gh)
-            self.node_mlp.backward(self.node_relu.backward(gh))
+            self.node_mlp.accumulate(self.node_relu.backward(gh))
 
 
 class ActorCritic:
@@ -231,17 +231,22 @@ class ActorCritic:
 
     # ---- forward / backward -------------------------------------------------
 
-    def forward_batch(self, batch: BatchedObs):
-        """Returns (mean (B,2), std (B,2), value (B,))."""
+    def policy_batch(self, batch: BatchedObs):
+        """Acting: (mean (B,2), std (B,2)) from the actor alone."""
         ta = self.actor.forward(batch)
         mean = self.mean_head.forward(ta)
         self._sigma_pre = self.sigma_head.forward(ta)
         std = softplus(self._sigma_pre) + self.config.sigma_floor
-        tc = self.critic.forward(batch)
-        value = self.value_head.forward(tc)[:, 0]
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()
-                and np.isfinite(value).all()):
-            raise NumericalDivergence("non-finite network output")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericalDivergence("non-finite actor output")
+        return mean, std
+
+    def forward_batch(self, batch: BatchedObs):
+        """Learning: (mean, std, value (B,)), cached for backward_batch."""
+        mean, std = self.policy_batch(batch)
+        value = self.value_head.forward(self.critic.forward(batch))[:, 0]
+        if not np.isfinite(value).all():
+            raise NumericalDivergence("non-finite critic output")
         return mean, std, value
 
     def backward_batch(self, gmean: np.ndarray, gstd: np.ndarray,

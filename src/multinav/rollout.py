@@ -40,7 +40,6 @@ class EnvConfig:
 @dataclass
 class AgentRecord:
     """Per-robot episode bookkeeping for the benchmark metrics."""
-    path_length: float = 0.0               # planned A* length, meters
     lower_bound_time: float = 0.0          # (path - goal tolerance) / v_max
     distance_traveled: float = 0.0
     travel_time: float | None = None       # sim time when the robot finished
@@ -53,7 +52,6 @@ class StepResult:
     reward_terms: list                     # RewardTerms per agent or None
     dones: list                            # bool per agent (this step)
     d_min: np.ndarray
-    statuses: list
     targets: list                          # target used for each reward
 
 
@@ -88,14 +86,13 @@ class NavEnv:
         self._truth = None
         # the plan generate() checked reachability with; a scenario loaded
         # from JSON plans here
-        self.grid, self.paths = scenario.plan(self.spec.resolution)
+        self.grid, self.paths = scenario.plan()
         xmin, ymin, xmax, ymax = self.world.config.bounds
         self.diameter = math.hypot(xmax - xmin, ymax - ymin)
         n = len(self.world.robots)
         self.trackers = [Tracker(self.cfg.tracker) for _ in range(n)]
         self.histories = [ScanHistory() for _ in range(n)]
         self.records = [AgentRecord(
-            path_length=p.length,
             lower_bound_time=max(p.length - self.world.config.goal_tolerance, 0.0)
             / V_MAX) for p in self.paths]
         self.episode_rewards = np.zeros(n)
@@ -228,8 +225,7 @@ class NavEnv:
                 rec.outcome = robot.status.value
         self._sense()
         return StepResult(rewards=rewards, reward_terms=terms_list, dones=dones,
-                          d_min=report.d_min, statuses=report.statuses,
-                          targets=targets)
+                          d_min=report.d_min, targets=targets)
 
     @property
     def done(self) -> bool:

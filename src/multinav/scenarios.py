@@ -53,7 +53,6 @@ class ScenarioSpec:
     rng_seed: int = 0
     robot_radius: float = 0.25
     max_episode_time: float = 120.0
-    resolution: float = 0.1
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -80,17 +79,16 @@ class GeneratedScenario:
     def make_world(self) -> World:
         return World.from_starts(self.config, self.starts, self.goals)
 
-    def plan(self, resolution: float) -> tuple[OccupancyGrid, list[GlobalPath]]:
+    def plan(self) -> tuple[OccupancyGrid, list[GlobalPath]]:
         """The inflated occupancy grid and one A* path per agent.
 
         Computed on the first call and cached, so the reachability check in
         `generate` and the episode's global paths are one plan. A grid the
-        builder rasterized for placement is reused when its resolution
-        matches. Raises Unreachable or InvalidEndpoint for an unplannable
-        agent.
+        builder rasterized for placement is reused. Raises Unreachable or
+        InvalidEndpoint for an unplannable agent.
         """
-        if self.grid is None or self.grid.resolution != resolution:
-            self.grid, self.paths = rasterize(self.config, resolution), None
+        if self.grid is None:
+            self.grid = rasterize(self.config)
         if self.paths is None:
             self.paths = [astar(self.grid, s[:2], g)
                           for s, g in zip(self.starts, self.goals)]
@@ -162,7 +160,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
             last_err = e
             continue
         try:
-            scenario.plan(spec.resolution)
+            scenario.plan()
         except (Unreachable, InvalidEndpoint):
             last_err = Overconstrained("a goal was unreachable")
             continue
@@ -200,7 +198,7 @@ def _gen_random(spec: ScenarioSpec, rng) -> GeneratedScenario:
         circles.append(Circle(rng.uniform(-half + r + 0.5, half - r - 0.5),
                               rng.uniform(-half + r + 0.5, half - r - 0.5), r))
     cfg = _base_config(spec, bounds, circles=circles)
-    grid = rasterize(cfg, spec.resolution)
+    grid = rasterize(cfg)
     box = (-half + 0.5, -half + 0.5, half - 0.5, half - 0.5)
     starts, goals = [], []
     for _ in range(spec.num_agents):
@@ -224,7 +222,7 @@ def _gen_plus(spec: ScenarioSpec, rng) -> GeneratedScenario:
         walls.append(Wall(sy * h, -L, sy * h, -h, 0.1))
         walls.append(Wall(sy * h, h, sy * h, L, 0.1))
     cfg = _base_config(spec, bounds, walls=walls)
-    grid = rasterize(cfg, spec.resolution)
+    grid = rasterize(cfg)
     # arm ends: +x, +y, -x, -y assigned round-robin; goal at the opposite arm
     arm_dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     starts, goals = [], []
@@ -253,7 +251,7 @@ def _gen_doorway(spec: ScenarioSpec, rng) -> GeneratedScenario:
     walls.append(Wall(0.0, -H, 0.0, -gap / 2.0, 0.1))
     walls.append(Wall(0.0, gap / 2.0, 0.0, H, 0.1))
     cfg = _base_config(spec, bounds, walls=walls)
-    grid = rasterize(cfg, spec.resolution)
+    grid = rasterize(cfg)
     left = (-L + 0.6, -H + 0.6, -1.0, H - 0.6)
     right = (1.0, -H + 0.6, L - 0.6, H - 0.6)
     starts, goals = [], []
@@ -279,7 +277,7 @@ def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
         else:
             walls.append(Wall(x, y, x, min(y + length, half - 0.2), 0.1))
     cfg = _base_config(spec, bounds, walls=walls)
-    grid = rasterize(cfg, spec.resolution)
+    grid = rasterize(cfg)
     box = (-half + 0.6, -half + 0.6, half - 0.6, half - 0.6)
     starts, goals = [], []
     for _ in range(spec.num_agents):
@@ -296,7 +294,7 @@ def _gen_hallway(spec: ScenarioSpec, rng) -> GeneratedScenario:
     pad = 0.5
     bounds = (-L - pad, -H - pad, L + pad, H + pad)
     cfg = _base_config(spec, bounds, walls=_box_walls(-L, -H, L, H))
-    grid = rasterize(cfg, spec.resolution)
+    grid = rasterize(cfg)
     left = (-L + 0.6, -H + 0.45, -L + 0.35 * spec.scale, H - 0.45)
     right = (L - 0.35 * spec.scale, -H + 0.45, L - 0.6, H - 0.45)
     starts, goals = [], []

@@ -1,15 +1,18 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from multinav.bench import (ConfigError, EpisodeMetrics, LogFlags,
-                            StraightController, make_controller, replay_svg,
-                            report, run_episode, run_trials)
-from multinav.policy import ActorCritic, PolicyConfig
+                            PolicyController, StraightController,
+                            make_controller, replay_svg, report, run_episode,
+                            run_trials)
+from multinav.observations import NormalizedObs
+from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, ScenarioSpec, eval_suite
-from multinav.sim import Status
+from multinav.sim import Action, Status, clamp_action
 
 
 def empty_single_agent_spec(scale=15.0, seed=0):
@@ -44,6 +47,55 @@ class TestRunEpisode:
         env = NavEnv(spec, EnvConfig(build_observations=False), seed=0)
         run_episode(env, StraightController())
         assert all(r.status == Status.COLLIDED for r in env.world.robots)
+
+
+class TestPolicyController:
+    def test_acts_without_the_critic(self, monkeypatch):
+        net = ActorCritic(PolicyConfig.reduced(), seed=2)
+        rng = np.random.default_rng(5)
+        obs = [NormalizedObs(z3=rng.uniform(0.1, 1.0, (3, 120)),
+                             extras=rng.uniform(-1, 1, 7),
+                             nodes=rng.uniform(-1, 1, (k, 4)))
+               for k in (0, 3, 3, 0)]
+        obs.insert(2, None)                    # a robot that no longer acts
+        live = [o for o in obs if o is not None]
+        mean, _, _ = net.forward_batch(batch_obs(live))
+        want = [clamp_action(Action(float(m[0]), float(m[1]))) for m in mean]
+
+        def no_critic(batch):
+            raise AssertionError("acting ran the critic")
+
+        monkeypatch.setattr(net.critic, "forward", no_critic)
+        raws = PolicyController(net).act(SimpleNamespace(n_agents=len(obs)),
+                                         obs)
+        assert raws[2] is None
+        got = [r for r in raws if r is not None]
+        assert (np.array(got).tobytes()
+                == np.array([(a.v, a.w) for a in want]).tobytes())
+
+    def run_policy_episode(self, net):
+        spec = empty_single_agent_spec(scale=5.0)
+        spec.max_episode_time = 2.0
+        env = NavEnv(spec, EnvConfig(), seed=4)
+        return run_episode(env, PolicyController(net))
+
+    def test_only_a_diverged_actor_strands_the_robots(self):
+        clean = self.run_policy_episode(ActorCritic(PolicyConfig.reduced(), seed=1))
+        # a NaN value changes nothing the robots do
+        net = ActorCritic(PolicyConfig.reduced(), seed=1)
+        net.value_head.b[...] = np.nan
+        env = self.run_policy_episode(net)
+        assert env.world.sim_time == clean.world.sim_time > 0.0
+        for a, b in zip(env.world.robots, clean.world.robots):
+            assert a.status == b.status
+            assert a.position.tobytes() == b.position.tobytes()
+        # a NaN mean strands the robots at the first step
+        net = ActorCritic(PolicyConfig.reduced(), seed=1)
+        net.mean_head.b[...] = np.nan
+        env = self.run_policy_episode(net)
+        assert env.world.sim_time == 0.0
+        assert [r.status for r in env.world.robots] == [Status.STUCK]
+        assert [r.outcome for r in env.records] == ["stuck"]
 
 
 class TestRunTrials:

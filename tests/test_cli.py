@@ -251,6 +251,26 @@ class TestTrainCommand:
     def test_missing_config_exit_two(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "none.json")) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"train": {"seed": 1}},
+        {"scenarios": []},
+        {"scenarios": [{"scale": 5.0}]},
+        {"scenarios": [{"kind": "random", "agents": 3}]},
+        {"scenarios": [{"kind": "random"}], "train": {"learning_rate": 1e-3}},
+        {"scenarios": [{"kind": "random"}], "policy": {"channels": [4, 8]}},
+        {"scenarios": [{"kind": "random"}], "polcy": {"trunk": [8, 8]}},
+    ], ids=["no-scenarios", "empty-scenarios", "scenario-without-kind",
+            "unknown-scenario-key", "unknown-train-key", "unknown-policy-key",
+            "unknown-top-level-key"])
+    def test_bad_train_config_exit_two(self, tmp_path, monkeypatch, capsys,
+                                       doc):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail(
+            "trained on a bad config"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(p)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestReplayCommand:
     def test_replay_from_run_log(self, tmp_path):

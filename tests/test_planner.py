@@ -311,7 +311,7 @@ class TestAstarMatchesReference:
     def test_evaluation_layouts(self, kind, agents):
         spec = eval_suite(kind, agents, rng_seed=0)
         scenario = generate(spec)
-        grid, paths = scenario.plan(spec.resolution)
+        grid, paths = scenario.plan()
         for (x, y, _), goal, path in zip(scenario.starts, scenario.goals, paths):
             want = plan_outcome(reference_astar, grid, (x, y), goal)
             assert (path.waypoints.tobytes(), path.cumulative_length.tobytes()) == want

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multinav.nn import softplus_grad
 from multinav.observations import NormalizedObs
 from multinav.policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                              PolicyConfig, batch_obs, deterministic_action,
@@ -226,6 +227,59 @@ class TestGradientCheck:
             offset += arr.size
         net.set_flat(flat)
         assert worst < 1e-4, f"max relative gradient error {worst}"
+
+
+def full_chain_backward(net, gmean, gstd, gvalue):
+    """backward_batch as it ran when every layer ran its full backward,
+    input gradients of the first layers included."""
+    def tower(t, gtrunk):
+        g = t.fc2.backward(t.relu_f2.backward(gtrunk))
+        g = t.fc1.backward(t.relu_f1.backward(g))
+        ns, nt, ng = t._shapes
+        gs, gt, gg = g[:, :ns], g[:, ns:ns + nt], g[:, ns + nt:ns + nt + ng]
+        c2 = t.cfg.conv_channels[1]
+        t.conv_s1.backward(t.relu_s1.backward(t.conv_s2.backward(
+            t.relu_s2.backward(gs.reshape(len(gs), c2, -1)))))
+        t.conv_t1.backward(t.relu_t1.backward(t.conv_t2.backward(
+            t.relu_t2.backward(gt.reshape(len(gt), c2, -1)))))
+        if t._graph_empty:
+            t.pool.grads["null"] += gg.sum(axis=0)
+        else:
+            t.node_mlp.backward(t.node_relu.backward(
+                t.attn.backward(t.pool.backward(gg))))
+
+    gpre = gstd * softplus_grad(net._sigma_pre)
+    tower(net.actor, net.mean_head.backward(gmean) + net.sigma_head.backward(gpre))
+    tower(net.critic, net.value_head.backward(gvalue[:, None]))
+
+
+class TestFirstLayers:
+    @pytest.mark.parametrize("node_counts", [(0, 3, 3, 0), (0, 0)])
+    def test_skip_input_gradients_byte_for_byte(self, monkeypatch,
+                                                node_counts):
+        rng = np.random.default_rng(31)
+        batch = batch_obs([obs_of(rng, n_nodes=k) for k in node_counts])
+        gmean, gstd = rng.normal(size=(2, len(node_counts), 2))
+        gvalue = rng.normal(size=len(node_counts))
+
+        def unread(gy):
+            raise AssertionError("computed an input gradient nobody reads")
+
+        grads = []
+        for full in (True, False):
+            net = ActorCritic(PolicyConfig.reduced(), seed=7)
+            net.forward_batch(batch)
+            if full:
+                full_chain_backward(net, gmean, gstd, gvalue)
+            else:
+                for t in (net.actor, net.critic):
+                    for layer in (t.conv_s1, t.conv_t1, t.node_mlp):
+                        monkeypatch.setattr(layer, "backward", unread)
+                net.backward_batch(gmean, gstd, gvalue)
+            assert np.any(net.critic.conv_s1.grads["w"])
+            assert np.any(net.actor.node_mlp.grads["w"]) == any(node_counts)
+            grads.append({k: g.tobytes() for k, g in net.named_grads().items()})
+        assert grads[0] == grads[1]
 
 
 class TestSampling:

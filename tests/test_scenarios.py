@@ -66,7 +66,7 @@ class TestInvariants:
             d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).T)
             np.fill_diagonal(d, np.inf)
             assert d.min() >= min_clear
-        grid = rasterize(g.config, spec.resolution)
+        grid = rasterize(g.config)
         for s, goal in zip(g.starts, g.goals):
             path = astar(grid, s[:2], goal)  # raises if unreachable
             assert path.length >= 0
@@ -150,20 +150,8 @@ class TestOnePlan:
         scenario = generate(spec)
         assert calls["layouts"] == calls["rasterize"] == 2
         assert scenario.goals[0] != failures[0]
-        grid, paths = scenario.plan(spec.resolution)
+        grid, paths = scenario.plan()
         assert len(paths) == 5 and calls["rasterize"] == 2
-
-    def test_plan_at_another_resolution_replans(self):
-        spec = ScenarioSpec(Kind.DOORWAY, scale=10.0, num_agents=3, rng_seed=3)
-        scenario = generate(spec)
-        grid, paths = scenario.plan(spec.resolution)
-        assert scenario.plan(spec.resolution)[1] is paths
-        coarse, coarse_paths = scenario.plan(0.25)
-        assert coarse.resolution == 0.25 and coarse.shape != grid.shape
-        want = [astar(rasterize(scenario.config, 0.25), s[:2], g)
-                for s, g in zip(scenario.starts, scenario.goals)]
-        for p, q in zip(coarse_paths, want):
-            assert p.waypoints.tobytes() == q.waypoints.tobytes()
 
 
 class TestPlus:

@@ -1,4 +1,5 @@
-"""Regenerate the fixed-seed metrics CSV set and print one sha256 per file.
+"""Regenerate the fixed-seed metrics CSV set and the desk-scale training
+outputs, and print one sha256 per file.
 
     python3 tools/csv_digest.py OUT_DIR
 
@@ -6,9 +7,11 @@ Runs `multinav run` for the straight and ORCA controllers (2 trials) and the
 policy (1 trial, on a checkpoint saved from `ActorCritic(PolicyConfig(),
 seed=0)`), each with and without `--noise`, on circle-20 (seed 0),
 doorway-10 (seed 3), random-10 (seed 5) and hallway-8 (seed 7): 24 CSVs.
-The package is imported from this tree's `src`, so running the script in two
-checkouts and diffing the printed lines checks that a change keeps the
-metrics byte-identical.
+Then runs `multinav train --config configs/train_goal_task.json` and hashes
+its `training_curve.csv` and `policy.json`. The package is imported from
+this tree's `src`, so running the script in two checkouts and diffing the
+printed lines checks that a change keeps the metrics and the training run
+byte-identical.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import io
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from multinav.cli import main  # noqa: E402
 from multinav.policy import ActorCritic, PolicyConfig  # noqa: E402
@@ -28,6 +31,20 @@ from multinav.policy import ActorCritic, PolicyConfig  # noqa: E402
 CELLS = (("circle", 20, 0), ("doorway", 10, 3), ("random", 10, 5),
          ("hallway", 8, 7))
 CONTROLLERS = (("straight", 2), ("orca", 2), ("policy", 1))
+TRAIN_CONFIG = os.path.join(ROOT, "configs", "train_goal_task.json")
+TRAIN_FILES = ("training_curve.csv", "policy.json")
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"multinav {' '.join(argv)} exited {code}")
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def digest(out_dir: str) -> list[str]:
@@ -48,14 +65,12 @@ def digest(out_dir: str) -> list[str]:
                     argv += ["--checkpoint", ckpt]
                 if noise:
                     argv.append("--noise")
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
-                if code != 0:
-                    raise SystemExit(f"multinav {' '.join(argv)} exited "
-                                     f"{code}")
-                with open(out, "rb") as f:
-                    digest_hex = hashlib.sha256(f.read()).hexdigest()
-                lines.append(f"{digest_hex}  {name}")
+                _run(argv)
+                lines.append(f"{_sha256(out)}  {name}")
+    train_dir = os.path.join(out_dir, "train")
+    _run(["train", "--config", TRAIN_CONFIG, "--out", train_dir])
+    for name in TRAIN_FILES:
+        lines.append(f"{_sha256(os.path.join(train_dir, name))}  train/{name}")
     return lines
 
 
