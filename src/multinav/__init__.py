@@ -23,7 +23,7 @@ from .sim import (Action, ActionArity, NonFiniteAction, RobotState, Status,
 from .lidar import LidarScan, ScanHistory, apply_lidar_noise, raycast
 from .planner import (EmptyPath, GlobalPath, InvalidEndpoint, OccupancyGrid,
                       TargetPoint, Unreachable, astar, rasterize, running_target)
-from .tracker import Cluster, ClusterTrack, TrackClass, Tracker, TrackerConfig
+from .tracker import Cluster, ClusterTrack, Tracker
 from .observations import (AblationConfig, NeighborGraph, NoiseConfig,
                            ObservationBundle, apply_state_noise,
                            build_observation, denormalize, normalize)

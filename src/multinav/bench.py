@@ -249,7 +249,6 @@ class EpisodeMetrics:
     extra_time_seconds: float
     extra_time_ratio: float
     average_speed: float
-    travel_times: list = field(default_factory=list)
     lower_bounds: list = field(default_factory=list)
 
     CSV_FIELDS = ("scenario", "agents", "controller", "trials", "seed",
@@ -355,7 +354,7 @@ def run_trials(spec: ScenarioSpec, controller_name: str, trials: int,
         collision_rate=counts["collided"] / total,
         extra_time_seconds=extra_s, extra_time_ratio=extra_ratio,
         average_speed=float(np.mean(speeds)),
-        travel_times=travel, lower_bounds=bounds,
+        lower_bounds=bounds,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .lidar import MAX_RANGE, ScanHistory
 from .planner import TargetPoint
 from .sim import V_MAX, W_MAX, World
-from .tracker import ClusterTrack, TrackClass
+from .tracker import ClusterTrack
 from .geometry import wrap_angle
 
 N_MAX_NEIGHBORS = 16  # nearest-first cap; bounds rollout memory, not the model
@@ -97,8 +97,10 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
                       rng: np.random.Generator | None = None) -> ObservationBundle:
     """Assemble one agent's observation from its sensors, tracks and path.
 
-    Pass a noise config plus rng to perturb the neighbor states in the same
-    call; LiDAR noise is applied upstream on the scans themselves.
+    tracks are the neighbours to show, as Tracker.dynamic_tracks() returns
+    them; the nearest N_MAX_NEIGHBORS become graph nodes. Pass a noise
+    config plus rng to perturb the neighbor states in the same call; LiDAR
+    noise is applied upstream on the scans themselves.
     """
     ablation = ablation or AblationConfig()
     robot = world.robots[agent_index]
@@ -120,8 +122,6 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
     else:
         rows = []
         for t in tracks:
-            if t.classification != TrackClass.DYNAMIC or t.misses > 0:
-                continue
             rel = to_body(t.closest_point, pos, heading)
             vel = rotate_to_body(t.velocity_estimate, heading)
             rows.append((float(np.hypot(*rel)), math.atan2(rel[1], rel[0]),

@@ -241,13 +241,17 @@ class ActorCritic:
             raise NumericalDivergence("non-finite actor output")
         return mean, std
 
-    def forward_batch(self, batch: BatchedObs):
-        """Learning: (mean, std, value (B,)), cached for backward_batch."""
-        mean, std = self.policy_batch(batch)
+    def value_batch(self, batch: BatchedObs):
+        """State values (B,) from the critic alone."""
         value = self.value_head.forward(self.critic.forward(batch))[:, 0]
         if not np.isfinite(value).all():
             raise NumericalDivergence("non-finite critic output")
-        return mean, std, value
+        return value
+
+    def forward_batch(self, batch: BatchedObs):
+        """Learning: (mean, std, value (B,)), cached for backward_batch."""
+        mean, std = self.policy_batch(batch)
+        return mean, std, self.value_batch(batch)
 
     def backward_batch(self, gmean: np.ndarray, gstd: np.ndarray,
                        gvalue: np.ndarray) -> None:

@@ -331,7 +331,7 @@ def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
         live = [(key, obs[key[0]][key[1]]) for key in open_keys]
         live = [(key, o) for key, o in live if o is not None]
         if live:
-            _, _, values = net.forward_batch(batch_obs([o for _, o in live]))
+            values = net.value_batch(batch_obs([o for _, o in live]))
             boots = {key: float(v) for (key, _), v in zip(live, values)}
         for key in open_keys:
             boots.setdefault(key, 0.0)

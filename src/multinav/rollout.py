@@ -24,7 +24,7 @@ from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import RewardConfig, reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import V_MAX, Action, Status, World
-from .tracker import Tracker, TrackerConfig, update_trackers
+from .tracker import Tracker, update_trackers
 
 
 @dataclass
@@ -33,7 +33,6 @@ class EnvConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig.disabled)
     ablation: AblationConfig = field(default_factory=AblationConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
     build_observations: bool = True
 
 
@@ -90,7 +89,7 @@ class NavEnv:
         xmin, ymin, xmax, ymax = self.world.config.bounds
         self.diameter = math.hypot(xmax - xmin, ymax - ymin)
         n = len(self.world.robots)
-        self.trackers = [Tracker(self.cfg.tracker) for _ in range(n)]
+        self.trackers = [Tracker() for _ in range(n)]
         self.histories = [ScanHistory() for _ in range(n)]
         self.records = [AgentRecord(
             lower_bound_time=max(p.length - self.world.config.goal_tolerance, 0.0)

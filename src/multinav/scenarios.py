@@ -134,6 +134,20 @@ def _sample_clear(rng, box, taken, grid, radius, tries=MAX_PLACE_TRIES):
     raise Overconstrained(f"could not place a point in {box}")
 
 
+def _sample_starts_goals(spec, rng, cfg, grid, start_box,
+                         goal_box) -> GeneratedScenario:
+    """Scenario whose agents each draw a start in start_box, then a goal in
+    goal_box, clear of the starts and goals drawn before."""
+    starts, goals = [], []
+    for _ in range(spec.num_agents):
+        s = _sample_clear(rng, start_box, [p[:2] for p in starts], grid,
+                          spec.robot_radius)
+        g = _sample_clear(rng, goal_box, goals, grid, spec.robot_radius)
+        starts.append((s[0], s[1], _heading_towards(s, g)))
+        goals.append(g)
+    return GeneratedScenario(cfg, starts, goals, grid)
+
+
 def _box_walls(xmin, ymin, xmax, ymax, thickness=0.1) -> list[Wall]:
     return [Wall(xmin, ymin, xmax, ymin, thickness),
             Wall(xmin, ymax, xmax, ymax, thickness),
@@ -200,13 +214,7 @@ def _gen_random(spec: ScenarioSpec, rng) -> GeneratedScenario:
     cfg = _base_config(spec, bounds, circles=circles)
     grid = rasterize(cfg)
     box = (-half + 0.5, -half + 0.5, half - 0.5, half - 0.5)
-    starts, goals = [], []
-    for _ in range(spec.num_agents):
-        s = _sample_clear(rng, box, [p[:2] for p in starts], grid, spec.robot_radius)
-        g = _sample_clear(rng, box, goals, grid, spec.robot_radius)
-        starts.append((s[0], s[1], _heading_towards(s, g)))
-        goals.append(g)
-    return GeneratedScenario(cfg, starts, goals, grid)
+    return _sample_starts_goals(spec, rng, cfg, grid, box, box)
 
 
 def _gen_plus(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -254,13 +262,7 @@ def _gen_doorway(spec: ScenarioSpec, rng) -> GeneratedScenario:
     grid = rasterize(cfg)
     left = (-L + 0.6, -H + 0.6, -1.0, H - 0.6)
     right = (1.0, -H + 0.6, L - 0.6, H - 0.6)
-    starts, goals = [], []
-    for _ in range(spec.num_agents):
-        s = _sample_clear(rng, left, [p[:2] for p in starts], grid, spec.robot_radius)
-        g = _sample_clear(rng, right, goals, grid, spec.robot_radius)
-        starts.append((s[0], s[1], _heading_towards(s, g)))
-        goals.append(g)
-    return GeneratedScenario(cfg, starts, goals, grid)
+    return _sample_starts_goals(spec, rng, cfg, grid, left, right)
 
 
 def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
@@ -279,13 +281,7 @@ def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
     cfg = _base_config(spec, bounds, walls=walls)
     grid = rasterize(cfg)
     box = (-half + 0.6, -half + 0.6, half - 0.6, half - 0.6)
-    starts, goals = [], []
-    for _ in range(spec.num_agents):
-        s = _sample_clear(rng, box, [p[:2] for p in starts], grid, spec.robot_radius)
-        g = _sample_clear(rng, box, goals, grid, spec.robot_radius)
-        starts.append((s[0], s[1], _heading_towards(s, g)))
-        goals.append(g)
-    return GeneratedScenario(cfg, starts, goals, grid)
+    return _sample_starts_goals(spec, rng, cfg, grid, box, box)
 
 
 def _gen_hallway(spec: ScenarioSpec, rng) -> GeneratedScenario:

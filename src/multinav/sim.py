@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Circle, Wall, dist_aabb_surface, dist_circle_surface, wrap_angle
+from .geometry import Circle, Wall, obstacle_surface_distance, wrap_angle
 
 W_EPS = 1e-9  # below this |w|, arc integration degenerates to a straight line
 
@@ -198,11 +198,11 @@ class World:
             dist = np.hypot(diff[..., 0], diff[..., 1])
             np.fill_diagonal(dist, np.inf)
             d = dist.min(axis=1) - 2.0 * radius
-        for c in self.config.circles:
-            d = np.minimum(d, dist_circle_surface(pos, c) - radius)
-        for w in self.config.walls:
-            d = np.minimum(d, dist_aabb_surface(pos, w.aabb) - radius)
-        return d
+        # x - radius rounds monotonically in x, so subtracting it once from
+        # the nearest surface equals subtracting it from each, bit for bit
+        obstacles = obstacle_surface_distance(pos, self.config.circles,
+                                              self.config.walls)
+        return np.minimum(d, obstacles - radius)
 
     def step(self, actions: list[Action]) -> StepReport:
         """Integrate all Active robots simultaneously, then update statuses.

@@ -5,17 +5,15 @@ a coarse static/dynamic split against the inflated static map, nearest-
 predicted-point association of the dynamic clusters refined by
 translation-only ICP with outlier trimming, a velocity gate on accepted
 matches, and a constant-velocity estimate smoothed by an exponential moving
-average. Static clusters are classified, not tracked: each frame reports
-them as zero-velocity STATIC entries with id STATIC_ID, and they take no
-part in association. Discs make rotation unobservable, so tracks carry
-linear velocity only. update_trackers advances the trackers of all
-observers by one frame and solves all their ICP pairs in one lockstep
-batch.
+average. Static clusters are dropped at the split: they take no part in
+association and leave no entry, so a tracker holds dynamic tracks only.
+Discs make rotation unobservable, so tracks carry linear velocity only.
+update_trackers advances the trackers of all observers by one frame and
+solves all their ICP pairs in one lockstep batch.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -25,24 +23,14 @@ from .lidar import BEAM_OFFSETS, LidarScan
 from .planner import OccupancyGrid
 
 
-class TrackClass(enum.Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
-
-
-STATIC_ID = -1                       # id of every static entry: never a track
-
-
-@dataclass
-class TrackerConfig:
-    cluster_gap: float = 0.3          # max gap between adjacent beam hits
-    gating_radius: float = 0.6        # association gate on predicted position
-    v_max_gate: float = 1.5           # m/s, reject faster apparent motion
-    grace_steps: int = 3              # frames a track survives unmatched
-    ema_beta: float = 0.5             # weight of the newest velocity sample
-    static_margin: float = 0.15       # distance to occupied cells = static
-    hit_margin: float = 1e-6          # below max_range - this counts as a hit
-    velocity_baseline_steps: int = 5  # frames spanned by the velocity baseline
+CLUSTER_GAP = 0.3               # max gap between adjacent beam hits
+GATING_RADIUS = 0.6             # association gate on predicted position
+V_MAX_GATE = 1.5                # m/s, reject faster apparent motion
+GRACE_STEPS = 3                 # frames a track survives unmatched
+EMA_BETA = 0.5                  # weight of the newest velocity sample
+STATIC_MARGIN = 0.15            # distance to occupied cells = static
+HIT_MARGIN = 1e-6               # below max_range - this counts as a hit
+VELOCITY_BASELINE_STEPS = 5     # frames spanned by the velocity baseline
 
 
 @dataclass
@@ -53,11 +41,10 @@ class Cluster:
 
 @dataclass
 class ClusterTrack:
-    id: int                          # STATIC_ID for a static entry
+    id: int
     closest_point: np.ndarray
     velocity_estimate: np.ndarray    # (2,) m/s world frame
-    age: int = 1                     # frames since spawn; 0 for static entries
-    classification: TrackClass = TrackClass.DYNAMIC
+    age: int = 1                     # frames since spawn
     points: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     observations: int = 1
     misses: int = 0
@@ -66,16 +53,16 @@ class ClusterTrack:
     history: list = field(default_factory=list)
 
 
-def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
-                 gap: float = 0.3, hit_margin: float = 1e-6) -> list[Cluster]:
+def cluster_scan(scan: LidarScan,
+                 observer_pose: tuple[float, float, float]) -> list[Cluster]:
     """Group scan returns into clusters by adjacency.
 
     Non-hits (ranges at max_range) are dropped; consecutive hit beams whose
-    points are within the gap threshold join one cluster, including across
-    the 119 -> 0 wrap.
+    points are within CLUSTER_GAP join one cluster, including across the
+    119 -> 0 wrap.
     """
     x, y, heading = observer_pose
-    hits = scan.ranges < scan.max_range - hit_margin
+    hits = scan.ranges < scan.max_range - HIT_MARGIN
     if not hits.any():
         return []
     angles = heading + BEAM_OFFSETS
@@ -92,7 +79,7 @@ def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
             continue
         if current:
             j = current[-1]
-            if math.hypot(px[k] - px[j], py[k] - py[j]) > gap:
+            if math.hypot(px[k] - px[j], py[k] - py[j]) > CLUSTER_GAP:
                 groups.append(current)
                 current = []
         current.append(k)
@@ -101,7 +88,7 @@ def cluster_scan(scan: LidarScan, observer_pose: tuple[float, float, float],
     # wrap-around: last and first group may be one object split at beam 0
     if len(groups) > 1 and hits[0] and hits[-1]:
         j, k = groups[-1][-1], groups[0][0]
-        if math.hypot(px[k] - px[j], py[k] - py[j]) <= gap:
+        if math.hypot(px[k] - px[j], py[k] - py[j]) <= CLUSTER_GAP:
             groups[0] = groups.pop() + groups[0]
 
     clusters = []
@@ -269,33 +256,28 @@ def icp_translation(srcs: list, dsts: list, iterations: int = 40,
     return out
 
 
-def estimate_velocity(track: ClusterTrack, matched: Cluster, dt: float,
-                      displacement: np.ndarray | None = None,
-                      beta: float = 0.5, baseline_steps: int = 1) -> np.ndarray:
-    """Constant-velocity update for an accepted match.
+def estimate_velocity(track: ClusterTrack, displacement: np.ndarray, dt: float,
+                      baseline_steps: int) -> np.ndarray:
+    """Constant-velocity update for an accepted match of a track seen at
+    least once before.
 
-    First observation yields (0, 0); the second initializes v = delta/dt;
-    afterwards an EMA blends the newest sample in. The displacement defaults
-    to the raw closest-point delta over one frame; the tracker passes the ICP
-    translation over a multi-frame baseline (baseline_steps frames), which is
-    far less sensitive to beam quantization.
+    displacement is the ICP translation over the track's multi-frame
+    baseline (baseline_steps frames), far less sensitive to beam
+    quantization than a one-frame closest-point delta. The track's second
+    observation initializes v = displacement / (dt * baseline_steps);
+    afterwards an EMA blends the newest sample in.
     """
-    if displacement is None:
-        displacement = matched.closest_point - track.closest_point
-    if track.observations == 0:
-        return np.zeros(2)
     sample = displacement / (dt * baseline_steps)
     if track.observations == 1:
-        return sample.astype(float)
-    return (1.0 - beta) * track.velocity_estimate + beta * sample
+        return sample
+    return (1.0 - EMA_BETA) * track.velocity_estimate + EMA_BETA * sample
 
 
 class Tracker:
     """Per-observer track store. One instance per agent; instances share
     nothing but the ICP batch of update_trackers."""
 
-    def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+    def __init__(self):
         self.tracks: list[ClusterTrack] = []
         self._next_id = 0
 
@@ -312,35 +294,27 @@ class Tracker:
 
     def update(self, scan: LidarScan, observer_pose: tuple[float, float, float],
                grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
-        """Dynamic tracks after this frame, then this frame's static
-        entries."""
+        """The tracks after this frame, coasting ones included."""
         update_trackers([self], [scan], [observer_pose], grid, dt)
         return self.tracks
 
     def dynamic_tracks(self) -> list[ClusterTrack]:
-        return [t for t in self.tracks if t.classification == TrackClass.DYNAMIC
-                and t.misses == 0]
+        """The neighbours the policy sees: tracks matched or spawned this
+        frame."""
+        return [t for t in self.tracks if t.misses == 0]
 
 
-def _static_entry(cluster: Cluster) -> ClusterTrack:
-    return ClusterTrack(id=STATIC_ID, closest_point=cluster.closest_point,
-                        velocity_estimate=np.zeros(2), age=0,
-                        classification=TrackClass.STATIC, points=cluster.points,
-                        observations=0)
-
-
-def split_static(clusters: list[Cluster], grid: OccupancyGrid,
-                 margin: float) -> tuple[list[Cluster], list[Cluster]]:
-    """(static, dynamic) clusters: a cluster is static when all its points
-    sit within the margin of inflated occupancy."""
-    static, dynamic = [], []
-    if clusters:
-        near = grid.occupied_near_points(
-            np.concatenate([c.points for c in clusters]), margin)
-        starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
-        for c, on_static in zip(clusters, np.logical_and.reduceat(near, starts)):
-            (static if on_static else dynamic).append(c)
-    return static, dynamic
+def split_static(clusters: list[Cluster], grid: OccupancyGrid) -> list[Cluster]:
+    """The dynamic clusters: a cluster is static, and dropped, when all its
+    points sit within STATIC_MARGIN of inflated occupancy."""
+    if not clusters:
+        return []
+    near = grid.occupied_near_points(
+        np.concatenate([c.points for c in clusters]), STATIC_MARGIN)
+    starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
+    return [c for c, on_static
+            in zip(clusters, np.logical_and.reduceat(near, starts))
+            if not on_static]
 
 
 def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
@@ -363,51 +337,48 @@ def update_trackers(trackers: list[Tracker], scans: list[LidarScan],
     """Advance each observer's tracker by one frame; one ICP batch serves
     them all.
 
-    Per observer: cluster the scan, split off the static clusters and gate
-    the dynamic tracks against the rest. Every gated pair's ICP inputs are
-    fixed before any match is accepted, so one icp_translation call solves,
-    for all observers at once, each pair's gate shift and, when its track
-    holds a multi-frame snapshot, its baseline shift; some of these go
-    unread when the greedy matching rejects the pair. associate then accepts
+    Per observer: cluster the scan, drop the static clusters and gate the
+    tracks against the rest. Every gated pair's ICP inputs are fixed before
+    any match is accepted, so one icp_translation call solves, for all
+    observers at once, each pair's gate shift and, when its track holds a
+    multi-frame snapshot, its baseline shift; some of these go unread when
+    the greedy matching rejects the pair. associate then accepts
     matches per observer and sets each tracker's tracks.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     observers, srcs, dsts = [], [], []
     for tracker, scan, pose in zip(trackers, scans, poses):
-        cfg = tracker.config
-        static, dynamic = split_static(
-            cluster_scan(scan, pose, cfg.cluster_gap, cfg.hit_margin), grid,
-            cfg.static_margin)
-        tracks = [t for t in tracker.tracks
-                  if t.classification == TrackClass.DYNAMIC]
-        by_id = {t.id: t for t in tracks}
+        dynamic = split_static(cluster_scan(scan, pose), grid)
+        by_id = {t.id: t for t in tracker.tracks}
         pairs = []                 # (track, cluster index, job, frames)
-        for _, tid, ci in gate_pairs(tracks, dynamic, dt, cfg.gating_radius):
+        for _, tid, ci in gate_pairs(tracker.tracks, dynamic, dt,
+                                     GATING_RADIUS):
             track = by_id[tid]
             # the oldest snapshot spans the velocity baseline; a track
             # spawned last frame has one snapshot, equal to track.points, so
-            # its baseline shift is the gate's shift
-            frames, base = track.history[0] if track.history else (1, None)
+            # its baseline shift is the gate's shift. Every live track holds
+            # a snapshot: its newest is at most GRACE_STEPS + 1 frames old,
+            # and VELOCITY_BASELINE_STEPS > GRACE_STEPS keeps it.
+            frames, base = track.history[0]
             pairs.append((track, ci, len(srcs), frames))
             srcs.append(track.points)
             dsts.append(dynamic[ci].points)
             if frames != 1:
                 srcs.append(base)
                 dsts.append(dynamic[ci].points)
-        observers.append((tracker, tracks, static, dynamic, pairs))
+        observers.append((tracker, dynamic, pairs))
     shifts = icp_translation(srcs, dsts) if srcs else None
-    for tracker, tracks, static, dynamic, pairs in observers:
+    for tracker, dynamic, pairs in observers:
         candidates = [(track, ci, shifts[k], shifts[k + (frames != 1)], frames)
                       for track, ci, k, frames in pairs]
-        tracker.tracks = associate(tracks, static, dynamic, candidates, dt,
-                                   tracker._new_track, tracker.config)
+        tracker.tracks = associate(tracker.tracks, dynamic, candidates, dt,
+                                   tracker._new_track)
 
 
-def associate(tracks: list[ClusterTrack], static_clusters: list[Cluster],
-              dynamic_clusters: list[Cluster], candidates: list, dt: float,
-              spawn, config: TrackerConfig | None = None) -> list[ClusterTrack]:
-    """Greedy association of dynamic clusters to dynamic tracks.
+def associate(tracks: list[ClusterTrack], dynamic_clusters: list[Cluster],
+              candidates: list, dt: float, spawn) -> list[ClusterTrack]:
+    """Greedy association of dynamic clusters to tracks.
 
     candidates holds (track, cluster index, ICP shift, baseline shift,
     baseline frames) for every gated pair, nearest predicted position
@@ -415,24 +386,21 @@ def associate(tracks: list[ClusterTrack], static_clusters: list[Cluster],
     its ICP shift implies stays below the gate; the baseline shift then
     updates the track's velocity. Rejected or unmatched clusters become new
     tracks through spawn(cluster), and unmatched tracks coast for a few
-    frames before dropping. Returns the dynamic tracks, then the static
-    clusters as zero-velocity static entries.
+    frames before dropping. Returns the matched, new and coasting tracks.
     """
-    cfg = config or TrackerConfig()
     out: list[ClusterTrack] = []
     matched_tracks: set[int] = set()
     used_clusters: set[int] = set()
     for track, ci, shift, base_shift, frames in candidates:
         if track.id in matched_tracks or ci in used_clusters:
             continue
-        if np.hypot(*shift) / dt > cfg.v_max_gate:
+        if np.hypot(*shift) / dt > V_MAX_GATE:
             continue  # spatiotemporal consistency gate: spawn fresh later
         matched_tracks.add(track.id)
         used_clusters.add(ci)
         cluster = dynamic_clusters[ci]
-        track.velocity_estimate = estimate_velocity(
-            track, cluster, dt, displacement=base_shift,
-            beta=cfg.ema_beta, baseline_steps=frames)
+        track.velocity_estimate = estimate_velocity(track, base_shift, dt,
+                                                    frames)
         track.closest_point = cluster.closest_point.copy()
         track.points = cluster.points.copy()
         track.history.append((0, cluster.points.copy()))
@@ -449,7 +417,7 @@ def associate(tracks: list[ClusterTrack], static_clusters: list[Cluster],
         if t.id in matched_tracks:
             continue
         t.misses += 1
-        if t.misses > cfg.grace_steps:
+        if t.misses > GRACE_STEPS:
             continue
         t.age += 1
         t.closest_point = t.closest_point + t.velocity_estimate * dt
@@ -459,5 +427,5 @@ def associate(tracks: list[ClusterTrack], static_clusters: list[Cluster],
     # age the baseline snapshots one frame, keep the window bounded
     for t in out:
         t.history = [(frames + 1, pts) for frames, pts in t.history
-                     if frames + 1 <= cfg.velocity_baseline_steps]
-    return out + [_static_entry(c) for c in static_clusters]
+                     if frames + 1 <= VELOCITY_BASELINE_STEPS]
+    return out

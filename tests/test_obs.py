@@ -10,7 +10,7 @@ from multinav.observations import (AblationConfig, NeighborGraph, NoiseConfig,
                                    build_observation, denormalize, normalize)
 from multinav.planner import TargetPoint, rasterize
 from multinav.sim import Action, RobotState, World, WorldConfig
-from multinav.tracker import ClusterTrack, TrackClass, Tracker
+from multinav.tracker import ClusterTrack, Tracker
 
 
 def make_world(robots, circles=(), goal=(5.0, 0.0)):
@@ -28,8 +28,7 @@ def history_for(world, idx=0):
 
 def dyn_track(x, y, vx, vy):
     return ClusterTrack(id=0, closest_point=np.array([x, y]),
-                        velocity_estimate=np.array([vx, vy]),
-                        classification=TrackClass.DYNAMIC, observations=3)
+                        velocity_estimate=np.array([vx, vy]), observations=3)
 
 
 class TestBuildObservation:
@@ -82,13 +81,6 @@ class TestBuildObservation:
                               ablation=AblationConfig(no_global_path=True))
         assert np.array_equal(b.o_gp, np.zeros(3))
 
-    def test_static_tracks_excluded(self):
-        w = make_world([(0, 0, 0)])
-        t = dyn_track(1.0, 0.0, 0.0, 0.0)
-        t.classification = TrackClass.STATIC
-        b = build_observation(w, 0, history_for(w), [t], None)
-        assert b.o_c.node_count == 0
-
     def test_neighbor_cap_nearest_first(self):
         w = make_world([(0, 0, 0)])
         tracks = [dyn_track(1.0 + 0.1 * k, 0.0, 0, 0) for k in range(20)]
@@ -124,7 +116,7 @@ class TestBuildObservation:
                               path_direction=tp.path_direction + rot, index=7)
             track1 = ClusterTrack(id=0, closest_point=R @ track.closest_point + shift,
                                   velocity_estimate=R @ track.velocity_estimate,
-                                  classification=TrackClass.DYNAMIC, observations=3)
+                                  observations=3)
             b1 = build_observation(w1, 0, history_for(w1), [track1], tp1)
 
             assert np.allclose(b0.o_z, b1.o_z, atol=1e-9)

@@ -12,8 +12,9 @@ from multinav.planner import rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import Action, RobotState, Status, World, WorldConfig
-from multinav.tracker import (STATIC_ID, Cluster, ClusterTrack, TrackClass,
-                              Tracker, TrackerConfig, _static_entry,
+from multinav.tracker import (EMA_BETA, GATING_RADIUS, GRACE_STEPS,
+                              STATIC_MARGIN, V_MAX_GATE,
+                              VELOCITY_BASELINE_STEPS, ClusterTrack, Tracker,
                               cluster_scan, estimate_velocity,
                               icp_translation)
 
@@ -188,32 +189,26 @@ class TestEstimateVelocity:
                             velocity_estimate=np.array(velocity, dtype=float),
                             observations=observations)
 
-    def cluster_at(self, x, y):
-        p = np.array([[x, y]])
-        return Cluster(points=p, closest_point=p[0].copy())
-
-    def test_first_observation_zero(self):
-        v = estimate_velocity(self.track(0), self.cluster_at(0.05, 0), 0.1)
-        assert np.array_equal(v, [0.0, 0.0])
-
     def test_second_observation_initializes(self):
-        v = estimate_velocity(self.track(1), self.cluster_at(0.05, 0), 0.1)
+        v = estimate_velocity(self.track(1), np.array([0.05, 0.0]), 0.1, 1)
+        assert np.allclose(v, [0.5, 0.0])
+        # a 5-frame baseline spans five frames of motion
+        v = estimate_velocity(self.track(1), np.array([0.25, 0.0]), 0.1, 5)
         assert np.allclose(v, [0.5, 0.0])
 
     def test_stationary_converges_to_zero(self):
         t = self.track(2, velocity=(1.0, 0.5))
         for _ in range(60):
-            t.velocity_estimate = estimate_velocity(t, self.cluster_at(0, 0), 0.1)
+            t.velocity_estimate = estimate_velocity(t, np.zeros(2), 0.1, 1)
         assert np.all(np.abs(t.velocity_estimate) < 1e-6)
 
     def test_ema_convergence_bound(self):
         # with beta = 0.5 the error halves per frame: |err| = |v0| * 0.5^k
+        assert EMA_BETA == 0.5
         t = self.track(2, velocity=(0.0, 0.0))
         true = np.array([0.8, -0.2])
         for k in range(10):
-            c = self.cluster_at(*(true * 0.1))
-            t.velocity_estimate = estimate_velocity(
-                t, c, 0.1, displacement=true * 0.1)
+            t.velocity_estimate = estimate_velocity(t, true * 0.1, 0.1, 1)
         err = np.hypot(*(t.velocity_estimate - true))
         assert err < 0.05
         assert err == pytest.approx(np.hypot(*true) * 0.5 ** 10, rel=1e-9)
@@ -226,11 +221,9 @@ class TestAssociate:
         grid = rasterize(cfg, 0.1)
         w = World(cfg, [RobotState(position=np.zeros(2), heading=0.0,
                                    goal=np.array([9.0, 9.0]))])
+        assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
         tracker = Tracker()
-        tracks = tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
-        assert len(tracks) >= 1
-        assert all(t.classification == TrackClass.STATIC for t in tracks)
-        assert all(np.array_equal(t.velocity_estimate, [0, 0]) for t in tracks)
+        assert tracker.update(scan_of(w), (0, 0, 0), grid, 0.1) == []
         assert tracker.dynamic_tracks() == []
 
     def test_moving_disc_velocity_estimate(self):
@@ -273,14 +266,14 @@ class TestAssociate:
     def test_grace_then_drop(self):
         w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
         grid = empty_grid()
-        cfg = TrackerConfig(grace_steps=3)
-        tracker = Tracker(cfg)
+        tracker = Tracker()
         tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
         assert len(tracker.tracks) == 1
         empty = make_world([(0, 0, 0)])
-        for k in range(3):
+        for k in range(GRACE_STEPS):
             tracker.update(scan_of(empty), (0, 0, 0), grid, 0.1)
             assert len(tracker.tracks) == 1  # coasting through the grace window
+            assert tracker.dynamic_tracks() == []  # but not shown as a neighbour
         tracker.update(scan_of(empty), (0, 0, 0), grid, 0.1)
         assert tracker.tracks == []
 
@@ -299,8 +292,8 @@ class TestAssociate:
                                    goal=np.array([9.0, 9.0]))])
         tracker = Tracker()
         for _ in range(5):
-            tracks = tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
-            assert tracks and all(t.id == STATIC_ID for t in tracks)
+            assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
+            assert tracker.update(scan_of(w), (0, 0, 0), grid, 0.1) == []
         assert sum(calls) == 0
 
     def test_second_frame_match_costs_one_icp(self, monkeypatch):
@@ -341,24 +334,23 @@ class TestAssociate:
 def reference_update(tracker, scan, pose, grid, dt):
     """The per-observer association loop the batched update replaced: one
     ICP per gated pair, called only when the greedy matching reaches it."""
-    cfg = tracker.config
-    clusters = cluster_scan(scan, pose, cfg.cluster_gap, cfg.hit_margin)
-    static_clusters, dynamic_clusters = [], []
+    clusters = cluster_scan(scan, pose)
+    dynamic_clusters = []
     if clusters:
         near = grid.occupied_near_points(
-            np.concatenate([c.points for c in clusters]), cfg.static_margin)
+            np.concatenate([c.points for c in clusters]), STATIC_MARGIN)
         starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
         for c, on_static in zip(clusters, np.logical_and.reduceat(near, starts)):
-            (static_clusters if on_static else dynamic_clusters).append(c)
-    tracks = [t for t in tracker.tracks
-              if t.classification == TrackClass.DYNAMIC]
+            if not on_static:
+                dynamic_clusters.append(c)
+    tracks = tracker.tracks
     out, matched_tracks, used_clusters = [], set(), set()
     pairs = []
     for t in tracks:
         pred = t.closest_point + t.velocity_estimate * dt
         for ci, c in enumerate(dynamic_clusters):
             d = float(np.hypot(*(c.closest_point - pred)))
-            if d <= cfg.gating_radius:
+            if d <= GATING_RADIUS:
                 pairs.append((d, t.id, ci))
     pairs.sort()
     by_id = {t.id: t for t in tracks}
@@ -367,16 +359,15 @@ def reference_update(tracker, scan, pose, grid, dt):
             continue
         track, cluster = by_id[tid], dynamic_clusters[ci]
         shift = reference_icp(track.points, cluster.points)
-        if np.hypot(*shift) / dt > cfg.v_max_gate:
+        if np.hypot(*shift) / dt > V_MAX_GATE:
             continue
         matched_tracks.add(tid)
         used_clusters.add(ci)
-        frames, base_points = track.history[0] if track.history else (1, None)
+        frames, base_points = track.history[0]
         base_shift = (shift if frames == 1
                       else reference_icp(base_points, cluster.points))
-        track.velocity_estimate = estimate_velocity(
-            track, cluster, dt, displacement=base_shift,
-            beta=cfg.ema_beta, baseline_steps=frames)
+        track.velocity_estimate = estimate_velocity(track, base_shift, dt,
+                                                    frames)
         track.closest_point = cluster.closest_point.copy()
         track.points = cluster.points.copy()
         track.history.append((0, cluster.points.copy()))
@@ -391,7 +382,7 @@ def reference_update(tracker, scan, pose, grid, dt):
         if t.id in matched_tracks:
             continue
         t.misses += 1
-        if t.misses > cfg.grace_steps:
+        if t.misses > GRACE_STEPS:
             continue
         t.age += 1
         t.closest_point = t.closest_point + t.velocity_estimate * dt
@@ -399,8 +390,8 @@ def reference_update(tracker, scan, pose, grid, dt):
         out.append(t)
     for t in out:
         t.history = [(frames + 1, pts) for frames, pts in t.history
-                     if frames + 1 <= cfg.velocity_baseline_steps]
-    tracker.tracks = out + [_static_entry(c) for c in static_clusters]
+                     if frames + 1 <= VELOCITY_BASELINE_STEPS]
+    tracker.tracks = out
 
 
 class ReferenceEnv(NavEnv):
@@ -422,7 +413,7 @@ class ReferenceEnv(NavEnv):
 
 
 def track_state(tracker):
-    return [(t.id, t.classification, t.age, t.misses, t.observations,
+    return [(t.id, t.age, t.misses, t.observations,
              t.closest_point.tobytes(), t.points.tobytes(),
              t.velocity_estimate.tobytes(),
              [(f, p.tobytes()) for f, p in t.history])

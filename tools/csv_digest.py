@@ -8,10 +8,12 @@ policy (1 trial, on a checkpoint saved from `ActorCritic(PolicyConfig(),
 seed=0)`), each with and without `--noise`, on circle-20 (seed 0),
 doorway-10 (seed 3), random-10 (seed 5) and hallway-8 (seed 7): 24 CSVs.
 Then runs `multinav train --config configs/train_goal_task.json` and hashes
-its `training_curve.csv` and `policy.json`. The package is imported from
-this tree's `src`, so running the script in two checkouts and diffing the
-printed lines checks that a change keeps the metrics and the training run
-byte-identical.
+its `training_curve.csv` and `policy.json`. Last, it reruns the noisy policy
+trial on circle-20 with `--log --log-tracks --log-obs` and hashes the JSONL,
+which holds every step's tracks and neighbour-graph sizes. The package is
+imported from this tree's `src`, so running the script in two checkouts and
+diffing the printed lines checks that a change keeps the metrics, the
+training run and the tracker output byte-identical.
 """
 
 from __future__ import annotations
@@ -71,6 +73,12 @@ def digest(out_dir: str) -> list[str]:
     _run(["train", "--config", TRAIN_CONFIG, "--out", train_dir])
     for name in TRAIN_FILES:
         lines.append(f"{_sha256(os.path.join(train_dir, name))}  train/{name}")
+    log = os.path.join(out_dir, "policy-circle20-seed0-noise-tracks.jsonl")
+    _run(["run", "--scenario", "circle", "--agents", "20", "--controller",
+          "policy", "--checkpoint", ckpt, "--noise", "--trials", "1",
+          "--seed", "0", "--out", os.path.join(out_dir, "tracks-run.csv"),
+          "--log", log, "--log-tracks", "--log-obs"])
+    lines.append(f"{_sha256(log)}  {os.path.basename(log)}")
     return lines
 
 
