@@ -99,7 +99,15 @@ def _orca_lines(rel_pos, rel_vel, dist_sq, combined_radius, tau,
     return responsibility[:, None] * u, direction
 
 
-def _lp1(P, D, line_no, radius, opt_velocity, direction_opt):
+# The LP below runs on plain floats, one (p0, p1, d0, d1) row per line, but
+# takes each 2-vector dot product (p @ d, p @ p, opt @ d, d @ (opt - p),
+# opt @ opt and, for parallel lines in _lp3, D[i] @ D[j]) as a numpy `@`:
+# OpenBLAS's ddot may fuse the multiply-add, so `a0 * b0 + a1 * b1` can
+# differ from it in the last bit. Crosses, `p + t * d` and the bounds round
+# once per operation either way.
+
+
+def _lp1(P, D, rows, line_no, radius, opt_velocity, direction_opt):
     """Optimize along line line_no, respecting earlier lines and the speed
     disc. Returns the new point or None when infeasible."""
     p, d = P[line_no], D[line_no]
@@ -109,74 +117,83 @@ def _lp1(P, D, line_no, radius, opt_velocity, direction_opt):
         return None
     sq = math.sqrt(disc)
     t_left, t_right = -dot - sq, -dot + sq
-    if line_no:
-        den = _cross(d, D[:line_no])
-        num = _cross(D[:line_no], p - P[:line_no])
-        crossing = np.abs(den) > EPS
-        # a parallel earlier line either holds along all of this one or
-        # nowhere on it
-        if (num[~crossing] < 0.0).any():
-            return None
-        t = num[crossing] / den[crossing]
-        right = den[crossing] >= 0.0
-        t_right = min(t_right, t[right].min(initial=math.inf))
-        t_left = max(t_left, t[~right].max(initial=-math.inf))
+    p0, p1, d0, d1 = rows[line_no]
+    for q0, q1, e0, e1 in rows[:line_no]:
+        den = d0 * e1 - d1 * e0
+        num = e0 * (p1 - q1) - e1 * (p0 - q0)
+        if abs(den) <= EPS:
+            # a parallel earlier line either holds along all of this one or
+            # nowhere on it
+            if num < 0.0:
+                return None
+            continue
+        t = num / den
+        if den >= 0.0:
+            t_right = min(t_right, t)
+        else:
+            t_left = max(t_left, t)
         if t_left > t_right:
             return None
     if direction_opt:
         t = t_right if float(opt_velocity @ d) > 0.0 else t_left
     else:
         t = min(max(float(d @ (opt_velocity - p)), t_left), t_right)
-    return p + t * d
+    return p0 + t * d0, p1 + t * d1
 
 
 def _lp2(P, D, radius, opt_velocity, direction_opt):
     """Feasible velocity closest to opt_velocity inside the speed disc.
     Returns (index of first failing line or len(P), result)."""
+    o0, o1 = opt_velocity.tolist()
     if direction_opt:
-        result = opt_velocity * radius
+        r0, r1 = o0 * radius, o1 * radius
     elif float(opt_velocity @ opt_velocity) > radius * radius:
-        result = opt_velocity / math.hypot(*opt_velocity) * radius
+        norm = math.hypot(o0, o1)
+        r0, r1 = o0 / norm * radius, o1 / norm * radius
     else:
-        result = opt_velocity.copy()
-    # violation tests on plain floats: the same arithmetic as on the rows,
-    # without numpy's per-scalar overhead
-    r0, r1 = result.tolist()
-    for i, ((p0, p1), (d0, d1)) in enumerate(zip(P.tolist(), D.tolist())):
+        r0, r1 = o0, o1
+    rows = np.hstack([P, D]).tolist()
+    for i, (p0, p1, d0, d1) in enumerate(rows):
         if d0 * (p1 - r1) - d1 * (p0 - r0) > 0.0:
-            new = _lp1(P, D, i, radius, opt_velocity, direction_opt)
+            new = _lp1(P, D, rows, i, radius, opt_velocity, direction_opt)
             if new is None:
-                return i, result
-            result = new
-            r0, r1 = result.tolist()
-    return len(P), result
+                return i, np.array([r0, r1])
+            r0, r1 = new
+    return len(rows), np.array([r0, r1])
 
 
 def _lp3(P, D, num_obst_lines, begin_line, radius, result):
     """Infeasible fallback: minimize the maximum violation over the agent
     lines while keeping obstacle lines hard."""
+    rows = np.hstack([P, D]).tolist()
+    r0, r1 = result.tolist()
     distance = 0.0
-    for i in range(begin_line, len(P)):
-        if _cross(D[i], P[i] - result) > distance:
+    for i in range(begin_line, len(rows)):
+        p0, p1, d0, d1 = rows[i]
+        if d0 * (p1 - r1) - d1 * (p0 - r0) > distance:
             # each earlier agent line j becomes the bisector of lines i and
             # j; a parallel j pointing the same way adds no constraint
-            pj, dj = P[num_obst_lines:i], D[num_obst_lines:i]
-            den = _cross(D[i], dj)
-            parallel = np.abs(den) <= EPS
-            keep = ~parallel | ~(_dots(D[i], dj) > 0.0)
-            t = _cross(dj, P[i] - pj) / np.where(parallel, 1.0, den)
-            point = np.where(parallel[:, None], 0.5 * (P[i] + pj),
-                             P[i] + t[:, None] * D[i])[keep]
-            direction = (dj - D[i])[keep]
-            norm = [math.hypot(x, y) for x, y in direction.tolist()]
-            direction = direction / np.array(norm).reshape(-1, 1)
-            fail, new = _lp2(np.vstack([P[:num_obst_lines], point]),
-                             np.vstack([D[:num_obst_lines], direction]),
-                             radius, np.array([-D[i, 1], D[i, 0]]), True)
-            if fail == num_obst_lines + len(point):
-                result = new
-            distance = _cross(D[i], P[i] - result)
-    return result
+            proj = rows[:num_obst_lines]
+            for j in range(num_obst_lines, i):
+                q0, q1, e0, e1 = rows[j]
+                den = d0 * e1 - d1 * e0
+                if abs(den) <= EPS:
+                    if float(D[i] @ D[j]) > 0.0:
+                        continue
+                    x, y = 0.5 * (p0 + q0), 0.5 * (p1 + q1)
+                else:
+                    t = (e0 * (p1 - q1) - e1 * (p0 - q0)) / den
+                    x, y = p0 + t * d0, p1 + t * d1
+                u, v = e0 - d0, e1 - d1
+                norm = math.hypot(u, v)
+                proj.append((x, y, u / norm, v / norm))
+            sub = np.array(proj).reshape(-1, 4)
+            fail, new = _lp2(sub[:, :2], sub[:, 2:], radius,
+                             np.array([-d1, d0]), True)
+            if fail == len(proj):
+                r0, r1 = new.tolist()
+            distance = d0 * (p1 - r1) - d1 * (p0 - r0)
+    return np.array([r0, r1])
 
 
 def orca_velocity(self_pos: np.ndarray, self_vel: np.ndarray, radius: float,

@@ -404,6 +404,84 @@ class TestLinearProgram:
             checked += 1
 
 
+def rotated_lines(rows, angle):
+    """(P, D) arrays from (px, py, dx, dy) rows, turned by angle about the
+    origin, and the same lines as reference HalfPlanes."""
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, s], [-s, c]])
+    A = np.array(rows, dtype=float)
+    P, D = A[:, :2] @ turn, A[:, 2:] @ turn
+    return P, D, [HalfPlane(p, d) for p, d in zip(P, D)]
+
+
+def turned(v, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+class TestParallelLines:
+    """Constructed line sets for the parallel branches, which the random
+    calls of test_matches_scalar_reference_bytes never reach, against the
+    scalar reference byte for byte. Each set is turned by several angles,
+    and one line of it tilted by 1e-12 rad, so |det| is 0, rounding-small
+    or 1e-12, all within EPS."""
+
+    ANGLES = (0.0, 0.3, 1.9, -2.6)
+
+    def lp2(self, rows, pref, angle):
+        P, D, lines = rotated_lines(rows, angle)
+        opt = turned(pref, angle)
+        fail, got = _lp2(P, D, 1.0, opt, False)
+        want_fail, want = _ref_lp2(lines, 1.0, opt, False)
+        assert fail == want_fail
+        assert got.tobytes() == want.tobytes()
+        return P, D, lines, fail, got
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    @pytest.mark.parametrize("tilt", (0.0, 1e-12))
+    def test_lp1_earlier_parallel_line_feasible_side(self, angle, tilt):
+        # y >= -0.5, then the parallel y >= 0.3 holds on all of the first
+        rows = [(0.0, -0.5, 1.0, 0.0),
+                (0.0, 0.3, math.cos(tilt), math.sin(tilt))]
+        _, _, _, fail, v = self.lp2(rows, np.array([0.2, -0.8]), angle)
+        assert fail == 2
+        assert np.allclose(v, turned((0.2, 0.3), angle))
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    @pytest.mark.parametrize("tilt", (0.0, 1e-12))
+    def test_lp1_earlier_parallel_line_infeasible_side(self, angle, tilt):
+        # y >= 0.3, then the anti-parallel y <= 0 lies wholly outside it
+        rows = [(0.0, 0.3, 1.0, 0.0),
+                (0.0, 0.0, -math.cos(tilt), math.sin(tilt))]
+        _, _, _, fail, v = self.lp2(rows, np.array([0.2, -0.8]), angle)
+        assert fail == 1
+        assert np.allclose(v, turned((0.2, 0.3), angle))
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    @pytest.mark.parametrize("tilt", (0.0, 1e-12))
+    @pytest.mark.parametrize("n_obst", (0, 1))
+    def test_lp3_parallel_agent_lines(self, angle, tilt, n_obst):
+        # agent lines y >= 0.5, y <= 0 and y <= -0.2: line 1 projects line 0
+        # to the midline y >= 0.25; line 2 projects line 0 to y >= 0.15 and
+        # skips line 1, which points the same way. The optional obstacle
+        # line x <= 0.9 stays hard throughout.
+        obstacle = [(0.9, 0.0, 0.0, 1.0)][:n_obst]
+        rows = obstacle + [(0.0, 0.5, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0),
+                           (0.0, -0.2, -math.cos(tilt), -math.sin(tilt))]
+        P, D, lines, fail, v = self.lp2(rows, np.array([0.2, -0.8]), angle)
+        assert fail == n_obst + 1
+        got = _lp3(P, D, n_obst, fail, 1.0, v)
+        want = _ref_lp3(lines, n_obst, fail, 1.0, v)
+        assert got.tobytes() == want.tobytes()
+        # on the midline y = 0.15, at either end of its feasible chord: the
+        # direction objective is perpendicular to it, so rounding picks one
+        x, y = turned(got, -angle)
+        half = math.sqrt(1.0 - 0.15 ** 2)
+        assert y == pytest.approx(0.15)
+        assert x in (pytest.approx(-half),
+                     pytest.approx(0.9 if n_obst else half))
+
+
 class TestOrcaVelocity:
     def test_no_neighbors_returns_pref(self):
         v, feasible = orca_velocity(np.zeros(2), np.zeros(2), 0.25,
@@ -489,13 +567,20 @@ class TestOrcaVelocity:
         def arr(key, *shape):
             return np.array([float.fromhex(x) for x in doc[key]]).reshape(shape)
 
-        v, feasible = orca_velocity(
-            arr("self_pos", 2), arr("self_vel", 2), float.fromhex(doc["radius"]),
-            (arr("neighbor_positions", -1, 2), arr("neighbor_velocities", -1, 2),
-             arr("neighbor_radii", -1)), [], [], arr("preferred_velocity", 2),
-            CFG, dt=float.fromhex(doc["dt"]))
+        call = (arr("self_pos", 2), arr("self_vel", 2),
+                float.fromhex(doc["radius"]),
+                (arr("neighbor_positions", -1, 2),
+                 arr("neighbor_velocities", -1, 2), arr("neighbor_radii", -1)),
+                [], [], arr("preferred_velocity", 2), CFG,
+                float.fromhex(doc["dt"]))
+        v, feasible = orca_velocity(*call)
         assert not feasible
         assert math.hypot(*v) <= CFG.max_speed + 1e-12
+        # the near-parallel lines are where a reordered float expression
+        # would show first
+        want, want_feasible = reference_orca_velocity(*call)
+        assert v.tobytes() == want.tobytes()
+        assert feasible == want_feasible
 
 
 class TestNhTrack:
