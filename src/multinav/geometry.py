@@ -66,53 +66,54 @@ def ray_circles(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
                 radii: np.ndarray) -> np.ndarray:
     """Nearest non-negative hit parameter of each unit ray against each circle.
 
-    Returns an (n_rays, n_circles) array of t values, np.inf where a ray
-    misses. Rays starting inside a circle report t = 0.
+    origin (..., 2), dirs (..., n, 2), centers (..., m, 2) and radii (..., m)
+    broadcast over their leading axes. Returns (..., n, m) t values, np.inf
+    where a ray misses. Rays starting inside a circle report t = 0.
     """
-    if len(centers) == 0:
-        return np.full((len(dirs), 0), np.inf)
-    oc = origin[None, :] - centers  # (m, 2)
-    b = dirs @ oc.T                 # (n, m): dot(d, o - c)
-    c0 = np.einsum("ij,ij->i", oc, oc) - radii ** 2  # (m,)
-    disc = b * b - c0[None, :]
+    oc = origin[..., None, :] - centers                     # (..., m, 2)
+    b = dirs @ np.swapaxes(oc, -1, -2)      # (..., n, m): dot(d, o - c)
+    c0 = np.einsum("...ij,...ij->...i", oc, oc) - radii ** 2  # (..., m)
+    disc = b * b - c0[..., None, :]
     hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t = np.full(disc.shape, np.inf)
+    b, sq = b[hit], np.sqrt(disc[hit])       # the rays that meet a circle
     t_near = -b - sq
     t_far = -b + sq
-    t = np.where(t_near >= 0.0, t_near, np.where(t_far >= 0.0, 0.0, np.inf))
-    return np.where(hit, t, np.inf)
+    t[hit] = np.where(t_near >= 0.0, t_near,
+                      np.where(t_far >= 0.0, 0.0, np.inf))
+    return t
 
 
 def ray_aabbs(origin: np.ndarray, dirs: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Nearest non-negative hit parameter of each unit ray against each AABB.
 
-    boxes is (m, 4) rows of (xmin, ymin, xmax, ymax). Slab method; rays
-    starting inside a box report t = 0.
+    origin (..., 2) and dirs (..., n, 2) broadcast over their leading axes;
+    boxes is (m, 4) rows of (xmin, ymin, xmax, ymax). Returns (..., n, m).
+    Slab method, elementwise; rays starting inside a box report t = 0.
     """
-    if len(boxes) == 0:
-        return np.full((len(dirs), 0), np.inf)
+    ox, oy = origin[..., 0, None, None], origin[..., 1, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs  # (n, 2), inf where a component is 0
-        t1 = (boxes[None, :, 0] - origin[0]) * inv[:, None, 0]
-        t2 = (boxes[None, :, 2] - origin[0]) * inv[:, None, 0]
-        t3 = (boxes[None, :, 1] - origin[1]) * inv[:, None, 1]
-        t4 = (boxes[None, :, 3] - origin[1]) * inv[:, None, 1]
+        inv = 1.0 / dirs[..., None, :]  # (..., n, 1, 2), inf where 0
+        t1 = (boxes[:, 0] - ox) * inv[..., 0]
+        t2 = (boxes[:, 2] - ox) * inv[..., 0]
+        t3 = (boxes[:, 1] - oy) * inv[..., 1]
+        t4 = (boxes[:, 3] - oy) * inv[..., 1]
     # 0 * inf from a zero direction component sitting exactly on a slab edge
     for t in (t1, t2, t3, t4):
         np.nan_to_num(t, copy=False, nan=np.inf)
     txmin = np.minimum(t1, t2)
     txmax = np.maximum(t1, t2)
     # a zero component never enters its slab unless origin is inside it
-    zero_x = dirs[:, 0] == 0.0
-    inside_x = (origin[0] >= boxes[None, :, 0]) & (origin[0] <= boxes[None, :, 2])
-    txmin = np.where(zero_x[:, None], np.where(inside_x, -np.inf, np.inf), txmin)
-    txmax = np.where(zero_x[:, None], np.where(inside_x, np.inf, -np.inf), txmax)
+    zero_x = dirs[..., 0, None] == 0.0
+    inside_x = (ox >= boxes[:, 0]) & (ox <= boxes[:, 2])
+    txmin = np.where(zero_x, np.where(inside_x, -np.inf, np.inf), txmin)
+    txmax = np.where(zero_x, np.where(inside_x, np.inf, -np.inf), txmax)
     tymin = np.minimum(t3, t4)
     tymax = np.maximum(t3, t4)
-    zero_y = dirs[:, 1] == 0.0
-    inside_y = (origin[1] >= boxes[None, :, 1]) & (origin[1] <= boxes[None, :, 3])
-    tymin = np.where(zero_y[:, None], np.where(inside_y, -np.inf, np.inf), tymin)
-    tymax = np.where(zero_y[:, None], np.where(inside_y, np.inf, -np.inf), tymax)
+    zero_y = dirs[..., 1, None] == 0.0
+    inside_y = (oy >= boxes[:, 1]) & (oy <= boxes[:, 3])
+    tymin = np.where(zero_y, np.where(inside_y, -np.inf, np.inf), tymin)
+    tymax = np.where(zero_y, np.where(inside_y, np.inf, -np.inf), tymax)
 
     tmin = np.maximum(txmin, tymin)
     tmax = np.minimum(txmax, tymax)

@@ -141,9 +141,10 @@ def _lp1(P, D, rows, line_no, radius, opt_velocity, direction_opt):
     return p0 + t * d0, p1 + t * d1
 
 
-def _lp2(P, D, radius, opt_velocity, direction_opt):
+def _lp2(P, D, radius, opt_velocity, direction_opt, rows=None):
     """Feasible velocity closest to opt_velocity inside the speed disc.
-    Returns (index of first failing line or len(P), result)."""
+    rows holds the lines' (p0, p1, d0, d1) floats when the caller built
+    them. Returns (index of first failing line or len(P), result)."""
     o0, o1 = opt_velocity.tolist()
     if direction_opt:
         r0, r1 = o0 * radius, o1 * radius
@@ -152,7 +153,8 @@ def _lp2(P, D, radius, opt_velocity, direction_opt):
         r0, r1 = o0 / norm * radius, o1 / norm * radius
     else:
         r0, r1 = o0, o1
-    rows = np.hstack([P, D]).tolist()
+    if rows is None:
+        rows = np.hstack([P, D]).tolist()
     for i, (p0, p1, d0, d1) in enumerate(rows):
         if d0 * (p1 - r1) - d1 * (p0 - r0) > 0.0:
             new = _lp1(P, D, rows, i, radius, opt_velocity, direction_opt)
@@ -189,7 +191,7 @@ def _lp3(P, D, num_obst_lines, begin_line, radius, result):
                 proj.append((x, y, u / norm, v / norm))
             sub = np.array(proj).reshape(-1, 4)
             fail, new = _lp2(sub[:, :2], sub[:, 2:], radius,
-                             np.array([-d1, d0]), True)
+                             np.array([-d1, d0]), True, proj)
             if fail == len(proj):
                 r0, r1 = new.tolist()
             distance = d0 * (p1 - r1) - d1 * (p0 - r0)

@@ -4,7 +4,8 @@ computation and per-robot bookkeeping for metrics.
 
 Training and benchmarking both drive NavEnv; observation building can be
 switched off for controllers that consume world state directly (ORCA, the
-straight-to-target baseline), which skips raycasting entirely.
+straight-to-target baseline), which skips raycasting entirely; otherwise
+each reset and step senses once for all live robots.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lidar import ScanHistory, apply_lidar_noise, raycast
+from .lidar import LidarScan, ScanHistory, noisy_ranges, raycast_batch
+# raycast and apply_lidar_noise (_sense scans all robots at once), astar and
+# rasterize (GeneratedScenario.plan plans each episode) are not called here;
+# they stay importable from this module by name for tracers that wrap them,
+# such as perfbench/spans.py
+from .lidar import apply_lidar_noise, raycast  # noqa: F401
 from .observations import (AblationConfig, NoiseConfig, build_observation,
                            normalize)
-# astar and rasterize are not called here (GeneratedScenario.plan plans each
-# episode); they stay importable from this module by name for tracers that
-# wrap them, such as perfbench/spans.py
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import RewardConfig, reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
@@ -124,16 +127,15 @@ class NavEnv:
             return
         robots = self.world.robots
         live = [i for i, r in enumerate(robots) if r.status == Status.ACTIVE]
-        scans = []
-        for i in live:
-            scan = raycast(self.world, i)
-            if self.cfg.noise.lidar_sigma > 0.0:
-                scan = apply_lidar_noise(scan, self.lidar_rng,
-                                         self.cfg.noise.lidar_sigma)
-            self.histories[i].push(scan)
-            scans.append(scan)
-        update_trackers([self.trackers[i] for i in live], scans,
-                        [(*robots[i].position, robots[i].heading) for i in live],
+        ranges = raycast_batch(self.world, live)
+        if self.cfg.noise.lidar_sigma > 0.0:
+            ranges = noisy_ranges(ranges, self.lidar_rng,
+                                  self.cfg.noise.lidar_sigma)
+        for i, row in zip(live, ranges):
+            self.histories[i].push(LidarScan(row, self.world.sim_time))
+        poses = np.array([(*robots[i].position, robots[i].heading)
+                          for i in live])
+        update_trackers([self.trackers[i] for i in live], ranges, poses,
                         self.grid, self.world.config.dt)
 
     def observations(self):

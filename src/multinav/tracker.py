@@ -8,8 +8,9 @@ matches, and a constant-velocity estimate smoothed by an exponential moving
 average. Static clusters are dropped at the split: they take no part in
 association and leave no entry, so a tracker holds dynamic tracks only.
 Discs make rotation unobservable, so tracks carry linear velocity only.
-update_trackers advances the trackers of all observers by one frame and
-solves all their ICP pairs in one lockstep batch.
+update_trackers advances the trackers of all live robots by one frame, once
+per step: one clustering pass over all their scans, one static split and
+one lockstep batch for all their ICP pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lidar import BEAM_OFFSETS, LidarScan
+from .lidar import BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan
 from .planner import OccupancyGrid
 
 
@@ -53,50 +54,62 @@ class ClusterTrack:
     history: list = field(default_factory=list)
 
 
+def cluster_batch(ranges: np.ndarray,
+                  poses: np.ndarray) -> list[list[Cluster]]:
+    """Group the returns of k scans into clusters by adjacency, per scan.
+
+    ranges is (k, 120), row k taken from poses[k] = (x, y, heading). Non-hits
+    (ranges at max_range) are dropped; consecutive hit beams whose points are
+    within CLUSTER_GAP join one cluster, including across the 119 -> 0 wrap,
+    where the joined cluster comes first, its beams from 119's side first.
+    Each cluster's points are a slice of one (N, 2) array.
+    """
+    hits = ranges < MAX_RANGE - HIT_MARGIN
+    if not hits.any():
+        return [[] for _ in ranges]
+    angles = poses[:, 2, None] + BEAM_OFFSETS
+    px = poses[:, 0, None] + ranges * np.cos(angles)
+    py = poses[:, 1, None] + ranges * np.sin(angles)
+    # beam b against beam b - 1 (beam 0 against beam 119)
+    dx = px - np.roll(px, 1, axis=1)
+    dy = py - np.roll(py, 1, axis=1)
+    gap = np.hypot(dx, dy)
+    # np.hypot and math.hypot may round one ulp apart: settle the near-ties
+    # with math.hypot, the way occupied_near_points does
+    for r, b in zip(*np.nonzero(np.abs(gap - CLUSTER_GAP)
+                                <= 2 * np.spacing(CLUSTER_GAP))):
+        gap[r, b] = math.hypot(dx[r, b], dy[r, b])
+    joined = hits & np.roll(hits, 1, axis=1) & (gap <= CLUSTER_GAP)
+    starts = hits & ~joined
+    # a scan whose last cluster joins its first across the wrap is read from
+    # the last cluster's first beam on
+    wrap = joined[:, 0] & starts.any(axis=1)
+    first = wrap * (N_BEAMS - 1 - np.argmax(starts[:, ::-1], axis=1))
+    order = (first[:, None] + np.arange(N_BEAMS)) % N_BEAMS
+    rows = np.arange(len(ranges))[:, None]
+    hits, starts = hits[rows, order], starts[rows, order]
+    starts[:, 0] = hits[:, 0]
+    points = np.column_stack([px[rows, order][hits], py[rows, order][hits]])
+    r = ranges[rows, order][hits]
+    begin = np.flatnonzero(starts[hits])
+    owner = np.nonzero(starts)[0]
+    # each cluster's first beam of least range
+    low = np.repeat(np.minimum.reduceat(r, begin),
+                    np.diff(begin, append=len(r)))
+    at_low = np.flatnonzero(r == low)
+    nearest = at_low[np.searchsorted(at_low, begin)]
+    clusters = [[] for _ in ranges]
+    for o, a, b, c in zip(owner.tolist(), begin.tolist(),
+                          begin[1:].tolist() + [len(r)], nearest.tolist()):
+        clusters[o].append(Cluster(points=points[a:b],
+                                   closest_point=points[c].copy()))
+    return clusters
+
+
 def cluster_scan(scan: LidarScan,
                  observer_pose: tuple[float, float, float]) -> list[Cluster]:
-    """Group scan returns into clusters by adjacency.
-
-    Non-hits (ranges at max_range) are dropped; consecutive hit beams whose
-    points are within CLUSTER_GAP join one cluster, including across the
-    119 -> 0 wrap.
-    """
-    x, y, heading = observer_pose
-    hits = scan.ranges < scan.max_range - HIT_MARGIN
-    if not hits.any():
-        return []
-    angles = heading + BEAM_OFFSETS
-    px = x + scan.ranges * np.cos(angles)
-    py = y + scan.ranges * np.sin(angles)
-
-    groups: list[list[int]] = []
-    current: list[int] = []
-    for k in range(len(scan.ranges)):
-        if not hits[k]:
-            if current:
-                groups.append(current)
-                current = []
-            continue
-        if current:
-            j = current[-1]
-            if math.hypot(px[k] - px[j], py[k] - py[j]) > CLUSTER_GAP:
-                groups.append(current)
-                current = []
-        current.append(k)
-    if current:
-        groups.append(current)
-    # wrap-around: last and first group may be one object split at beam 0
-    if len(groups) > 1 and hits[0] and hits[-1]:
-        j, k = groups[-1][-1], groups[0][0]
-        if math.hypot(px[k] - px[j], py[k] - py[j]) <= CLUSTER_GAP:
-            groups[0] = groups.pop() + groups[0]
-
-    clusters = []
-    for idx in groups:
-        pts = np.column_stack([px[idx], py[idx]])
-        nearest = int(np.argmin(scan.ranges[idx]))
-        clusters.append(Cluster(points=pts, closest_point=pts[nearest].copy()))
-    return clusters
+    """cluster_batch on one scan."""
+    return cluster_batch(scan.ranges[None], np.array([observer_pose]))[0]
 
 
 # Pad coordinate of the segments that fill a short polyline up to the batch
@@ -295,7 +308,8 @@ class Tracker:
     def update(self, scan: LidarScan, observer_pose: tuple[float, float, float],
                grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
         """The tracks after this frame, coasting ones included."""
-        update_trackers([self], [scan], [observer_pose], grid, dt)
+        update_trackers([self], scan.ranges[None], np.array([observer_pose]),
+                        grid, dt)
         return self.tracks
 
     def dynamic_tracks(self) -> list[ClusterTrack]:
@@ -304,17 +318,19 @@ class Tracker:
         return [t for t in self.tracks if t.misses == 0]
 
 
-def split_static(clusters: list[Cluster], grid: OccupancyGrid) -> list[Cluster]:
-    """The dynamic clusters: a cluster is static, and dropped, when all its
-    points sit within STATIC_MARGIN of inflated occupancy."""
-    if not clusters:
-        return []
+def split_static(clusters: list[list[Cluster]],
+                 grid: OccupancyGrid) -> list[list[Cluster]]:
+    """Each observer's dynamic clusters: a cluster is static, and dropped,
+    when all its points sit within STATIC_MARGIN of inflated occupancy. One
+    occupied_near_points call serves every observer."""
+    flat = [c for row in clusters for c in row]
+    if not flat:
+        return clusters
     near = grid.occupied_near_points(
-        np.concatenate([c.points for c in clusters]), STATIC_MARGIN)
-    starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
-    return [c for c, on_static
-            in zip(clusters, np.logical_and.reduceat(near, starts))
-            if not on_static]
+        np.concatenate([c.points for c in flat]), STATIC_MARGIN)
+    starts = np.cumsum([0] + [len(c.points) for c in flat[:-1]])
+    static = iter(np.logical_and.reduceat(near, starts).tolist())
+    return [[c for c in row if not next(static)] for row in clusters]
 
 
 def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
@@ -332,10 +348,11 @@ def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
     return pairs
 
 
-def update_trackers(trackers: list[Tracker], scans: list[LidarScan],
-                    poses: list, grid: OccupancyGrid, dt: float) -> None:
-    """Advance each observer's tracker by one frame; one ICP batch serves
-    them all.
+def update_trackers(trackers: list[Tracker], ranges: np.ndarray,
+                    poses: np.ndarray, grid: OccupancyGrid, dt: float) -> None:
+    """Advance each observer's tracker by one frame, trackers[k] on the scan
+    ranges[k] taken from poses[k] = (x, y, heading); one clustering pass,
+    one static split and one ICP batch serve them all.
 
     Per observer: cluster the scan, drop the static clusters and gate the
     tracks against the rest. Every gated pair's ICP inputs are fixed before
@@ -348,8 +365,8 @@ def update_trackers(trackers: list[Tracker], scans: list[LidarScan],
     if dt <= 0:
         raise ValueError("dt must be positive")
     observers, srcs, dsts = [], [], []
-    for tracker, scan, pose in zip(trackers, scans, poses):
-        dynamic = split_static(cluster_scan(scan, pose), grid)
+    for tracker, dynamic in zip(trackers, split_static(
+            cluster_batch(ranges, poses), grid)):
         by_id = {t.id: t for t in tracker.tracks}
         pairs = []                 # (track, cluster index, job, frames)
         for _, tid, ci in gate_pairs(tracker.tracks, dynamic, dt,

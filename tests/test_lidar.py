@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from multinav.geometry import Circle, Wall, dist_aabb_surface, dist_circle_surface
-from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, ScanHistory,
-                            apply_lidar_noise, raycast)
-from multinav.sim import RobotState, World, WorldConfig
+from multinav.geometry import (Circle, Wall, dist_aabb_surface,
+                               dist_circle_surface, ray_aabbs, ray_circles)
+from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, RANGE_EPS,
+                            LidarScan, ScanHistory, apply_lidar_noise,
+                            noisy_ranges, raycast, raycast_batch)
+from multinav.sim import RobotState, Status, World, WorldConfig
 from multinav.tracker import cluster_scan
 
 
@@ -16,6 +18,48 @@ def world_with(circles=(), walls=(), robots=((0.0, 0.0, 0.0),), radius=0.25):
     states = [RobotState(position=np.array(r[:2]), heading=r[2], goal=np.array([9.0, 9.0]))
               for r in robots]
     return World(cfg, states)
+
+
+def reference_raycast(world, agent_index):
+    """The per-robot raycast that raycast_batch replaced: one observer's
+    beams against the other robots, the static circles and the walls, each
+    group in its own product. Returns the (120,) ranges."""
+    me = world.robots[agent_index]
+    origin = me.position
+    angles = me.heading + BEAM_OFFSETS
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+
+    t = np.full(N_BEAMS, np.inf)
+    others = [r for i, r in enumerate(world.robots) if i != agent_index]
+    if others:
+        centers = np.array([r.position for r in others])
+        radii = np.array([r.radius for r in others])
+        t = np.minimum(t, ray_circles(origin, dirs, centers, radii).min(axis=1))
+    circles = world.config.circles
+    if circles:
+        centers = np.array([[c.cx, c.cy] for c in circles])
+        radii = np.array([c.r for c in circles])
+        t = np.minimum(t, ray_circles(origin, dirs, centers, radii).min(axis=1))
+    walls = world.config.walls
+    if walls:
+        boxes = np.array([w.aabb for w in walls])
+        t = np.minimum(t, ray_aabbs(origin, dirs, boxes).min(axis=1))
+    return np.clip(t, RANGE_EPS, MAX_RANGE)
+
+
+def random_world(rng, n_robots, n_circles, n_walls, heading_zero=False):
+    circles = [Circle(*rng.uniform(-4, 4, 2), rng.uniform(0.1, 0.8))
+               for _ in range(n_circles)]
+    walls = []
+    for _ in range(n_walls):
+        a, b = sorted(rng.uniform(-4, 4, 2))
+        c = rng.uniform(-4, 4)
+        walls.append(Wall(a, c, b, c, 0.2) if rng.random() < 0.5
+                     else Wall(c, a, c, b, 0.1))
+    robots = [(*rng.uniform(-4, 4, 2),
+               0.0 if heading_zero else rng.uniform(-4, 4))
+              for _ in range(n_robots)]
+    return world_with(circles, walls, robots)
 
 
 def march_ray(origin, angle, circles, walls, robot_discs, eps=1e-9, max_iter=20000):
@@ -125,6 +169,75 @@ class TestRaycast:
         assert worst < 1e-6
 
 
+class TestRaycastBatchMatchesReference:
+    """Every row of the batched raycast equals the per-robot scan byte for
+    byte. One other robot or one static circle makes a one-column product,
+    which OpenBLAS rounds (gemv) unlike a wider one (gemm), so the worlds
+    hold 0, 1, 2 and more of each."""
+
+    def assert_rows_match(self, world, observers):
+        got = raycast_batch(world, observers)
+        assert got.shape == (len(observers), N_BEAMS)
+        for row, i in zip(got, observers):
+            assert row.tobytes() == reference_raycast(world, i).tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_worlds(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for trial in range(40):
+            w = random_world(rng, int(rng.integers(1, 9)),
+                             int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                             heading_zero=trial % 4 == 0)
+            observers = [i for i in range(len(w.robots)) if rng.random() < 0.8]
+            self.assert_rows_match(w, observers)
+
+    def test_heading_zero_on_a_slab_edge(self):
+        # beam 0 has a zero y component; the observer sits on the wall's
+        # lower face, so its slab test takes 0 * inf, the nan_to_num path
+        wall = Wall(1.0, 0.5, 3.0, 0.5, 0.2)
+        y = wall.aabb[1]
+        w = world_with(walls=[wall], circles=[Circle(-2.0, y, 0.5)],
+                       robots=[(0.0, y, 0.0), (2.0, y, 0.0), (0.0, 2.0, 0.0)])
+        assert np.sin(0.0 + BEAM_OFFSETS[0]) == 0.0
+        got = self.assert_rows_match(w, [0, 1, 2])
+        assert got[0, 0] < MAX_RANGE and got[1, 0] == RANGE_EPS
+
+    def test_observer_inside_a_wall_or_a_disc(self):
+        w = world_with(circles=[Circle(0.0, 0.0, 0.6)],
+                       walls=[Wall(2.0, -1.0, 2.0, 1.0, 0.4)],
+                       robots=[(0.1, 0.0, 0.3), (2.05, 0.2, 1.0),
+                               (2.2, 0.2, -2.0), (-1.0, -1.0, 0.0)])
+        got = self.assert_rows_match(w, [0, 1, 2, 3])
+        assert np.all(got[:3] == RANGE_EPS)     # every beam starts inside
+
+    def test_touching_discs(self):
+        w = world_with(robots=[(0.0, 0.0, 0.0), (0.5, 0.0, math.pi),
+                               (0.0, 0.5, 0.2), (1.0, 0.0, 2.0)])
+        got = self.assert_rows_match(w, [0, 1, 2, 3])
+        # robot 1's disc touches robot 0's: its surface is 0.25 m ahead
+        assert got[0, 0] == pytest.approx(0.25)
+        assert got[1, 0] == pytest.approx(0.25)
+
+    def test_frozen_robots_stay_targets(self):
+        w = world_with(robots=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                               (-1.0, 0.0, 0.0), (0.0, 1.5, 0.0)])
+        w.robots[1].status = Status.COLLIDED
+        w.robots[3].status = Status.REACHED_GOAL
+        live = [i for i, r in enumerate(w.robots) if r.status == Status.ACTIVE]
+        got = self.assert_rows_match(w, live)
+        assert got[0, 0] == pytest.approx(0.75)  # robot 0 sees frozen robot 1
+
+    def test_one_robot_world(self):
+        rng = np.random.default_rng(7)
+        for walls, circles in ((0, 0), (0, 1), (1, 0), (2, 3)):
+            self.assert_rows_match(random_world(rng, 1, circles, walls), [0])
+
+    def test_no_observers(self):
+        w = world_with(robots=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+        assert raycast_batch(w, []).shape == (0, N_BEAMS)
+
+
 class TestLidarNoise:
     def base_scan(self, r=2.0):
         scan = raycast(world_with(), 0)
@@ -164,6 +277,27 @@ class TestLidarNoise:
             out = apply_lidar_noise(scan, rng, sigma=0.035)
             assert np.all(out.ranges == MAX_RANGE)
             assert cluster_scan(out, (0.0, 0.0, 0.0)) == []
+
+
+    def test_one_draw_equals_sequential_scans(self):
+        # a (k, 120) draw per step gives the ranges and leaves the stream
+        # where k apply_lidar_noise calls in turn would, and draws nothing
+        # beyond its k * 120 normals
+        rng = np.random.default_rng(31)
+        w = random_world(rng, 6, 2, 2)
+        ranges = raycast_batch(w, list(range(6)))
+        assert (ranges < MAX_RANGE).any() and (ranges == MAX_RANGE).any()
+        batch, turns, count = (np.random.default_rng(9) for _ in range(3))
+        for step in range(4):
+            rows = ranges[: 6 - step]
+            got = noisy_ranges(rows, batch, 0.035)
+            for row, r in zip(got, rows):
+                want = apply_lidar_noise(LidarScan(ranges=r, timestamp=0.0),
+                                         turns, 0.035).ranges
+                assert row.tobytes() == want.tobytes()
+            count.normal(size=rows.size)
+            assert batch.bit_generator.state == turns.bit_generator.state
+            assert batch.bit_generator.state == count.bit_generator.state
 
 
 class TestScanHistory:

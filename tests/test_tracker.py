@@ -6,17 +6,21 @@ import pytest
 from multinav import tracker as tracker_module
 from multinav.bench import StraightController
 from multinav.geometry import Wall
-from multinav.lidar import apply_lidar_noise, raycast
+from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan,
+                            apply_lidar_noise, noisy_ranges, raycast,
+                            raycast_batch)
 from multinav.observations import NoiseConfig
 from multinav.planner import rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import Action, RobotState, Status, World, WorldConfig
-from multinav.tracker import (EMA_BETA, GATING_RADIUS, GRACE_STEPS,
-                              STATIC_MARGIN, V_MAX_GATE,
-                              VELOCITY_BASELINE_STEPS, ClusterTrack, Tracker,
+from multinav.tracker import (CLUSTER_GAP, EMA_BETA, GATING_RADIUS,
+                              GRACE_STEPS, HIT_MARGIN, STATIC_MARGIN,
+                              V_MAX_GATE, VELOCITY_BASELINE_STEPS, Cluster,
+                              ClusterTrack, Tracker, cluster_batch,
                               cluster_scan, estimate_velocity,
-                              icp_translation)
+                              icp_translation, split_static, update_trackers)
+from test_lidar import random_world, reference_raycast
 
 
 def make_world(robots, circles=(), walls=()):
@@ -68,6 +72,195 @@ class TestClusterScan:
         assert len(clusters) == 1
         assert clusters[0].closest_point[1] == pytest.approx(2.75, abs=1e-9)
         assert clusters[0].closest_point[0] == pytest.approx(1.0, abs=1e-2)
+
+
+def reference_cluster_scan(scan, observer_pose):
+    """The per-beam clustering loop that cluster_batch replaced."""
+    x, y, heading = observer_pose
+    hits = scan.ranges < scan.max_range - HIT_MARGIN
+    if not hits.any():
+        return []
+    angles = heading + BEAM_OFFSETS
+    px = x + scan.ranges * np.cos(angles)
+    py = y + scan.ranges * np.sin(angles)
+
+    groups, current = [], []
+    for k in range(len(scan.ranges)):
+        if not hits[k]:
+            if current:
+                groups.append(current)
+                current = []
+            continue
+        if current:
+            j = current[-1]
+            if math.hypot(px[k] - px[j], py[k] - py[j]) > CLUSTER_GAP:
+                groups.append(current)
+                current = []
+        current.append(k)
+    if current:
+        groups.append(current)
+    # wrap-around: last and first group may be one object split at beam 0
+    if len(groups) > 1 and hits[0] and hits[-1]:
+        j, k = groups[-1][-1], groups[0][0]
+        if math.hypot(px[k] - px[j], py[k] - py[j]) <= CLUSTER_GAP:
+            groups[0] = groups.pop() + groups[0]
+
+    clusters = []
+    for idx in groups:
+        pts = np.column_stack([px[idx], py[idx]])
+        nearest = int(np.argmin(scan.ranges[idx]))
+        clusters.append(Cluster(points=pts, closest_point=pts[nearest].copy()))
+    return clusters
+
+
+def reference_split(clusters, grid):
+    """One observer's static split, as split_static ran it per observer."""
+    if not clusters:
+        return []
+    near = grid.occupied_near_points(
+        np.concatenate([c.points for c in clusters]), STATIC_MARGIN)
+    starts = np.cumsum([0] + [len(c.points) for c in clusters[:-1]])
+    return [c for c, on_static
+            in zip(clusters, np.logical_and.reduceat(near, starts))
+            if not on_static]
+
+
+def cluster_bytes(clusters):
+    return [(c.points.tobytes(), c.closest_point.tobytes()) for c in clusters]
+
+
+def ranges_with_gap(beams, target, pose, tie=False):
+    """(120,) ranges that hit on the two given adjacent beams only, their
+    points exactly target apart as math.hypot measures them (the way the
+    per-beam loop does). With tie, np.hypot rounds that gap to another
+    value."""
+    x, y, heading = pose
+    angles = heading + BEAM_OFFSETS
+    cos, sin = np.cos(angles), np.sin(angles)
+    a, b = beams
+    for r0 in np.linspace(1.0, 2.0, 3000):
+        def delta(r1):
+            return ((x + r1 * cos[b]) - (x + r0 * cos[a]),
+                    (y + r1 * sin[b]) - (y + r0 * sin[a]))
+
+        lo, hi = r0, r0 + 1.0            # the gap grows along beam b here
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if math.hypot(*delta(mid)) < target:
+                lo = mid
+            else:
+                hi = mid
+        r1 = np.nextafter(lo, 0.0)
+        for _ in range(8):
+            dx, dy = delta(r1)
+            if math.hypot(dx, dy) == target and (
+                    not tie or np.hypot(dx, dy) != target):
+                ranges = np.full(N_BEAMS, MAX_RANGE)
+                ranges[a], ranges[b] = r0, r1
+                return ranges
+            r1 = np.nextafter(r1, np.inf)
+    raise AssertionError(f"no range pair {target!r} apart")
+
+
+class TestClusterBatchMatchesReference:
+    """Each row of cluster_batch equals the per-beam loop on that scan: the
+    same clusters in the same order, their points and closest points byte
+    for byte."""
+
+    def assert_rows_match(self, ranges, poses):
+        got = cluster_batch(ranges, poses)
+        assert len(got) == len(ranges)
+        for row, pose, clusters in zip(ranges, poses, got):
+            want = reference_cluster_scan(LidarScan(ranges=row, timestamp=0.0),
+                                          tuple(pose))
+            assert cluster_bytes(clusters) == cluster_bytes(want)
+        return got
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_random_worlds_several_observers(self, noise):
+        rng = np.random.default_rng(61 + noise)
+        wraps = 0
+        for _ in range(60):
+            w = random_world(rng, int(rng.integers(2, 12)),
+                             int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+            live = list(range(len(w.robots)))
+            ranges = raycast_batch(w, live)
+            if noise:
+                ranges = noisy_ranges(ranges, rng, 0.035)
+            poses = np.array([(*r.position, r.heading) for r in w.robots])
+            got = self.assert_rows_match(ranges, poses)
+            # scans whose first and last clusters may join across the wrap
+            wraps += sum(row[0] < MAX_RANGE and row[-1] < MAX_RANGE
+                         and len(clusters) > 1
+                         for row, clusters in zip(ranges, got))
+        assert wraps > 0
+
+    def test_wrap_merge_all_hit_and_all_miss(self):
+        wrap = np.full(N_BEAMS, MAX_RANGE)
+        wrap[115:], wrap[:5], wrap[50:56] = 1.0, 1.2, 0.8
+        all_hit = np.full(N_BEAMS, 1.0)
+        all_hit_split = all_hit.copy()
+        all_hit_split[30:41] = 2.0        # two breaks; 119 -> 0 rejoins
+        all_hit_wrap_only = 1.0 + 0.02 * np.arange(N_BEAMS)  # breaks at 0
+        all_miss = np.full(N_BEAMS, MAX_RANGE)
+        ranges = np.array([wrap, all_hit, all_miss, all_hit_split,
+                           all_hit_wrap_only, wrap])
+        poses = np.array([(0.0, 0.0, 0.0), (1.0, -2.0, 0.4), (0.0, 0.0, 1.0),
+                          (-0.5, 0.5, -2.0), (2.0, 2.0, 3.0), (3.0, 1.0, 2.5)])
+        got = self.assert_rows_match(ranges, poses)
+        assert [len(c) for c in got] == [2, 1, 0, 2, 1, 1 + 1]
+        # the joined cluster comes first, from beam 115 on
+        assert len(got[0][0].points) == 10 and len(got[3][0].points) == 109
+
+    @pytest.mark.parametrize("beams", [(10, 11), (119, 0)])
+    def test_gap_at_cluster_gap_and_one_ulp_either_side(self, beams):
+        pose = (0.3, -0.2, 0.7)
+        rows, counts = [], []
+        for target, joined in ((np.nextafter(CLUSTER_GAP, 0.0), True),
+                               (CLUSTER_GAP, True),
+                               (np.nextafter(CLUSTER_GAP, 1.0), False)):
+            ranges = ranges_with_gap(beams, target, pose)
+            ranges[60] = 1.5      # a second cluster, so 119 -> 0 can join
+            rows.append(ranges)
+            counts.append(2 if joined else 3)
+        got = self.assert_rows_match(np.array(rows), np.array([pose] * 3))
+        assert [len(c) for c in got] == counts
+
+    def test_gap_tie_settled_by_math_hypot(self):
+        # beams 10 and 11 lie CLUSTER_GAP apart by math.hypot, which joins
+        # them, but np.hypot rounds the gap one ulp away
+        pose = (0.3, -0.2, 0.7)
+        ranges = ranges_with_gap((10, 11), CLUSTER_GAP, pose, tie=True)
+        ranges[60] = 1.5
+        got = self.assert_rows_match(ranges[None], np.array([pose]))
+        assert len(got[0]) == 2
+
+    def test_split_matches_per_observer_split(self):
+        # a wall on the grid's top edge: noisy points just outside the grid
+        # sit next to its occupied edge cells, others far outside
+        cfg = WorldConfig(bounds=(-3, -3, 3, 3),
+                          walls=[Wall(-3.0, 3.0, 3.0, 3.0, 0.1)])
+        grid = rasterize(cfg, 0.1)
+        assert grid.cells[:, -1].all()
+        rng = np.random.default_rng(71)
+        observers = []
+        for _ in range(5):
+            clusters = []
+            for _ in range(int(rng.integers(0, 6))):
+                n = int(rng.integers(1, 8))
+                x = rng.uniform(-3.5, 3.5)
+                y = 3.0 + rng.choice([0.02, 0.1, 0.2, 1.0, -0.5])
+                pts = np.column_stack([x + 0.05 * np.arange(n),
+                                       y + rng.normal(0.0, 0.03, n)])
+                clusters.append(Cluster(points=pts, closest_point=pts[0]))
+            observers.append(clusters)
+        got = split_static(observers, grid)
+        kept = 0
+        for dynamic, clusters in zip(got, observers):
+            want = reference_split(clusters, grid)
+            assert [id(c) for c in dynamic] == [id(c) for c in want]
+            kept += len(want)
+        assert 0 < kept < sum(map(len, observers))
 
 
 class TestIcp:
@@ -334,7 +527,7 @@ class TestAssociate:
 def reference_update(tracker, scan, pose, grid, dt):
     """The per-observer association loop the batched update replaced: one
     ICP per gated pair, called only when the greedy matching reaches it."""
-    clusters = cluster_scan(scan, pose)
+    clusters = reference_cluster_scan(scan, pose)
     dynamic_clusters = []
     if clusters:
         near = grid.occupied_near_points(
@@ -395,14 +588,16 @@ def reference_update(tracker, scan, pose, grid, dt):
 
 
 class ReferenceEnv(NavEnv):
-    """NavEnv sensing the way it did before the batched update: each active
-    robot in turn raycasts, draws its noise and updates its own tracker."""
+    """NavEnv sensing the way it did before the batched pass: each active
+    robot in turn raycasts, draws its noise, clusters its scan and updates
+    its own tracker."""
 
     def _sense(self):
         for i, robot in enumerate(self.world.robots):
             if robot.status != Status.ACTIVE:
                 continue
-            scan = raycast(self.world, i)
+            scan = LidarScan(ranges=reference_raycast(self.world, i),
+                             timestamp=self.world.sim_time)
             if self.cfg.noise.lidar_sigma > 0.0:
                 scan = apply_lidar_noise(scan, self.lidar_rng,
                                          self.cfg.noise.lidar_sigma)
@@ -450,6 +645,37 @@ class TestBatchedUpdateMatchesReference:
         assert matched > 0               # the comparison saw matched tracks
         assert (envs[0].lidar_rng.bit_generator.state
                 == envs[1].lidar_rng.bit_generator.state)
+
+
+    def test_one_call_equals_per_observer_references(self):
+        # six moving robots among walls and circles: one update_trackers
+        # call per frame against one reference_update per observer
+        rng = np.random.default_rng(83)
+        w = random_world(rng, 6, 2, 2)
+        grid = rasterize(w.config, 0.1)
+        batched = [Tracker() for _ in w.robots]
+        references = [Tracker() for _ in w.robots]
+        velocities = rng.uniform(-0.5, 0.5, (6, 2))
+        noise = [np.random.default_rng(5) for _ in range(2)]
+        matched = 0
+        for frame in range(15):
+            live = [i for i in range(6) if i != frame % 7]
+            poses = np.array([(*w.robots[i].position, w.robots[i].heading)
+                              for i in live])
+            ranges = noisy_ranges(raycast_batch(w, live), noise[0], 0.035)
+            update_trackers([batched[i] for i in live], ranges, poses, grid,
+                            0.1)
+            for i, pose in zip(live, poses):
+                scan = LidarScan(ranges=reference_raycast(w, i), timestamp=0.0)
+                reference_update(references[i],
+                                 apply_lidar_noise(scan, noise[1], 0.035),
+                                 tuple(pose), grid, 0.1)
+            for got, want in zip(batched, references):
+                assert track_state(got) == track_state(want), frame
+                matched += sum(t.age > 1 and t.misses == 0 for t in got.tracks)
+            for r, v in zip(w.robots, velocities):
+                r.position = r.position + 0.1 * v
+        assert matched > 0
 
 
 class TestClosedLoopFidelity:
