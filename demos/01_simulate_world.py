@@ -6,7 +6,7 @@ clamped (v, w) commands, and read back positions, clearances and statuses.
 
 import numpy as np
 
-from multinav import Action, Circle, RobotState, World, WorldConfig
+from multinav import Action, Circle, World, WorldConfig
 
 config = WorldConfig(
     dt=0.1,
@@ -15,13 +15,9 @@ config = WorldConfig(
     max_episode_time=30.0,
     rng_seed=7,
 )
-robots = [
-    RobotState(position=np.array([-4.0, 0.0]), heading=0.0,
-               goal=np.array([4.0, 0.0])),
-    RobotState(position=np.array([4.0, -0.8]), heading=np.pi,
-               goal=np.array([-4.0, -0.8])),
-]
-world = World(config, robots)
+# one (x, y, heading) start and one (x, y) goal per robot
+world = World(config, starts=[(-4.0, 0.0, 0.0), (4.0, -0.8, np.pi)],
+              goals=[(4.0, 0.0), (-4.0, -0.8)])
 
 print("config JSON:", config.to_json()[:120], "...")
 print(f"{'t':>5} {'x0':>7} {'y0':>7} {'x1':>7} {'y1':>7} {'d_min':>7} statuses")

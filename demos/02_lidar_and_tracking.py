@@ -7,16 +7,12 @@ prints the tracked velocity next to the ground truth.
 
 import numpy as np
 
-from multinav import (Action, RobotState, Tracker, World, WorldConfig,
+from multinav import (Action, Tracker, World, WorldConfig,
                       apply_lidar_noise, rasterize, raycast)
 
 config = WorldConfig(bounds=(-8, -8, 8, 8), rng_seed=0)
-world = World(config, [
-    RobotState(position=np.array([0.0, 0.0]), heading=0.0,
-               goal=np.array([7.0, 7.0])),
-    RobotState(position=np.array([-1.5, 1.5]), heading=0.0,
-               goal=np.array([3.0, 1.5])),
-])
+world = World(config, starts=[(0.0, 0.0, 0.0), (-1.5, 1.5, 0.0)],
+              goals=[(7.0, 7.0), (3.0, 1.5)])
 grid = rasterize(config, 0.1)
 tracker = Tracker()
 rng = np.random.default_rng(1)

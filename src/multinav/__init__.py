@@ -27,8 +27,8 @@ from .tracker import Cluster, ClusterTrack, Tracker
 from .observations import (AblationConfig, NeighborGraph, NoiseConfig,
                            ObservationBundle, apply_state_noise,
                            build_observation, denormalize, normalize)
-from .reward import RewardConfig, progress_reward, reward_terms, social_penalty, step_reward
+from .reward import RewardConfig, progress_reward, reward_terms, social_penalty
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
-                     PolicyConfig, deterministic_action, sample_action)
+                     PolicyConfig, deterministic_action)
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ class StraightController:
             desired = preferred_velocity(robot.position,
                                          env.target_point(i).position,
                                          goal_distance=math.inf)
-            a = nh_track(desired, robot, self.cfg)
+            a = nh_track(desired, robot.heading, self.cfg)
             raws.append((a.v, a.w))
         return raws
 
@@ -72,25 +72,23 @@ class OrcaController:
         self.cfg = cfg or OrcaConfig()
 
     def act(self, env: NavEnv, obs):
-        cfg = env.world.config
+        world = env.world
+        cfg = world.config
         raws = []
-        for i, robot in enumerate(env.world.robots):
-            if robot.status != Status.ACTIVE:
+        for i, status in enumerate(world.statuses):
+            if status != Status.ACTIVE:
                 raws.append(None)
                 continue
-            th = robot.heading
-            self_vel = np.array([robot.linear_velocity * math.cos(th),
-                                 robot.linear_velocity * math.sin(th)])
-            goal_dist = float(np.hypot(*(robot.goal - robot.position)))
-            pref = preferred_velocity(robot.position,
-                                      env.target_point(i).position,
+            pos = world.positions[i]
+            goal_dist = float(np.hypot(*(world.goals[i] - pos)))
+            pref = preferred_velocity(pos, env.target_point(i).position,
                                       self.cfg.max_speed,
                                       goal_distance=goal_dist)
-            vel, _ = orca_velocity(robot.position, self_vel, robot.radius,
+            vel, _ = orca_velocity(pos, world.velocities[i], cfg.robot_radius,
                                    env.noisy_neighbor_states(i),
                                    cfg.circles, cfg.walls, pref, self.cfg,
                                    dt=cfg.dt)
-            a = nh_track(vel, robot, self.cfg)
+            a = nh_track(vel, float(world.headings[i]), self.cfg)
             raws.append((a.v, a.w))
         return raws
 

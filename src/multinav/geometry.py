@@ -30,10 +30,6 @@ class Circle:
     cy: float
     r: float
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.cx, self.cy])
-
 
 @dataclass(frozen=True)
 class Wall:

@@ -38,21 +38,20 @@ def raycast_batch(world: World, observers: list[int]) -> np.ndarray:
     the width one robot's scan gives it (the other robots, the static
     circles): OpenBLAS rounds one column (gemv) unlike several (gemm).
     """
-    robots, cfg = world.robots, world.config
+    pos, cfg = world.positions, world.config
+    n = len(pos)
     t = np.full((len(observers), N_BEAMS), np.inf)
-    if len(robots) > 1 or cfg.circles or cfg.walls:
-        pos = np.array([r.position for r in robots])
+    if n > 1 or cfg.circles or cfg.walls:
         origins = pos[observers]
-        headings = np.array([robots[i].heading for i in observers])
-        angles = headings[:, None] + BEAM_OFFSETS
+        angles = world.headings[observers][:, None] + BEAM_OFFSETS
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        if len(robots) > 1:
+        if n > 1:
             # row k's columns: every robot but observer k, in index order
-            cols = np.arange(len(robots) - 1)
+            cols = np.arange(n - 1)
             cols = cols + (cols >= np.array(observers)[:, None])
-            radii = np.array([r.radius for r in robots])
-            t = np.minimum(t, ray_circles(origins, dirs, pos[cols],
-                                          radii[cols]).min(axis=-1))
+            t = np.minimum(t, ray_circles(
+                origins, dirs, pos[cols],
+                np.full(cols.shape, cfg.robot_radius)).min(axis=-1))
         if cfg.circles:
             centers = np.array([[c.cx, c.cy] for c in cfg.circles])
             radii = np.array([c.r for c in cfg.circles])

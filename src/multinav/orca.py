@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Circle, Wall, wrap_angle
-from .sim import Action, RobotState, V_MAX, W_MAX
+from .sim import Action, V_MAX, W_MAX
 
 EPS = 1e-10
 
@@ -141,10 +141,10 @@ def _lp1(P, D, rows, line_no, radius, opt_velocity, direction_opt):
     return p0 + t * d0, p1 + t * d1
 
 
-def _lp2(P, D, radius, opt_velocity, direction_opt, rows=None):
+def _lp2(P, D, rows, radius, opt_velocity, direction_opt):
     """Feasible velocity closest to opt_velocity inside the speed disc.
-    rows holds the lines' (p0, p1, d0, d1) floats when the caller built
-    them. Returns (index of first failing line or len(P), result)."""
+    rows holds the lines' (p0, p1, d0, d1) floats. Returns (index of first
+    failing line or len(P), result)."""
     o0, o1 = opt_velocity.tolist()
     if direction_opt:
         r0, r1 = o0 * radius, o1 * radius
@@ -153,8 +153,6 @@ def _lp2(P, D, radius, opt_velocity, direction_opt, rows=None):
         r0, r1 = o0 / norm * radius, o1 / norm * radius
     else:
         r0, r1 = o0, o1
-    if rows is None:
-        rows = np.hstack([P, D]).tolist()
     for i, (p0, p1, d0, d1) in enumerate(rows):
         if d0 * (p1 - r1) - d1 * (p0 - r0) > 0.0:
             new = _lp1(P, D, rows, i, radius, opt_velocity, direction_opt)
@@ -164,10 +162,9 @@ def _lp2(P, D, radius, opt_velocity, direction_opt, rows=None):
     return len(rows), np.array([r0, r1])
 
 
-def _lp3(P, D, num_obst_lines, begin_line, radius, result):
+def _lp3(P, D, rows, num_obst_lines, begin_line, radius, result):
     """Infeasible fallback: minimize the maximum violation over the agent
     lines while keeping obstacle lines hard."""
-    rows = np.hstack([P, D]).tolist()
     r0, r1 = result.tolist()
     distance = 0.0
     for i in range(begin_line, len(rows)):
@@ -190,8 +187,8 @@ def _lp3(P, D, num_obst_lines, begin_line, radius, result):
                 norm = math.hypot(u, v)
                 proj.append((x, y, u / norm, v / norm))
             sub = np.array(proj).reshape(-1, 4)
-            fail, new = _lp2(sub[:, :2], sub[:, 2:], radius,
-                             np.array([-d1, d0]), True, proj)
+            fail, new = _lp2(sub[:, :2], sub[:, 2:], proj, radius,
+                             np.array([-d1, d0]), True)
             if fail == len(proj):
                 r0, r1 = new.tolist()
             distance = d0 * (p1 - r1) - d1 * (p0 - r0)
@@ -242,10 +239,11 @@ def orca_velocity(self_pos: np.ndarray, self_vel: np.ndarray, radius: float,
     P = self_vel + points
     num_obst = int(near[:n_static].sum())
 
-    fail, result = _lp2(P, D, cfg.max_speed,
+    rows = np.hstack([P, D]).tolist()
+    fail, result = _lp2(P, D, rows, cfg.max_speed,
                         np.asarray(preferred_velocity, dtype=float), False)
     if fail < len(P):
-        result = _lp3(P, D, num_obst, fail, cfg.max_speed, result)
+        result = _lp3(P, D, rows, num_obst, fail, cfg.max_speed, result)
         # nearly parallel agent lines give _lp3 far-off projected lines, on
         # which _lp1's disc test cancels and can land outside the disc
         speed = math.hypot(*result)
@@ -255,9 +253,10 @@ def orca_velocity(self_pos: np.ndarray, self_vel: np.ndarray, radius: float,
     return result, True
 
 
-def nh_track(desired: np.ndarray, state: RobotState,
+def nh_track(desired: np.ndarray, heading: float,
              cfg: OrcaConfig | None = None) -> Action:
-    """Map a holonomic velocity to (v, w) for a differential-drive robot.
+    """Map a holonomic velocity to (v, w) for a differential-drive robot
+    facing heading (a World.headings entry, or RobotState.heading).
 
     Turn rate proportional to the bearing error, forward speed scaled by its
     cosine (zero when the target direction is behind), so the executed arc
@@ -267,7 +266,7 @@ def nh_track(desired: np.ndarray, state: RobotState,
     speed = math.hypot(*desired)
     if speed < 1e-9:
         return Action(0.0, 0.0)
-    alpha = wrap_angle(math.atan2(desired[1], desired[0]) - state.heading)
+    alpha = wrap_angle(math.atan2(desired[1], desired[0]) - heading)
     w = min(max(cfg.heading_gain * alpha, -W_MAX), W_MAX)
     v = min(max(speed * math.cos(alpha), 0.0), V_MAX)
     return Action(v, w)

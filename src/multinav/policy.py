@@ -318,23 +318,5 @@ def gaussian_sample(mean: np.ndarray, std: np.ndarray,
     return mean + std * rng.standard_normal(np.shape(mean))
 
 
-@dataclass
-class SampledAction:
-    action: Action                   # clamped, what the world executes
-    raw: np.ndarray                  # pre-clamp sample, what the ratio uses
-    log_prob: float
-
-
-def sample_action(dist: ActionDistribution, rng: np.random.Generator) -> SampledAction:
-    """Draw from the two independent Normals; the log-prob is of the
-    pre-clamp sample, clamping is treated as part of the environment."""
-    raw = gaussian_sample(dist.mean, dist.std, rng)
-    return SampledAction(
-        action=clamp_action(Action(float(raw[0]), float(raw[1]))),
-        raw=raw,
-        log_prob=float(gaussian_log_prob(raw, dist.mean, dist.std)),
-    )
-
-
 def deterministic_action(dist: ActionDistribution) -> Action:
     return clamp_action(Action(float(dist.mean[0]), float(dist.mean[1])))

@@ -71,9 +71,3 @@ def reward_terms(status: Status, d_min: float, prev_pos: np.ndarray,
     if d_min < cfg.personal_space:
         terms.social = social_penalty(d_min, cfg)
     return terms
-
-
-def step_reward(status: Status, d_min: float, prev_pos: np.ndarray,
-                curr_pos: np.ndarray, target: np.ndarray,
-                cfg: RewardConfig) -> float:
-    return reward_terms(status, d_min, prev_pos, curr_pos, target, cfg).total

@@ -74,7 +74,6 @@ class NavEnv:
         self.world: World | None = None
         self.scenario: GeneratedScenario | None = None
         self._bundles: list = []          # what the last observations() built
-        self._truth = None   # robots' (positions, velocities, radii) arrays
 
     # ---- episode lifecycle ---------------------------------------------------
 
@@ -85,7 +84,6 @@ class NavEnv:
             scenario = generate(replace(self.spec, rng_seed=seed))
         self.scenario = scenario
         self.world = scenario.make_world()
-        self._truth = None
         # the plan generate() checked reachability with; a scenario loaded
         # from JSON plans here
         self.grid, self.paths = scenario.plan()
@@ -107,7 +105,7 @@ class NavEnv:
         return len(self.world.robots)
 
     def active(self) -> list[bool]:
-        return [r.status == Status.ACTIVE for r in self.world.robots]
+        return [s == Status.ACTIVE for s in self.world.statuses]
 
     def target_point(self, i: int) -> TargetPoint:
         """Running target on agent i's global path (final goal under the
@@ -125,18 +123,17 @@ class NavEnv:
     def _sense(self) -> None:
         if not self.cfg.build_observations:
             return
-        robots = self.world.robots
-        live = [i for i, r in enumerate(robots) if r.status == Status.ACTIVE]
-        ranges = raycast_batch(self.world, live)
+        world = self.world
+        live = [i for i, s in enumerate(world.statuses) if s == Status.ACTIVE]
+        ranges = raycast_batch(world, live)
         if self.cfg.noise.lidar_sigma > 0.0:
             ranges = noisy_ranges(ranges, self.lidar_rng,
                                   self.cfg.noise.lidar_sigma)
         for i, row in zip(live, ranges):
-            self.histories[i].push(LidarScan(row, self.world.sim_time))
-        poses = np.array([(*robots[i].position, robots[i].heading)
-                          for i in live])
+            self.histories[i].push(LidarScan(row, world.sim_time))
+        poses = np.column_stack([world.positions[live], world.headings[live]])
         update_trackers([self.trackers[i] for i in live], ranges, poses,
-                        self.grid, self.world.config.dt)
+                        self.grid, world.config.dt)
 
     def observations(self):
         """Normalized observation per agent; None for frozen robots."""
@@ -160,18 +157,12 @@ class NavEnv:
 
     def noisy_neighbor_states(self, i: int):
         """Ground-truth neighbor (positions (k, 2), velocities (k, 2), radii
-        (k,)) arrays with the evaluation noise protocol applied; the baseline
-        controllers' feed."""
-        if self._truth is None:          # once per world state
-            robots = self.world.robots
-            self._truth = (
-                np.array([r.position for r in robots]).reshape(-1, 2),
-                np.array([(r.linear_velocity * math.cos(r.heading),
-                           r.linear_velocity * math.sin(r.heading))
-                          for r in robots]).reshape(-1, 2),
-                np.array([r.radius for r in robots]))
-        pos, vel, radii = (np.concatenate((x[:i], x[i + 1:]))
-                           for x in self._truth)
+        (k,)) arrays, read from the world's arrays, with the evaluation
+        noise protocol applied; the baseline controllers' feed."""
+        world = self.world
+        pos, vel = (np.concatenate((x[:i], x[i + 1:]))
+                    for x in (world.positions, world.velocities))
+        radii = np.full(len(pos), world.config.robot_radius)
         # one draw per observer: row k holds neighbour k's position noise,
         # then its velocity noise (a zero bound draws nothing), scaled as
         # Generator.uniform scales, so the values equal those of a
@@ -193,12 +184,11 @@ class NavEnv:
         (unclamped; entries for frozen robots are ignored)."""
         world = self.world
         was_active = self.active()
-        prev_pos = [r.position.copy() for r in world.robots]
+        prev_pos = world.positions        # world.step writes a fresh array
         actions = [Action(float(a[0]), float(a[1])) if was_active[i] and a is not None
                    else Action(0.0, 0.0)
                    for i, a in enumerate(raw_actions)]
         report = world.step(actions)
-        self._truth = None
 
         rewards, terms_list, dones, targets = [], [], [], []
         for i, robot in enumerate(world.robots):

@@ -77,7 +77,7 @@ class GeneratedScenario:
                                            repr=False, compare=False)
 
     def make_world(self) -> World:
-        return World.from_starts(self.config, self.starts, self.goals)
+        return World(self.config, self.starts, self.goals)
 
     def plan(self) -> tuple[OccupancyGrid, list[GlobalPath]]:
         """The inflated occupancy grid and one A* path per agent.

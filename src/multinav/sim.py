@@ -5,6 +5,10 @@ All robots are discs of one shared radius. Motion integrates the unicycle
 model along exact circular arcs, so coarse timesteps do not cut corners.
 Robots that reach their goal, collide or run out of time freeze in place and
 stay physically present (other robots keep seeing and hitting them).
+
+World is the one store of robot state: per-robot arrays that the sensors,
+the baselines and the metrics read directly. RobotState is a view of one
+robot's row of them, not a copy.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,30 +60,50 @@ def clamp_action(raw: Action) -> Action:
     return Action(min(max(raw.v, 0.0), V_MAX), min(max(raw.w, -W_MAX), W_MAX))
 
 
-@dataclass
+def _planar_velocity(v: float, heading: float) -> tuple[float, float]:
+    """On math's cos and sin: numpy's may differ from them in the last bit."""
+    return v * math.cos(heading), v * math.sin(heading)
+
+
+def _column(array: str, scalar: bool = False) -> property:
+    """A RobotState attribute backed by row i of World.<array>; scalar rows
+    read as floats and are written only by integrate."""
+    def get(self):
+        value = getattr(self._world, array)[self._i]
+        return float(value) if scalar else value
+
+    def set(self, value):
+        getattr(self._world, array)[self._i] = value
+    return property(get, None if scalar else set)
+
+
 class RobotState:
-    position: np.ndarray          # (2,) meters
-    heading: float                # radians, wrapped to (-pi, pi]
-    goal: np.ndarray              # (2,) meters
-    radius: float = 0.25
-    linear_velocity: float = 0.0
-    angular_velocity: float = 0.0
-    status: Status = Status.ACTIVE
+    """One robot, as a view of row i of its World's arrays: reads and writes
+    go to the world, so the view and the arrays never disagree."""
 
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.goal = np.asarray(self.goal, dtype=float)
-        self.heading = wrap_angle(float(self.heading))
+    __slots__ = ("_world", "_i")
+
+    def __init__(self, world: "World", index: int):
+        self._world, self._i = world, index
+
+    position = _column("positions")                # (2,) meters
+    goal = _column("goals")                        # (2,) meters
+    heading = _column("headings", True)            # radians, in (-pi, pi]
+    linear_velocity = _column("linear_velocities", True)
+    angular_velocity = _column("angular_velocities", True)
+    status = _column("statuses")
 
 
-def integrate(state: RobotState, action: Action, dt: float) -> RobotState:
-    """Advance one robot along the exact unicycle arc for dt seconds.
+def integrate(robot: RobotState, action: Action, dt: float) -> None:
+    """Advance one robot along the exact unicycle arc for dt seconds,
+    writing its row of the world's arrays.
 
     Expects an already-clamped action. Commanded velocities become the new
     stored velocities.
     """
-    v, w, th = action.v, action.w, state.heading
-    x, y = state.position
+    world, i = robot._world, robot._i
+    v, w, th = action.v, action.w, robot.heading
+    x, y = world.positions[i]
     if abs(w) < W_EPS:
         x += v * math.cos(th) * dt
         y += v * math.sin(th) * dt
@@ -89,13 +113,12 @@ def integrate(state: RobotState, action: Action, dt: float) -> RobotState:
         r = v / w
         x += r * (math.sin(th_new) - math.sin(th))
         y -= r * (math.cos(th_new) - math.cos(th))
-    return replace(
-        state,
-        position=np.array([x, y]),
-        heading=wrap_angle(th_new),
-        linear_velocity=v,
-        angular_velocity=w,
-    )
+    th_new = wrap_angle(th_new)
+    world.positions[i] = x, y
+    world.headings[i] = th_new
+    world.linear_velocities[i] = v
+    world.angular_velocities[i] = w
+    world.velocities[i] = _planar_velocity(v, th_new)
 
 
 @dataclass
@@ -156,31 +179,30 @@ class StepReport:
 
 
 class World:
-    """Synchronous multi-robot world. Single-threaded; run many instances in
-    parallel for vectorized rollouts."""
+    """Synchronous multi-robot world, the one store of robot state: (n, 2)
+    positions, goals and planar velocities (v cos heading, v sin heading),
+    (n,) headings, linear and angular velocities, and one status per robot.
+    robots[i] is a RobotState view of row i. Single-threaded; run many
+    instances in parallel for vectorized rollouts."""
 
-    def __init__(self, config: WorldConfig, robots: list[RobotState]):
-        for r in robots:
-            r.radius = config.robot_radius
+    def __init__(self, config: WorldConfig,
+                 starts: list[tuple[float, float, float]],
+                 goals: list[tuple[float, float]]):
+        starts = np.array(starts, dtype=float).reshape(-1, 3)
+        n = len(starts)
         self.config = config
-        self.robots = robots
+        self.positions = np.array(starts[:, :2])
+        self.goals = np.array(goals, dtype=float).reshape(-1, 2)
+        self.headings = np.array([wrap_angle(h) for h in starts[:, 2].tolist()])
+        self.linear_velocities = np.zeros(n)
+        self.angular_velocities = np.zeros(n)
+        self.velocities = np.array(
+            [_planar_velocity(0.0, h) for h in self.headings.tolist()]
+        ).reshape(-1, 2)
+        self.statuses = [Status.ACTIVE] * n
+        self.robots = [RobotState(self, i) for i in range(n)]
         self.sim_time = 0.0
         self.step_count = 0
-
-    @classmethod
-    def from_starts(cls, config: WorldConfig,
-                    starts: list[tuple[float, float, float]],
-                    goals: list[tuple[float, float]]) -> "World":
-        robots = [
-            RobotState(position=np.array(s[:2]), heading=s[2], goal=np.array(g),
-                       radius=config.robot_radius)
-            for s, g in zip(starts, goals)
-        ]
-        return cls(config, robots)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([r.position for r in self.robots])
 
     def min_separation(self, agent_index: int) -> float:
         """Signed surface clearance of one robot: min over other robots of
@@ -209,39 +231,40 @@ class World:
 
         Takes one action per robot (entries for frozen robots are ignored).
         Status transitions on the post-move state: collision beats goal
-        arrival; robots still Active at the time limit become Stuck.
+        arrival; robots still Active at the time limit become Stuck. The
+        step writes into a fresh positions array, so positions read before
+        it keep their values.
         """
         if len(actions) != len(self.robots):
             raise ActionArity(
                 f"expected {len(self.robots)} actions, got {len(actions)}")
         cfg = self.config
-        was_active = [r.status == Status.ACTIVE for r in self.robots]
-        for i, robot in enumerate(self.robots):
-            if was_active[i]:
-                self.robots[i] = integrate(robot, clamp_action(actions[i]), cfg.dt)
+        was_active = [s == Status.ACTIVE for s in self.statuses]
+        self.positions = self.positions.copy()
+        for robot, active, action in zip(self.robots, was_active, actions):
+            if active:
+                integrate(robot, clamp_action(action), cfg.dt)
         self.sim_time = round(self.sim_time + cfg.dt, 9)
         self.step_count += 1
 
         d = self._separations()
+        to_goal = np.hypot(*(self.positions - self.goals).T)
         timed_out = self.sim_time >= cfg.max_episode_time
-        for i, robot in enumerate(self.robots):
-            if not was_active[i]:
+        for i, active in enumerate(was_active):
+            if not active:
                 continue
             if d[i] < 0.0:
-                robot.status = Status.COLLIDED
-            elif float(np.hypot(*(robot.position - robot.goal))) < cfg.goal_tolerance:
-                robot.status = Status.REACHED_GOAL
+                self.statuses[i] = Status.COLLIDED
+            elif to_goal[i] < cfg.goal_tolerance:
+                self.statuses[i] = Status.REACHED_GOAL
             elif timed_out:
-                robot.status = Status.STUCK
-        return StepReport(
-            d_min=d,
-            statuses=[r.status for r in self.robots],
-            sim_time=self.sim_time,
-        )
+                self.statuses[i] = Status.STUCK
+        return StepReport(d_min=d, statuses=list(self.statuses),
+                          sim_time=self.sim_time)
 
     @property
     def all_done(self) -> bool:
-        return all(r.status != Status.ACTIVE for r in self.robots)
+        return Status.ACTIVE not in self.statuses
 
 
 def trajectory_record(world: World, agent_index: int, step: int,

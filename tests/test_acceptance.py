@@ -24,7 +24,7 @@ from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 from multinav.ppo import TrainConfig, compute_gae, train
 from multinav.reward import RewardConfig, progress_reward, reward_terms, social_penalty
 from multinav.scenarios import Kind, ScenarioSpec, eval_suite
-from multinav.sim import Action, RobotState, Status, World, WorldConfig
+from multinav.sim import Action, Status, World, WorldConfig
 from multinav.tracker import Tracker
 
 from test_lidar import march_ray
@@ -105,9 +105,7 @@ def test_criterion_05_raycast_vs_ray_march():
                for c in circles):
             continue
         cfg = WorldConfig(bounds=(-20, -20, 20, 20), circles=circles)
-        world = World(cfg, [RobotState(position=origin,
-                                       heading=rng.uniform(-3, 3),
-                                       goal=np.array([9.0, 9.0]))])
+        world = World(cfg, [(*origin, rng.uniform(-3, 3))], [(9.0, 9.0)])
         scan = raycast(world, 0)
         for k in rng.integers(0, N_BEAMS, size=2):
             angle = world.robots[0].heading + BEAM_OFFSETS[k]
@@ -124,11 +122,8 @@ def test_criterion_05_raycast_vs_ray_march():
 def test_criterion_06_tracker_fidelity():
     # two-robot crossing, noise off: velocity RMS < 0.15 m/s past warm-up
     cfg = WorldConfig(bounds=(-10, -10, 10, 10))
-    world = World(cfg, [
-        RobotState(position=np.array([-1.5, 0.0]), heading=0.0,
-                   goal=np.array([9.0, 9.0])),
-        RobotState(position=np.array([1.0, -1.5]), heading=math.pi / 2,
-                   goal=np.array([9.0, 9.0]))])
+    world = World(cfg, [(-1.5, 0.0, 0.0), (1.0, -1.5, math.pi / 2)],
+                  [(9.0, 9.0)] * 2)
     from multinav.planner import rasterize
     grid = rasterize(cfg, 0.1)
     trackers = [Tracker(), Tracker()]
@@ -147,10 +142,7 @@ def test_criterion_06_tracker_fidelity():
     rms = math.sqrt(np.mean(sq))
 
     # single smoothly moving disc keeps one id for the whole episode
-    world2 = World(cfg, [
-        RobotState(position=np.zeros(2), heading=0.0, goal=np.array([9.0, 9.0])),
-        RobotState(position=np.array([2.0, -1.5]), heading=0.0,
-                   goal=np.array([9.0, 9.0]))])
+    world2 = World(cfg, [(0.0, 0.0, 0.0), (2.0, -1.5, 0.0)], [(9.0, 9.0)] * 2)
     tracker = Tracker()
     ids = set()
     for step in range(80):

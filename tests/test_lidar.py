@@ -8,16 +8,14 @@ from multinav.geometry import (Circle, Wall, dist_aabb_surface,
 from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, RANGE_EPS,
                             LidarScan, ScanHistory, apply_lidar_noise,
                             noisy_ranges, raycast, raycast_batch)
-from multinav.sim import RobotState, Status, World, WorldConfig
+from multinav.sim import Status, World, WorldConfig
 from multinav.tracker import cluster_scan
 
 
 def world_with(circles=(), walls=(), robots=((0.0, 0.0, 0.0),), radius=0.25):
     cfg = WorldConfig(bounds=(-20, -20, 20, 20), circles=list(circles),
                       walls=list(walls), robot_radius=radius)
-    states = [RobotState(position=np.array(r[:2]), heading=r[2], goal=np.array([9.0, 9.0]))
-              for r in robots]
-    return World(cfg, states)
+    return World(cfg, robots, [(9.0, 9.0)] * len(robots))
 
 
 def reference_raycast(world, agent_index):
@@ -33,7 +31,7 @@ def reference_raycast(world, agent_index):
     others = [r for i, r in enumerate(world.robots) if i != agent_index]
     if others:
         centers = np.array([r.position for r in others])
-        radii = np.array([r.radius for r in others])
+        radii = np.full(len(others), world.config.robot_radius)
         t = np.minimum(t, ray_circles(origin, dirs, centers, radii).min(axis=1))
     circles = world.config.circles
     if circles:

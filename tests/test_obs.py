@@ -9,15 +9,13 @@ from multinav.observations import (AblationConfig, NeighborGraph, NoiseConfig,
                                    ObservationBundle, apply_state_noise,
                                    build_observation, denormalize, normalize)
 from multinav.planner import TargetPoint, rasterize
-from multinav.sim import Action, RobotState, World, WorldConfig
+from multinav.sim import Action, World, WorldConfig
 from multinav.tracker import ClusterTrack, Tracker
 
 
 def make_world(robots, circles=(), goal=(5.0, 0.0)):
     cfg = WorldConfig(bounds=(-10, -10, 10, 10), circles=list(circles))
-    states = [RobotState(position=np.array(r[:2]), heading=r[2],
-                         goal=np.array(goal)) for r in robots]
-    return World(cfg, states)
+    return World(cfg, robots, [goal] * len(robots))
 
 
 def history_for(world, idx=0):

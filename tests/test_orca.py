@@ -10,7 +10,6 @@ import pytest
 from multinav.geometry import Circle, Wall
 from multinav.orca import (EPS, OrcaConfig, _cross, _lp2, _lp3, nh_track,
                            orca_velocity, preferred_velocity)
-from multinav.sim import RobotState
 
 CFG = OrcaConfig()
 NO_NEIGHBORS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
@@ -25,9 +24,9 @@ def neighbors(*states):
             np.array([s[2] for s in states], dtype=float))
 
 
-def agent(x, y, th=0.0):
-    return RobotState(position=np.array([x, y], dtype=float), heading=th,
-                      goal=np.array([9.0, 9.0]))
+def lp_rows(P, D):
+    """The (p0, p1, d0, d1) float rows orca_velocity hands the LP."""
+    return np.hstack([P, D]).tolist()
 
 
 # ---- scalar reference: one HalfPlane per neighbor, one line at a time --------
@@ -171,7 +170,7 @@ def reference_orca_velocity(self_pos, self_vel, radius, neighbor_arrays,
     # static obstacles first: they stay hard in the infeasible fallback
     statics = []
     for c in circles:
-        statics.append((c.center, c.r, "circle"))
+        statics.append((np.array([c.cx, c.cy]), c.r, "circle"))
     for w in walls:
         xmin, ymin, xmax, ymax = w.aabb
         q = np.array([min(max(self_pos[0], xmin), xmax),
@@ -346,13 +345,13 @@ def grid_search_lp(P, D, radius, pref, levels=14, res=121):
 
 class TestLinearProgram:
     def test_no_constraints_returns_pref(self):
-        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), [], 1.0,
                        np.array([0.3, -0.2]), False)
         assert fail == 0
         assert np.allclose(v, [0.3, -0.2])
 
     def test_pref_clipped_to_disc(self):
-        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), [], 1.0,
                        np.array([3.0, 4.0]), False)
         assert np.hypot(*v) == pytest.approx(1.0)
         assert np.allclose(v, [0.6, 0.8])
@@ -367,7 +366,7 @@ class TestLinearProgram:
                           (rng.uniform(0, 2 * math.pi) for _ in range(n))])
             pref = rng.uniform(-1, 1, 2)
             oracle = grid_search_lp(P, D, 1.0, pref)
-            fail, v = _lp2(P, D, 1.0, pref, False)
+            fail, v = _lp2(P, D, lp_rows(P, D), 1.0, pref, False)
             if fail < n or oracle is None:
                 continue  # infeasible sets checked separately
             # guard against razor-thin regions the grid cannot resolve
@@ -390,10 +389,11 @@ class TestLinearProgram:
             offset = np.where(np.arange(n) < n_obst, rng.uniform(0.1, 0.6, n),
                               rng.uniform(-0.9, 0.1, n))
             P = offset[:, None] * np.column_stack([D[:, 1], -D[:, 0]])
-            fail, v = _lp2(P, D, 1.0, rng.uniform(-1.0, 1.0, 2), False)
+            fail, v = _lp2(P, D, lp_rows(P, D), 1.0, rng.uniform(-1.0, 1.0, 2),
+                           False)
             if fail == n or fail < n_obst:
                 continue
-            v = _lp3(P, D, n_obst, fail, 1.0, v)
+            v = _lp3(P, D, lp_rows(P, D), n_obst, fail, 1.0, v)
             oracle = minimax_violation(P, D, n_obst, 1.0)
             assert np.isfinite(v).all()
             assert math.hypot(*v) <= 1.0 + 1e-12
@@ -431,7 +431,7 @@ class TestParallelLines:
     def lp2(self, rows, pref, angle):
         P, D, lines = rotated_lines(rows, angle)
         opt = turned(pref, angle)
-        fail, got = _lp2(P, D, 1.0, opt, False)
+        fail, got = _lp2(P, D, lp_rows(P, D), 1.0, opt, False)
         want_fail, want = _ref_lp2(lines, 1.0, opt, False)
         assert fail == want_fail
         assert got.tobytes() == want.tobytes()
@@ -470,7 +470,7 @@ class TestParallelLines:
                            (0.0, -0.2, -math.cos(tilt), -math.sin(tilt))]
         P, D, lines, fail, v = self.lp2(rows, np.array([0.2, -0.8]), angle)
         assert fail == n_obst + 1
-        got = _lp3(P, D, n_obst, fail, 1.0, v)
+        got = _lp3(P, D, lp_rows(P, D), n_obst, fail, 1.0, v)
         want = _ref_lp3(lines, n_obst, fail, 1.0, v)
         assert got.tobytes() == want.tobytes()
         # on the midline y = 0.15, at either end of its feasible chord: the
@@ -585,22 +585,22 @@ class TestOrcaVelocity:
 
 class TestNhTrack:
     def test_along_heading(self):
-        a = nh_track(np.array([0.6, 0.0]), agent(0, 0, 0.0))
+        a = nh_track(np.array([0.6, 0.0]), 0.0)
         assert a.v == pytest.approx(0.6)
         assert a.w == 0.0
 
     def test_behind_turns_in_place(self):
-        a = nh_track(np.array([-0.8, 0.0]), agent(0, 0, 0.0))
+        a = nh_track(np.array([-0.8, 0.0]), 0.0)
         assert a.v == 0.0
         assert abs(a.w) == 1.0
 
     def test_ninety_degrees_slow_and_saturated(self):
-        a = nh_track(np.array([0.0, 1.0]), agent(0, 0, 0.0))
+        a = nh_track(np.array([0.0, 1.0]), 0.0)
         assert a.v < 0.2
         assert a.w == 1.0
 
     def test_zero_velocity_stops(self):
-        a = nh_track(np.zeros(2), agent(0, 0, 0.3))
+        a = nh_track(np.zeros(2), 0.3)
         assert (a.v, a.w) == (0.0, 0.0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multinav.reward import (RewardConfig, progress_reward, reward_terms,
-                             social_penalty, step_reward)
+                             social_penalty)
 from multinav.sim import Status
 
 CFG = RewardConfig()
@@ -54,19 +54,19 @@ class TestProgressReward:
 
 class TestStepReward:
     def test_goal_bonus(self):
-        r = step_reward(Status.REACHED_GOAL, 0.5, np.array([0.3, 0.0]),
-                        np.array([0.1, 0.0]), np.zeros(2), CFG)
+        r = reward_terms(Status.REACHED_GOAL, 0.5, np.array([0.3, 0.0]),
+                         np.array([0.1, 0.0]), np.zeros(2), CFG).total
         assert r == 15.0
 
     def test_collision_penalty(self):
-        r = step_reward(Status.COLLIDED, -0.01, np.array([1.0, 0.0]),
-                        np.array([0.9, 0.0]), np.zeros(2), CFG)
+        r = reward_terms(Status.COLLIDED, -0.01, np.array([1.0, 0.0]),
+                         np.array([0.9, 0.0]), np.zeros(2), CFG).total
         assert r == -25.0
 
     def test_progress_only_outside_band(self):
         # d_min 0.5 >= PS, 0.1 m straight toward the target: +0.25
-        r = step_reward(Status.ACTIVE, 0.5, np.array([1.0, 0.0]),
-                        np.array([0.9, 0.0]), np.zeros(2), CFG)
+        r = reward_terms(Status.ACTIVE, 0.5, np.array([1.0, 0.0]),
+                         np.array([0.9, 0.0]), np.zeros(2), CFG).total
         assert r == pytest.approx(0.25)
 
     def test_social_plus_progress_inside_band(self):

@@ -187,7 +187,7 @@ def _neighbor_states_reference(env, i):
         if nc.velocity_bound > 0.0:
             vel = vel + env.state_rng.uniform(-nc.velocity_bound,
                                               nc.velocity_bound, 2)
-        out.append((pos, vel, r.radius))
+        out.append((pos, vel, env.world.config.robot_radius))
     return out
 
 

@@ -1,16 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from multinav.geometry import Circle, Wall, wrap_angle
-from multinav.sim import (Action, ActionArity, NonFiniteAction, RobotState,
-                          Status, World, WorldConfig, clamp_action, integrate)
+from multinav.lidar import raycast_batch
+from multinav.rollout import EnvConfig, NavEnv
+from multinav.scenarios import GeneratedScenario, Kind, ScenarioSpec
+from multinav.sim import (Action, ActionArity, NonFiniteAction, Status,
+                          World, WorldConfig, clamp_action, integrate,
+                          trajectory_record)
 
 
 def make_world(starts, goals, **kwargs):
     cfg = WorldConfig(**kwargs)
-    return World.from_starts(cfg, starts, goals)
+    return World(cfg, starts, goals)
 
 
 class TestClampAction:
@@ -47,23 +52,29 @@ def unicycle_rk4(x, y, th, v, w, dt, substeps=100):
     return x, y, th
 
 
+def integrated(robot, action):
+    """The robot view after integrate has moved it for 0.1 s."""
+    integrate(robot, action, 0.1)
+    return robot
+
+
 class TestIntegrate:
     def robot(self, x=0.0, y=0.0, th=0.0):
-        return RobotState(position=np.array([x, y]), heading=th, goal=np.zeros(2))
+        return make_world([(x, y, th)], [(0.0, 0.0)]).robots[0]
 
     def test_straight_line(self):
-        s = integrate(self.robot(), Action(1.0, 0.0), 0.1)
+        s = integrated(self.robot(), Action(1.0, 0.0))
         assert np.allclose(s.position, [0.1, 0.0])
         assert s.heading == 0.0
 
     def test_pure_rotation(self):
-        s = integrate(self.robot(), Action(0.0, 1.0), 0.1)
+        s = integrated(self.robot(), Action(0.0, 1.0))
         assert np.allclose(s.position, [0.0, 0.0])
         assert s.heading == pytest.approx(0.1)
 
     def test_arc_closed_form(self):
         # frozen from the closed-form arc integral at v=w=1, dt=0.1
-        s = integrate(self.robot(), Action(1.0, 1.0), 0.1)
+        s = integrated(self.robot(), Action(1.0, 1.0))
         assert s.position[0] == pytest.approx(0.09983341664682815, abs=1e-15)
         assert s.position[1] == pytest.approx(0.004995834721974231, abs=1e-15)
         assert s.heading == pytest.approx(0.1)
@@ -75,20 +86,20 @@ class TestIntegrate:
             th = rng.uniform(-math.pi, math.pi)
             v = rng.uniform(0, 1)
             w = rng.uniform(-1, 1)
-            s = integrate(self.robot(x, y, th), Action(v, w), 0.1)
+            s = integrated(self.robot(x, y, th), Action(v, w))
             ox, oy, oth = unicycle_rk4(x, y, th, v, w, 0.1)
             assert abs(s.position[0] - ox) < 1e-9
             assert abs(s.position[1] - oy) < 1e-9
             assert abs(wrap_angle(s.heading - oth)) < 1e-9
 
     def test_updates_commanded_velocities(self):
-        s = integrate(self.robot(), Action(0.7, -0.3), 0.1)
+        s = integrated(self.robot(), Action(0.7, -0.3))
         assert (s.linear_velocity, s.angular_velocity) == (0.7, -0.3)
 
     def test_heading_stays_wrapped(self):
         s = self.robot(th=math.pi - 0.01)
         for _ in range(100):
-            s = integrate(s, Action(0.0, 1.0), 0.1)
+            s = integrated(s, Action(0.0, 1.0))
             assert -math.pi < s.heading <= math.pi
 
 
@@ -204,6 +215,64 @@ class TestDeterminismAndSymmetry:
             permuted = t2[step][:6].reshape(3, 2)
             for new_i, old_i in enumerate(perm):
                 assert np.array_equal(permuted[new_i], orig[old_i])
+
+
+class TestRobotStateView:
+    """world.robots[i] is a view of the world's arrays: what is written
+    through it is what every reader of the world sees."""
+
+    def test_assigned_position_reaches_every_reader(self):
+        scenario = GeneratedScenario(
+            WorldConfig(bounds=(-5, -5, 5, 5)),
+            [(0.0, 0.0, 0.0), (3.0, 3.0, 0.0), (-3.0, 3.0, 0.0)],
+            [(4.0, 0.0), (3.0, -3.0), (-3.0, -3.0)])
+        env = NavEnv(ScenarioSpec(kind=Kind.RANDOM, scale=10.0, num_agents=3),
+                     EnvConfig(build_observations=False))
+        env.reset(scenario)
+        world = env.world
+        world.robots[1].position = np.array([1.0, 0.0])
+        assert world.positions[1].tolist() == [1.0, 0.0]
+        assert world.min_separation(0) == pytest.approx(0.5)
+        # beam 0 looks along +x at the disc's near surface
+        assert raycast_batch(world, [0])[0, 0] == pytest.approx(0.75)
+        positions, _, _ = env.noisy_neighbor_states(0)
+        assert positions[0].tolist() == [1.0, 0.0]
+
+    def test_position_read_before_step_keeps_its_value(self):
+        w = make_world([(0, 0, 0)], [(9, 9)])
+        before = w.robots[0].position
+        w.step([Action(1.0, 0.0)])
+        assert before.tolist() == [0.0, 0.0]
+        assert w.robots[0].position.tolist() == pytest.approx([0.1, 0.0])
+
+    def test_stuck_through_the_view_ends_the_episode(self):
+        w = make_world([(0, 0, 0), (3, 0, 0)], [(5, 5), (6, 6)])
+        assert not w.all_done
+        for robot in w.robots:
+            robot.status = Status.STUCK
+        assert w.all_done
+        assert w.statuses == [Status.STUCK, Status.STUCK]
+
+    def test_trajectory_record_json(self):
+        w = make_world([(0.0, 0.0, 0.3), (2.0, 1.0, -2.5)],
+                       [(4.0, 4.0), (-4.0, -2.0)])
+        for _ in range(5):
+            rep = w.step([Action(0.8, 0.4), Action(0.6, -0.7)])
+        got = [json.dumps(trajectory_record(w, 1, 5, Action(0.6, -0.7),
+                                            float(rep.d_min[1])),
+                          sort_keys=True),
+               json.dumps(trajectory_record(w, 0, 5, None, math.inf),
+                          sort_keys=True)]
+        # recorded from the per-robot dataclass this view replaced
+        assert got == [
+            '{"action_v": 0.6, "action_w": -0.7, "agent": 1, '
+            '"d_min": 1.0392684104764243, "status": "active", "step": 5, '
+            '"t": 0.5, "theta": -2.849999999999999, '
+            '"x": 1.7334336013473617, "y": 0.8657340382804374}',
+            '{"action_v": null, "action_w": null, "agent": 0, '
+            '"d_min": null, "status": "active", "step": 5, "t": 0.5, '
+            '"theta": 0.5000000000000001, "x": 0.36781066388572714, '
+            '"y": 0.15550785447046667}']
 
 
 class TestWorldConfigJson:

@@ -13,7 +13,7 @@ from multinav.observations import NoiseConfig
 from multinav.planner import rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
-from multinav.sim import Action, RobotState, Status, World, WorldConfig
+from multinav.sim import Action, Status, World, WorldConfig
 from multinav.tracker import (CLUSTER_GAP, EMA_BETA, GATING_RADIUS,
                               GRACE_STEPS, HIT_MARGIN, STATIC_MARGIN,
                               V_MAX_GATE, VELOCITY_BASELINE_STEPS, Cluster,
@@ -26,9 +26,7 @@ from test_lidar import random_world, reference_raycast
 def make_world(robots, circles=(), walls=()):
     cfg = WorldConfig(bounds=(-10, -10, 10, 10), circles=list(circles),
                       walls=list(walls))
-    states = [RobotState(position=np.array(r[:2]), heading=r[2],
-                         goal=np.array([9.0, 9.0])) for r in robots]
-    return World(cfg, states)
+    return World(cfg, robots, [(9.0, 9.0)] * len(robots))
 
 
 def empty_grid():
@@ -412,8 +410,7 @@ class TestAssociate:
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
         grid = rasterize(cfg, 0.1)
-        w = World(cfg, [RobotState(position=np.zeros(2), heading=0.0,
-                                   goal=np.array([9.0, 9.0]))])
+        w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
         tracker = Tracker()
         assert tracker.update(scan_of(w), (0, 0, 0), grid, 0.1) == []
@@ -481,8 +478,7 @@ class TestAssociate:
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
         grid = rasterize(cfg, 0.1)
-        w = World(cfg, [RobotState(position=np.zeros(2), heading=0.0,
-                                   goal=np.array([9.0, 9.0]))])
+        w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         tracker = Tracker()
         for _ in range(5):
             assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
@@ -516,8 +512,7 @@ class TestAssociate:
             cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                               walls=[Wall(x, -3.0, x, 3.0, 0.2)])
             grid = rasterize(cfg, 0.1)
-            w = World(cfg, [RobotState(position=np.zeros(2), heading=0.0,
-                                       goal=np.array([9.0, 9.0]))])
+            w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
             tracker = Tracker()
             for _ in range(5):
                 tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
