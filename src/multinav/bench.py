@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .observations import AblationConfig, NoiseConfig
-from .orca import OrcaConfig, nh_track, orca_velocity, preferred_velocity
+from .orca import (OrcaConfig, nh_track, orca_planes, orca_velocity,
+                   preferred_velocity)
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                      batch_obs, deterministic_action, gaussian_sample)
 from .rollout import EnvConfig, NavEnv
@@ -63,7 +64,9 @@ class StraightController:
 class OrcaController:
     """Reciprocal collision avoidance from ground-truth neighbor states
     (noise-perturbed per the evaluation protocol), fed the same running
-    target the learned policy sees."""
+    target the learned policy sees. Each step builds the noisy feed and the
+    half-planes once for all active robots; only the linear program,
+    orca_velocity, runs per robot."""
 
     needs_observations = False
     name = "orca"
@@ -74,22 +77,20 @@ class OrcaController:
     def act(self, env: NavEnv, obs):
         world = env.world
         cfg = world.config
-        raws = []
-        for i, status in enumerate(world.statuses):
-            if status != Status.ACTIVE:
-                raws.append(None)
-                continue
+        raws = [None] * env.n_agents
+        live = [i for i, s in enumerate(world.statuses) if s == Status.ACTIVE]
+        planes = orca_planes(world.positions[live], world.velocities[live],
+                             cfg.robot_radius, env.noisy_neighbor_states(live),
+                             cfg.circles, cfg.walls, self.cfg, dt=cfg.dt)
+        for i, lines in zip(live, planes):
             pos = world.positions[i]
             goal_dist = float(np.hypot(*(world.goals[i] - pos)))
             pref = preferred_velocity(pos, env.target_point(i).position,
                                       self.cfg.max_speed,
                                       goal_distance=goal_dist)
-            vel, _ = orca_velocity(pos, world.velocities[i], cfg.robot_radius,
-                                   env.noisy_neighbor_states(i),
-                                   cfg.circles, cfg.walls, pref, self.cfg,
-                                   dt=cfg.dt)
+            vel, _ = orca_velocity(lines, pref, self.cfg)
             a = nh_track(vel, float(world.headings[i]), self.cfg)
-            raws.append((a.v, a.w))
+            raws[i] = (a.v, a.w)
         return raws
 
 

@@ -10,12 +10,17 @@ the worst violation while keeping obstacle constraints hard. A tracking law
 maps the chosen holonomic velocity onto (v, w) commands; the disc radius is
 inflated by the tracking error bound so the guarantee survives the
 nonholonomic execution.
+
+Per control step, orca_planes builds the half-planes of every active robot
+in one array pass; only the linear program (orca_velocity) runs once per
+robot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,54 +200,87 @@ def _lp3(P, D, rows, num_obst_lines, begin_line, radius, result):
     return np.array([r0, r1])
 
 
-def orca_velocity(self_pos: np.ndarray, self_vel: np.ndarray, radius: float,
-                  neighbors, circles: list[Circle], walls: list[Wall],
-                  preferred_velocity: np.ndarray, cfg: OrcaConfig,
-                  dt: float = 0.1):
-    """Collision-avoiding holonomic velocity closest to the preferred one.
+class Planes(NamedTuple):
+    """One observer's ORCA lines as the LP reads them: points (r, 2) and
+    directions (r, 2), the same lines as (p0, p1, d0, d1) float rows, and
+    how many leading rows are obstacle lines."""
+    points: np.ndarray
+    directions: np.ndarray
+    rows: list
+    num_obst: int
 
-    neighbors is a (positions (k, 2), velocities (k, 2), radii (k,)) triple
-    of arrays (the baseline sees ground-truth neighbor states, optionally
-    noise-perturbed upstream). Returns (velocity, feasible) where feasible
-    is False when the 3-D fallback had to relax agent constraints.
+
+def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
+                neighbors, circles: list[Circle], walls: list[Wall],
+                cfg: OrcaConfig, dt: float = 0.1) -> list[Planes]:
+    """The half-planes of k observers, built in one pass.
+
+    positions and velocities are the observers' (k, 2) arrays; neighbors is
+    a (positions (k, m, 2), velocities (k, m, 2), radii (k, m)) triple, row
+    i holding what observer i sees (ground truth, optionally
+    noise-perturbed upstream). Each observer gets its static obstacles
+    first, circles then walls, since they stay hard in the infeasible
+    fallback, then its neighbours in row order; rows out of range are
+    dropped. Boolean masks select in C order, so every observer's lines
+    keep that order, on which the LP's result depends.
 
     Agent pairs are inflated by 2x the tracking error bound (both robots
     deviate from their holonomic tracks); static obstacles are exactly
     mapped and use the raw radius.
     """
-    # static obstacles first: they stay hard in the infeasible fallback.
-    # A wall acts as a zero-radius obstacle at its point closest to self.
-    x, y = self_pos
-    statics = [(c.cx, c.cy, c.r) for c in circles]
-    for w in walls:
-        xmin, ymin, xmax, ymax = w.aabb
-        statics.append((min(max(x, xmin), xmax), min(max(y, ymin), ymax),
-                        0.0))
-    statics = np.array(statics).reshape(-1, 3)
-    positions, velocities, radii = neighbors
-    n_static = len(statics)
+    k = len(positions)
+    nb_pos, nb_vel, nb_radii = neighbors
+    circ = np.array([(c.cx, c.cy, c.r) for c in circles]).reshape(-1, 3)
+    box = np.array([w.aabb for w in walls]).reshape(-1, 4)
+    # a wall acts as a zero-radius obstacle at its point closest to the
+    # observer. np.maximum and np.minimum return their second argument on a
+    # tie, as min(max(x, lo), hi) keeps x, so signed zeros match the scalar
+    # clamp too
+    x, y = positions[:, :1], positions[:, 1:]
+    wall_pts = np.stack([np.minimum(box[:, 2], np.maximum(box[:, 0], x)),
+                         np.minimum(box[:, 3], np.maximum(box[:, 1], y))],
+                        axis=-1)
+    n_static = len(circ) + len(box)
 
-    rel_pos = np.concatenate([statics[:, :2], positions]) - self_pos
+    rel_pos = np.concatenate([np.broadcast_to(circ[:, :2], (k, len(circ), 2)),
+                              wall_pts, nb_pos], axis=1) - positions[:, None]
     dist_sq = _dots(rel_pos, rel_pos)
-    r_other = np.concatenate([statics[:, 2], radii])
-    agent = np.arange(len(r_other)) >= n_static
+    r_other = np.concatenate([np.broadcast_to(circ[:, 2], (k, len(circ))),
+                              np.zeros((k, len(box))), nb_radii], axis=1)
+    agent = np.arange(r_other.shape[1]) >= n_static
     max_dist = cfg.neighbor_range + np.where(agent, 0.0, r_other)
     near = ~(dist_sq > max_dist ** 2)
-    agent, combined = agent[near], radius + r_other[near]
+    agent = np.broadcast_to(agent, near.shape)[near]
+    combined = radius + r_other[near]
+    self_vel = np.broadcast_to(velocities[:, None], rel_pos.shape)[near]
+    other_vel = np.concatenate([np.zeros((k, n_static, 2)), nb_vel], axis=1)
     points, D = _orca_lines(
-        rel_pos[near],
-        self_vel - np.concatenate([np.zeros((n_static, 2)), velocities])[near],
-        dist_sq[near],
+        rel_pos[near], self_vel - other_vel[near], dist_sq[near],
         np.where(agent, combined + 2.0 * cfg.epsilon_tracking, combined),
         np.where(agent, cfg.time_horizon_agents, cfg.time_horizon_obstacles),
         np.where(agent, 0.5, 1.0), dt)
     P = self_vel + points
-    num_obst = int(near[:n_static].sum())
 
     rows = np.hstack([P, D]).tolist()
+    ends = np.cumsum(near.sum(axis=1)).tolist()
+    planes, start = [], 0
+    for end, num_obst in zip(ends, near[:, :n_static].sum(axis=1).tolist()):
+        planes.append(Planes(P[start:end], D[start:end], rows[start:end],
+                             num_obst))
+        start = end
+    return planes
+
+
+def orca_velocity(planes: Planes, preferred_velocity: np.ndarray,
+                  cfg: OrcaConfig):
+    """Collision-avoiding holonomic velocity closest to the preferred one,
+    for one observer's half-planes from orca_planes. Returns (velocity,
+    feasible) where feasible is False when the 3-D fallback had to relax
+    agent constraints."""
+    P, D, rows, num_obst = planes
     fail, result = _lp2(P, D, rows, cfg.max_speed,
                         np.asarray(preferred_velocity, dtype=float), False)
-    if fail < len(P):
+    if fail < len(rows):
         result = _lp3(P, D, rows, num_obst, fail, cfg.max_speed, result)
         # nearly parallel agent lines give _lp3 far-off projected lines, on
         # which _lp1's disc test cancels and can land outside the disc

@@ -155,24 +155,29 @@ class NavEnv:
         agent i (logging support: reading it draws no noise)."""
         return self._bundles[i]
 
-    def noisy_neighbor_states(self, i: int):
-        """Ground-truth neighbor (positions (k, 2), velocities (k, 2), radii
-        (k,)) arrays, read from the world's arrays, with the evaluation
-        noise protocol applied; the baseline controllers' feed."""
+    def noisy_neighbor_states(self, observers):
+        """Ground-truth neighbour (positions (k, n - 1, 2), velocities
+        (k, n - 1, 2), radii (k, n - 1)) arrays for the k robot indices in
+        observers, row i holding every robot but observers[i] in index
+        order, read from the world's arrays, with the evaluation noise
+        protocol applied; the baseline controllers' feed, built once per
+        step for all of them."""
         world = self.world
-        pos, vel = (np.concatenate((x[:i], x[i + 1:]))
-                    for x in (world.positions, world.velocities))
-        radii = np.full(len(pos), world.config.robot_radius)
-        # one draw per observer: row k holds neighbour k's position noise,
-        # then its velocity noise (a zero bound draws nothing), scaled as
-        # Generator.uniform scales, so the values equal those of a
-        # uniform(-b, b, 2) call per neighbour and bound
+        others = np.arange(len(world.positions) - 1)
+        others = others + (others >= np.reshape(observers, (-1, 1)))
+        pos, vel = world.positions[others], world.velocities[others]
+        radii = np.full(others.shape, world.config.robot_radius)
+        # one draw for all observers: entry (i, j) holds neighbour j's
+        # position noise, then its velocity noise (a zero bound draws
+        # nothing), scaled as Generator.uniform scales, so the values equal
+        # those of a uniform(-b, b, 2) call per observer, neighbour and
+        # bound in that order
         nc = self.cfg.noise
         b = np.repeat([x for x in (nc.position_bound, nc.velocity_bound)
                        if x > 0.0], 2)
-        noise = -b + (b - -b) * self.state_rng.random((len(pos), len(b)))
+        noise = -b + (b - -b) * self.state_rng.random(others.shape + b.shape)
         if nc.position_bound > 0.0:
-            pos, noise = pos + noise[:, :2], noise[:, 2:]
+            pos, noise = pos + noise[..., :2], noise[..., 2:]
         if nc.velocity_bound > 0.0:
             vel = vel + noise
         return pos, vel, radii

@@ -337,15 +337,16 @@ def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
                radius: float) -> list[tuple[float, int, int]]:
     """(distance, track id, cluster index) of every cluster within the
     gating radius of a track's predicted position, nearest first."""
-    pairs = []
-    for t in tracks:
-        pred = t.closest_point + t.velocity_estimate * dt
-        for ci, c in enumerate(clusters):
-            d = float(np.hypot(*(c.closest_point - pred)))
-            if d <= radius:
-                pairs.append((d, t.id, ci))
-    pairs.sort()
-    return pairs
+    if not tracks or not clusters:
+        return []
+    pred = np.array([t.closest_point + t.velocity_estimate * dt
+                     for t in tracks])
+    gap = np.array([c.closest_point for c in clusters]) - pred[:, None]
+    dist = np.hypot(gap[..., 0], gap[..., 1])      # (tracks, clusters)
+    close = dist <= radius
+    ti, ci = np.nonzero(close)
+    return sorted(zip(dist[close].tolist(),
+                      [tracks[t].id for t in ti.tolist()], ci.tolist()))
 
 
 def update_trackers(trackers: list[Tracker], ranges: np.ndarray,

@@ -4,11 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from multinav import bench
 from multinav.bench import (ConfigError, EpisodeMetrics, LogFlags,
-                            PolicyController, StraightController,
-                            make_controller, replay_svg, report, run_episode,
-                            run_trials)
+                            OrcaController, PolicyController,
+                            StraightController, make_controller, replay_svg,
+                            report, run_episode, run_trials)
 from multinav.observations import NormalizedObs
+from multinav.orca import nh_track, orca_planes, preferred_velocity
 from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, ScenarioSpec, eval_suite
@@ -96,6 +98,57 @@ class TestPolicyController:
         assert env.world.sim_time == 0.0
         assert [r.status for r in env.world.robots] == [Status.STUCK]
         assert [r.outcome for r in env.records] == ["stuck"]
+
+
+class TestOrcaController:
+    def test_one_orca_velocity_call_per_active_robot(self, monkeypatch):
+        # the benchmark's ORCA check counts bench.orca_velocity calls against
+        # the active robots, and its tracer reads result[1] as feasibility
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=6,
+                            rng_seed=4)
+        env = NavEnv(spec, EnvConfig(build_observations=False), seed=4)
+        env.reset()
+        ctrl = OrcaController()
+        for _ in range(5):
+            env.step(ctrl.act(env, None))
+        world = env.world
+        world.robots[1].status = Status.REACHED_GOAL
+        world.robots[4].status = Status.COLLIDED
+        live = [0, 2, 3, 5]
+        calls = []
+        orca_velocity = bench.orca_velocity
+
+        def counted(planes, preferred, cfg):
+            result = orca_velocity(planes, preferred, cfg)
+            calls.append((planes, preferred, result))
+            return result
+
+        monkeypatch.setattr(bench, "orca_velocity", counted)
+        raws = ctrl.act(env, None)
+        assert [i for i, r in enumerate(raws) if r is not None] == live
+        assert len(calls) == len(live)
+        r = world.config.robot_radius
+        for i, (planes, pref, (vel, feasible)) in zip(live, calls):
+            # robot i's own lines and preferred velocity, in robot order
+            others = [j for j in range(6) if j != i]
+            want, = orca_planes(world.positions[[i]], world.velocities[[i]],
+                                r, (world.positions[others][None],
+                                    world.velocities[others][None],
+                                    np.full((1, 5), r)),
+                                world.config.circles, world.config.walls,
+                                ctrl.cfg, world.config.dt)
+            assert planes.rows == want.rows
+            assert planes.num_obst == want.num_obst
+            pos = world.positions[i]
+            want_pref = preferred_velocity(
+                pos, env.target_point(i).position, ctrl.cfg.max_speed,
+                goal_distance=float(np.hypot(*(world.goals[i] - pos))))
+            assert pref.tobytes() == want_pref.tobytes()
+            assert isinstance(feasible, bool)
+            assert vel.shape == (2,)
+            a = nh_track(vel, float(world.headings[i]), ctrl.cfg)
+            assert raws[i] == (a.v, a.w)
+        assert any(c[0].rows for c in calls)
 
 
 class TestRunTrials:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from multinav.geometry import Circle, Wall
-from multinav.orca import (EPS, OrcaConfig, _cross, _lp2, _lp3, nh_track,
-                           orca_velocity, preferred_velocity)
+from multinav.orca import (EPS, OrcaConfig, _cross, _dots, _lp2, _lp3,
+                           _orca_lines, nh_track, orca_planes, orca_velocity,
+                           preferred_velocity)
 
 CFG = OrcaConfig()
 NO_NEIGHBORS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
@@ -27,6 +28,50 @@ def neighbors(*states):
 def lp_rows(P, D):
     """The (p0, p1, d0, d1) float rows orca_velocity hands the LP."""
     return np.hstack([P, D]).tolist()
+
+
+def reference_planes(self_pos, self_vel, radius, neighbors, circles, walls,
+                     cfg, dt=0.1):
+    """One observer's half-planes as orca_velocity built them per robot
+    before orca_planes built them for all observers at once, kept as the
+    byte-exact reference: (points, directions, number of obstacle lines)."""
+    # static obstacles first: they stay hard in the infeasible fallback.
+    # A wall acts as a zero-radius obstacle at its point closest to self.
+    x, y = self_pos
+    statics = [(c.cx, c.cy, c.r) for c in circles]
+    for w in walls:
+        xmin, ymin, xmax, ymax = w.aabb
+        statics.append((min(max(x, xmin), xmax), min(max(y, ymin), ymax),
+                        0.0))
+    statics = np.array(statics).reshape(-1, 3)
+    positions, velocities, radii = neighbors
+    n_static = len(statics)
+
+    rel_pos = np.concatenate([statics[:, :2], positions]) - self_pos
+    dist_sq = _dots(rel_pos, rel_pos)
+    r_other = np.concatenate([statics[:, 2], radii])
+    agent = np.arange(len(r_other)) >= n_static
+    max_dist = cfg.neighbor_range + np.where(agent, 0.0, r_other)
+    near = ~(dist_sq > max_dist ** 2)
+    agent, combined = agent[near], radius + r_other[near]
+    points, D = _orca_lines(
+        rel_pos[near],
+        self_vel - np.concatenate([np.zeros((n_static, 2)), velocities])[near],
+        dist_sq[near],
+        np.where(agent, combined + 2.0 * cfg.epsilon_tracking, combined),
+        np.where(agent, cfg.time_horizon_agents, cfg.time_horizon_obstacles),
+        np.where(agent, 0.5, 1.0), dt)
+    return self_vel + points, D, int(near[:n_static].sum())
+
+
+def orca_one(self_pos, self_vel, radius, neighbors, circles, walls,
+             preferred, cfg, dt=0.1):
+    """orca_velocity for one robot, its half-planes built as a batch of one
+    observer."""
+    planes, = orca_planes(self_pos[None], self_vel[None], radius,
+                          tuple(x[None] for x in neighbors), circles, walls,
+                          cfg, dt)
+    return orca_velocity(planes, preferred, cfg)
 
 
 # ---- scalar reference: one HalfPlane per neighbor, one line at a time --------
@@ -484,27 +529,25 @@ class TestParallelLines:
 
 class TestOrcaVelocity:
     def test_no_neighbors_returns_pref(self):
-        v, feasible = orca_velocity(np.zeros(2), np.zeros(2), 0.25,
-                                    NO_NEIGHBORS, [], [],
-                                    np.array([0.4, 0.1]), CFG)
+        v, feasible = orca_one(np.zeros(2), np.zeros(2), 0.25, NO_NEIGHBORS,
+                               [], [], np.array([0.4, 0.1]), CFG)
         assert feasible
         assert np.allclose(v, [0.4, 0.1])
 
     def test_symmetric_head_on_mirror(self):
         pa, pb = np.array([0.0, 0.0]), np.array([2.0, 0.0])
         va, vb = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        out_a, _ = orca_velocity(pa, va, 0.25, neighbors((pb, vb, 0.25)),
-                                 [], [], np.array([1.0, 0.0]), CFG)
-        out_b, _ = orca_velocity(pb, vb, 0.25, neighbors((pa, va, 0.25)),
-                                 [], [], np.array([-1.0, 0.0]), CFG)
+        out_a, _ = orca_one(pa, va, 0.25, neighbors((pb, vb, 0.25)),
+                            [], [], np.array([1.0, 0.0]), CFG)
+        out_b, _ = orca_one(pb, vb, 0.25, neighbors((pa, va, 0.25)),
+                            [], [], np.array([-1.0, 0.0]), CFG)
         assert out_a[1] == pytest.approx(-out_b[1], abs=1e-9)
         assert abs(out_a[1]) > 1e-6  # actually dodging sideways
 
     def test_wall_constraint_blocks_through_traffic(self):
         wall = Wall(1.0, -2.0, 1.0, 2.0, 0.2)
-        v, _ = orca_velocity(np.zeros(2), np.array([1.0, 0.0]), 0.25,
-                             NO_NEIGHBORS, [], [wall], np.array([1.0, 0.0]),
-                             CFG)
+        v, _ = orca_one(np.zeros(2), np.array([1.0, 0.0]), 0.25,
+                        NO_NEIGHBORS, [], [wall], np.array([1.0, 0.0]), CFG)
         # 0.65 m of clearance shrinking at 1.3 s horizon: must slow down
         assert v[0] < 1.0
 
@@ -524,12 +567,12 @@ class TestOrcaVelocity:
             vb = rng.uniform(-1, 1, 2) * 0.7
             prefa = rng.uniform(-1, 1, 2)
             prefb = rng.uniform(-1, 1, 2)
-            out_a, fa = orca_velocity(pa, va, radius,
-                                      neighbors((pb, vb, radius)), [], [],
-                                      prefa, cfg)
-            out_b, fb = orca_velocity(pb, vb, radius,
-                                      neighbors((pa, va, radius)), [], [],
-                                      prefb, cfg)
+            out_a, fa = orca_one(pa, va, radius,
+                                 neighbors((pb, vb, radius)), [], [], prefa,
+                                 cfg)
+            out_b, fb = orca_one(pb, vb, radius,
+                                 neighbors((pa, va, radius)), [], [], prefb,
+                                 cfg)
             if not (fa and fb):
                 continue
             t = np.linspace(0.0, cfg.time_horizon_agents, 400)
@@ -547,7 +590,7 @@ class TestOrcaVelocity:
             call = random_orca_call(rng)
             seen = []
             want, want_ok = reference_orca_velocity(*call, branches=seen)
-            got, ok = orca_velocity(*call)
+            got, ok = orca_one(*call)
             assert got.tobytes() == want.tobytes()
             assert ok == want_ok
             branches.update(seen)
@@ -573,7 +616,7 @@ class TestOrcaVelocity:
                  arr("neighbor_velocities", -1, 2), arr("neighbor_radii", -1)),
                 [], [], arr("preferred_velocity", 2), CFG,
                 float.fromhex(doc["dt"]))
-        v, feasible = orca_velocity(*call)
+        v, feasible = orca_one(*call)
         assert not feasible
         assert math.hypot(*v) <= CFG.max_speed + 1e-12
         # the near-parallel lines are where a reordered float expression
@@ -581,6 +624,103 @@ class TestOrcaVelocity:
         want, want_feasible = reference_orca_velocity(*call)
         assert v.tobytes() == want.tobytes()
         assert feasible == want_feasible
+
+
+def world_planes(pos, vel, radii, observers, circles, walls):
+    """orca_planes for the observers of a world of len(pos) robots, each
+    seeing every other robot, checked row for row against the per-observer
+    reference. Returns the planes."""
+    n = len(pos)
+    others = np.array([[j for j in range(n) if j != i] for i in observers],
+                      dtype=int).reshape(len(observers), n - 1)
+    planes = orca_planes(pos[observers], vel[observers], 0.25,
+                         (pos[others], vel[others], radii[others]), circles,
+                         walls, CFG)
+    assert len(planes) == len(observers)
+    for i, row, got in zip(observers, others, planes):
+        P, D, num_obst = reference_planes(
+            pos[i], vel[i], 0.25, (pos[row], vel[row], radii[row]), circles,
+            walls, CFG)
+        assert got.points.tobytes() == P.tobytes()
+        assert got.directions.tobytes() == D.tobytes()
+        assert (np.array(got.rows).reshape(-1, 4).tobytes()
+                == np.hstack([P, D]).tobytes())
+        assert got.num_obst == num_obst
+    return planes
+
+
+class TestOrcaPlanes:
+    """orca_planes builds every observer's half-planes in one pass; each
+    observer's rows must equal, in bytes and order, what the per-robot
+    build gives it alone."""
+
+    def test_random_worlds_match_per_observer_reference(self):
+        rng = np.random.default_rng(113)
+        rows = obst = empty = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            pos = rng.uniform(-3.0, 3.0, (n, 2))
+            vel = rng.uniform(-0.7, 0.7, (n, 2))
+            radii = rng.uniform(0.2, 0.3, n)
+            frozen = rng.random(n) < 0.25        # seen, but not observers
+            vel[frozen] = 0.0
+            circles = [Circle(*rng.uniform(-3.0, 3.0, 2),
+                              rng.uniform(0.2, 0.8))
+                       for _ in range(int(rng.integers(0, 4)))]
+            walls = []
+            for _ in range(int(rng.integers(0, 4))):
+                x, y = rng.uniform(-3.0, 3.0, 2)
+                half = rng.uniform(0.3, 2.0)
+                walls.append(Wall(x - half, y, x + half, y, 0.2)
+                             if rng.random() < 0.5
+                             else Wall(x, y - half, x, y + half, 0.2))
+            planes = world_planes(pos, vel, radii, np.flatnonzero(~frozen),
+                                  circles, walls)
+            for p in planes:
+                rows += len(p.rows)
+                obst += p.num_obst
+                empty += not p.rows
+        assert rows > 1000 and obst > 100 and empty > 0
+
+    def test_neighbour_at_exactly_the_range(self):
+        # robot 1 sits exactly neighbor_range from robot 0, robot 2 one ulp
+        # beyond it
+        beyond = np.nextafter(CFG.neighbor_range, 4.0)
+        pos = np.array([[0.5, 0.25], [0.5 + CFG.neighbor_range, 0.25],
+                        [0.5, 0.25 - beyond]])
+        vel = np.array([[0.3, 0.0], [-0.3, 0.1], [0.0, 0.2]])
+        planes = world_planes(pos, vel, np.full(3, 0.25), [0, 1, 2], [], [])
+        assert len(planes[0].rows) == 1
+
+    def test_observers_on_wall_slab_edges(self):
+        # observers on a corner of a wall's box, and at x = +0.0 and -0.0
+        # against a box edge of the other sign, so the clamp ties; a -0.0
+        # velocity lets the sign of the clamped zero reach the line
+        walls = [Wall(1.0, -1.0, 1.0, 1.0, 0.2), Wall(-0.0, 2.0, 2.0, 2.0, 0.2),
+                 Wall(0.0, -2.0, 2.0, -2.0, 0.2)]
+        pos = np.array([[0.9, 1.0], [0.0, walls[1].aabb[1]],
+                        [-0.0, walls[2].aabb[3]], [1.1, -1.0]])
+        vel = np.array([[0.2, 0.5], [-0.0, 0.7], [-0.4, -0.6], [0.1, 0.0]])
+        planes = world_planes(pos, vel, np.full(4, 0.25), [0, 1, 2, 3], [],
+                              walls)
+        # each horizontal wall lies beyond range of the other's observer
+        assert [p.num_obst for p in planes] == [3, 2, 2, 3]
+
+    def test_coincident_robots(self):
+        # robots 0 and 1 coincide at equal velocity (the degenerate collision
+        # line), robot 2 coincides with them at another velocity
+        pos = np.array([[-2.0, -2.0]] * 3 + [[-1.5, -2.0]])
+        vel = np.array([[0.3, 0.1], [0.3, 0.1], [-0.2, 0.4], [0.0, 0.0]])
+        planes = world_planes(pos, vel, np.array([0.25, 0.3, 0.2, 0.22]),
+                              [0, 1, 2], [Circle(-2.0, -1.0, 0.5)], [])
+        assert planes[0].directions[1].tolist() == [0.0, -1.0]
+        assert planes[0].rows[2] != planes[0].rows[1]
+
+    def test_no_observers(self):
+        assert orca_planes(np.zeros((0, 2)), np.zeros((0, 2)), 0.25,
+                           (np.zeros((0, 2, 2)), np.zeros((0, 2, 2)),
+                            np.zeros((0, 2))), [Circle(0.0, 0.0, 1.0)], [],
+                           CFG) == []
 
 
 class TestNhTrack:

@@ -191,57 +191,84 @@ def _neighbor_states_reference(env, i):
     return out
 
 
+def _feed_envs(bounds, copies):
+    """Identical moving noisy circle-7 envs, the feed's state_rng untouched
+    since reset."""
+    spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=7,
+                        rng_seed=2)
+    noise = NoiseConfig(position_bound=bounds[0], velocity_bound=bounds[1])
+    envs = []
+    for _ in range(copies):
+        env = NavEnv(spec, EnvConfig(noise=noise, build_observations=False),
+                     seed=9)
+        env.reset()
+        for _ in range(3):    # moving robots, so velocities are not zero
+            env.step([(0.6, 0.4 - 0.1 * k) for k in range(7)])
+        envs.append(env)
+    return envs
+
+
+def _assert_feed_matches_reference(fast, slow, observers):
+    pos, vel, radii = fast.noisy_neighbor_states(observers)
+    assert pos.shape == vel.shape == (len(observers), 6, 2)
+    assert radii.shape == (len(observers), 6)
+    for k, i in enumerate(observers):
+        want = _neighbor_states_reference(slow, i)
+        assert len(want) == 6
+        for p, v, r, (wp, wv, wr) in zip(pos[k], vel[k], radii[k], want):
+            assert p.tobytes() == wp.tobytes()
+            assert v.tobytes() == wv.tobytes()
+            assert r == wr
+    assert (fast.state_rng.bit_generator.state
+            == slow.state_rng.bit_generator.state)
+
+
 class TestNoisyNeighborStates:
     @pytest.mark.parametrize("bounds", [(0.1, 0.1), (0.1, 0.0), (0.0, 0.2),
                                         (0.0, 0.0), (0.37, 0.011)])
     def test_matches_per_neighbour_draws(self, bounds):
-        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=7,
-                            rng_seed=2)
-        noise = NoiseConfig(position_bound=bounds[0], velocity_bound=bounds[1])
-        envs = []
-        for _ in range(2):
-            env = NavEnv(spec, EnvConfig(noise=noise, build_observations=False),
-                         seed=9)
-            env.reset()
-            envs.append(env)
-        for env in envs:      # moving robots, so velocities are not zero
-            for _ in range(3):
-                env.step([(0.6, 0.4 - 0.1 * k) for k in range(7)])
-        fast, slow = envs
-        # twice per world state (the feed is built once per state), then
-        # again after a step, which must rebuild it
+        fast, slow = _feed_envs(bounds, 2)
+        # twice per world state, all observers then a subset (robots that
+        # stopped acting are seen but do not observe), then again after a
+        # step
         for k in range(3):
-            for _ in range(2):
-                for i in range(7):
-                    got = fast.noisy_neighbor_states(i)
-                    want = _neighbor_states_reference(slow, i)
-                    assert len(got[0]) == len(want) == 6
-                    for (p, v, r), (wp, wv, wr) in zip(zip(*got), want):
-                        assert p.tobytes() == wp.tobytes()
-                        assert v.tobytes() == wv.tobytes()
-                        assert r == wr
-                    assert (fast.state_rng.bit_generator.state
-                            == slow.state_rng.bit_generator.state)
-            for env in envs:
+            for observers in (list(range(7)), [0, 2, 5]):
+                _assert_feed_matches_reference(fast, slow, observers)
+            for env in (fast, slow):
                 env.step([(0.3 + 0.1 * k, 0.2 - 0.1 * j) for j in range(7)])
-        # a reset rebuilds it too
-        for env in envs:
-            env.noisy_neighbor_states(0)
+        # and after a reset
+        for env in (fast, slow):
+            env.noisy_neighbor_states([0])
             env.reset()
-        for i in range(7):
-            got = fast.noisy_neighbor_states(i)
-            want = _neighbor_states_reference(slow, i)
-            assert [p.tobytes() for p in got[0]] == [w[0].tobytes()
-                                                     for w in want]
-        assert fast.state_rng.bit_generator.state == slow.state_rng.bit_generator.state
+        _assert_feed_matches_reference(fast, slow, list(range(7)))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.2),
+                                        (0.1, 0.1)])
+    def test_one_draw_equals_per_observer_draws(self, bounds):
+        batch, single = _feed_envs(bounds, 2)
+        observers = [1, 3, 4, 6]
+        got = batch.noisy_neighbor_states(observers)
+        for k, i in enumerate(observers):
+            want = single.noisy_neighbor_states([i])
+            for g, w in zip(got, want):
+                assert g[k].tobytes() == w[0].tobytes()
+        assert (batch.state_rng.bit_generator.state
+                == single.state_rng.bit_generator.state)
+
+    def test_no_observers_draw_nothing(self):
+        env, = _feed_envs((0.1, 0.1), 1)
+        state = env.state_rng.bit_generator.state
+        pos, vel, radii = env.noisy_neighbor_states([])
+        assert pos.shape == vel.shape == (0, 6, 2) and radii.shape == (0, 6)
+        assert env.state_rng.bit_generator.state == state
 
     def test_lone_robot_has_no_neighbours(self):
         env = NavEnv(single_agent_spec(), EnvConfig(noise=NoiseConfig(),
                                                     build_observations=False))
         env.reset()
         state = env.state_rng.bit_generator.state
-        pos, vel, radii = env.noisy_neighbor_states(0)
-        assert pos.shape == vel.shape == (0, 2) and radii.shape == (0,)
+        pos, vel, radii = env.noisy_neighbor_states([0])
+        assert pos.shape == vel.shape == (1, 0, 2) and radii.shape == (1, 0)
         assert env.state_rng.bit_generator.state == state
 
 

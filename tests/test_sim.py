@@ -235,8 +235,8 @@ class TestRobotStateView:
         assert world.min_separation(0) == pytest.approx(0.5)
         # beam 0 looks along +x at the disc's near surface
         assert raycast_batch(world, [0])[0, 0] == pytest.approx(0.75)
-        positions, _, _ = env.noisy_neighbor_states(0)
-        assert positions[0].tolist() == [1.0, 0.0]
+        positions, _, _ = env.noisy_neighbor_states([0])
+        assert positions[0, 0].tolist() == [1.0, 0.0]
 
     def test_position_read_before_step_keeps_its_value(self):
         w = make_world([(0, 0, 0)], [(9, 9)])
