@@ -20,7 +20,7 @@ rng = np.random.default_rng(1)
 print(f"{'t':>4} {'hits':>5} {'tracked v':>16} {'true v':>14} {'err':>6}")
 for step in range(30):
     scan = raycast(world, 0)
-    scan = apply_lidar_noise(scan, rng, sigma=0.0)  # set sigma=0.035 for noise
+    scan = apply_lidar_noise(scan, rng, sigma=0.0)  # omit sigma for noise
     tracker.update(scan, (0.0, 0.0, 0.0), grid, config.dt)
     world.step([Action(0, 0), Action(0.6, 0.0)])
     dyn = tracker.dynamic_tracks()

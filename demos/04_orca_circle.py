@@ -11,7 +11,7 @@ from multinav.scenarios import Kind, ScenarioSpec
 spec = ScenarioSpec(kind=Kind.CIRCLE, scale=10.0, num_agents=12, rng_seed=0)
 metrics = run_trials(spec, "orca", trials=1, noise_on=True, base_seed=0,
                      log_path="/tmp/orca_circle.jsonl",
-                     log_flags=LogFlags(trajectory=True, paths=True))
+                     log_flags=LogFlags(paths=True))
 
 print(f"success rate      {metrics.success_rate:.0%}")
 print(f"stuck / collision {metrics.stuck_rate:.0%} / {metrics.collision_rate:.0%}")

@@ -26,8 +26,8 @@ from .planner import (EmptyPath, GlobalPath, InvalidEndpoint, OccupancyGrid,
 from .tracker import Cluster, ClusterTrack, Tracker
 from .observations import (AblationConfig, NeighborGraph, NoiseConfig,
                            ObservationBundle, apply_state_noise,
-                           build_observation, denormalize, normalize)
-from .reward import RewardConfig, progress_reward, reward_terms, social_penalty
+                           build_observation, normalize)
+from .reward import progress_reward, reward_terms, social_penalty
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                      PolicyConfig, deterministic_action)
 

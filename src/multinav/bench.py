@@ -20,13 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .observations import AblationConfig, NoiseConfig
-from .orca import (OrcaConfig, nh_track, orca_planes, orca_velocity,
-                   preferred_velocity)
+from .orca import nh_track, orca_planes, orca_velocity, preferred_velocity
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                      batch_obs, deterministic_action, gaussian_sample)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
-from .sim import Status, trajectory_record
+from .sim import Action, Status, trajectory_record
 
 
 class ConfigError(ValueError):
@@ -42,9 +41,6 @@ class StraightController:
     needs_observations = False
     name = "straight"
 
-    def __init__(self, cfg: OrcaConfig | None = None):
-        self.cfg = cfg or OrcaConfig()
-
     def act(self, env: NavEnv, obs):
         raws = []
         for i, robot in enumerate(env.world.robots):
@@ -56,7 +52,7 @@ class StraightController:
             desired = preferred_velocity(robot.position,
                                          env.target_point(i).position,
                                          goal_distance=math.inf)
-            a = nh_track(desired, robot.heading, self.cfg)
+            a = nh_track(desired, robot.heading)
             raws.append((a.v, a.w))
         return raws
 
@@ -71,9 +67,6 @@ class OrcaController:
     needs_observations = False
     name = "orca"
 
-    def __init__(self, cfg: OrcaConfig | None = None):
-        self.cfg = cfg or OrcaConfig()
-
     def act(self, env: NavEnv, obs):
         world = env.world
         cfg = world.config
@@ -81,15 +74,14 @@ class OrcaController:
         live = [i for i, s in enumerate(world.statuses) if s == Status.ACTIVE]
         planes = orca_planes(world.positions[live], world.velocities[live],
                              cfg.robot_radius, env.noisy_neighbor_states(live),
-                             cfg.circles, cfg.walls, self.cfg, dt=cfg.dt)
+                             cfg.circles, cfg.walls, dt=cfg.dt)
         for i, lines in zip(live, planes):
             pos = world.positions[i]
             goal_dist = float(np.hypot(*(world.goals[i] - pos)))
             pref = preferred_velocity(pos, env.target_point(i).position,
-                                      self.cfg.max_speed,
                                       goal_distance=goal_dist)
-            vel, _ = orca_velocity(lines, pref, self.cfg)
-            a = nh_track(vel, float(world.headings[i]), self.cfg)
+            vel, _ = orca_velocity(lines, pref)
+            a = nh_track(vel, float(world.headings[i]))
             raws[i] = (a.v, a.w)
         return raws
 
@@ -127,7 +119,7 @@ class PolicyController:
 
 @dataclass
 class LogFlags:
-    trajectory: bool = True
+    """Optional record types; trajectory records are always written."""
     observations: bool = False
     rewards: bool = False
     scans: bool = False
@@ -151,14 +143,11 @@ def _log_step(logger: JsonlLogger, env: NavEnv, trial: int, step: int,
               raws, result) -> None:
     fl = logger.flags
     for i in range(env.n_agents):
-        if fl.trajectory:
-            from .sim import Action
-            act = None if raws[i] is None else Action(*raws[i])
-            rec = trajectory_record(env.world, i, step, act,
-                                    float(result.d_min[i]))
-            rec["type"] = "trajectory"
-            rec["trial"] = trial
-            logger.write(rec)
+        act = None if raws[i] is None else Action(*raws[i])
+        rec = trajectory_record(env.world, i, step, act, float(result.d_min[i]))
+        rec["type"] = "trajectory"
+        rec["trial"] = trial
+        logger.write(rec)
         if result.rewards[i] is None:
             continue
         if fl.rewards:
@@ -306,8 +295,9 @@ def run_trials(spec: ScenarioSpec, controller_name: str, trials: int,
     """Run seeded trials of one scenario/controller cell and aggregate the
     four metrics. Outcome counts are exhaustive by construction.
 
-    With fixed_scenario, every trial replays that exact world (seeds still
-    drive sensor noise and the policy sampler)."""
+    With fixed_scenario, every trial replays that exact world; the seeds
+    then drive only the sensor and neighbour-state noise, since every
+    controller, the policy included, acts deterministically."""
     if controller_name == "policy" and not checkpoint:
         raise ConfigError("the policy controller needs --checkpoint")
     scenario_dict = None if fixed_scenario is None else fixed_scenario.to_dict()
@@ -357,12 +347,11 @@ def run_trials(spec: ScenarioSpec, controller_name: str, trials: int,
     )
 
 
-def make_controller(name: str, checkpoint: str | None = None,
-                    orca_cfg: OrcaConfig | None = None):
+def make_controller(name: str, checkpoint: str | None = None):
     if name == "straight":
-        return StraightController(orca_cfg)
+        return StraightController()
     if name == "orca":
-        return OrcaController(orca_cfg)
+        return OrcaController()
     if name == "policy":
         if not checkpoint or not os.path.exists(checkpoint):
             raise ConfigError(f"missing checkpoint {checkpoint!r}")

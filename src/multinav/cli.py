@@ -93,9 +93,9 @@ def cmd_run(args) -> int:
         label = f"file:{os.path.basename(o['scenario_file'])}"
     spec = _spec_for(o["scenario"], o["agents"], o["scale"], o["seed"],
                      o["obstacles"])
-    flags = LogFlags(trajectory=True, observations=o["log_obs"],
-                     rewards=o["log_rewards"], scans=o["log_scans"],
-                     paths=o["log_paths"], tracks=o["log_tracks"])
+    flags = LogFlags(observations=o["log_obs"], rewards=o["log_rewards"],
+                     scans=o["log_scans"], paths=o["log_paths"],
+                     tracks=o["log_tracks"])
     metrics = run_trials(
         spec, o["controller"], o["trials"], noise_on=o["noise"],
         ablation=o["ablation"], base_seed=o["seed"],
@@ -132,8 +132,12 @@ TRAIN_KEYS = ("scenarios", "train", "policy", "env")
 TRAIN_ENV_KEYS = ("horizon", "ablation", "noise")
 
 
-def cmd_train(args) -> int:
-    with open(args.config) as f:
+def load_train_config(path: str) -> tuple[list[ScenarioSpec], TrainConfig,
+                                          PolicyConfig | None, EnvConfig]:
+    """Parse and validate a training config file into (scenario specs,
+    TrainConfig, PolicyConfig or None, EnvConfig). An unknown or missing key
+    raises ConfigError, a value out of range ValueError."""
+    with open(path) as f:
         doc = json.load(f)
     _check_keys(doc, TRAIN_KEYS, "config")
     if not doc.get("scenarios"):
@@ -159,6 +163,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"env noise must be true or false, not {noise!r}")
     if noise:
         env_cfg.noise = NoiseConfig()
+    return specs, train_cfg, policy_cfg, env_cfg
+
+
+def cmd_train(args) -> int:
+    specs, train_cfg, policy_cfg, env_cfg = load_train_config(args.config)
     result = train(specs, train_cfg, args.out, policy_cfg=policy_cfg,
                    env_cfg=env_cfg)
     print(f"checkpoint: {result.checkpoint_path}")

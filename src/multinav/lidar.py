@@ -19,6 +19,7 @@ from .sim import World
 N_BEAMS = 120
 MAX_RANGE = 3.5
 RANGE_EPS = 1e-9
+LIDAR_SIGMA = 0.035             # relative range noise of the noise protocol
 BEAM_OFFSETS = 2.0 * np.pi * np.arange(N_BEAMS) / N_BEAMS
 
 
@@ -82,7 +83,7 @@ def noisy_ranges(ranges: np.ndarray, rng: np.random.Generator,
 
 
 def apply_lidar_noise(scan: LidarScan, rng: np.random.Generator,
-                      sigma: float = 0.035) -> LidarScan:
+                      sigma: float = LIDAR_SIGMA) -> LidarScan:
     """noisy_ranges on one scan; sigma = 0 returns the scan itself."""
     if sigma == 0.0:
         return scan

@@ -165,7 +165,7 @@ class MultiHeadSelfAttention(Layer):
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
         key_mask = mask[:, None, None, :]                  # (B, 1, 1, N)
         scores = np.where(key_mask, scores, -np.inf)
-        smax = np.max(np.where(key_mask, scores, -np.inf), axis=-1, keepdims=True)
+        smax = np.max(scores, axis=-1, keepdims=True)
         smax = np.where(np.isfinite(smax), smax, 0.0)
         e = np.where(key_mask, np.exp(scores - smax), 0.0)
         denom = e.sum(axis=-1, keepdims=True)
@@ -254,14 +254,18 @@ class AttentiveMeanPool(Layer):
         return gh + gpre @ self.w1
 
 
-class Adam:
-    """Adaptive-moment optimizer over a named parameter dict, in-place."""
+ADAM_BETA1 = 0.9                # first-moment decay
+ADAM_BETA2 = 0.999              # second-moment decay
+ADAM_EPS = 1e-8                 # added to the second-moment root
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adaptive-moment optimizer over a named parameter dict, in-place,
+    with Kingma & Ba's default moments."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -270,15 +274,15 @@ class Adam:
         if self.lr == 0.0:
             return
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

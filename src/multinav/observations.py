@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lidar import MAX_RANGE, ScanHistory
+from .lidar import LIDAR_SIGMA, MAX_RANGE, ScanHistory
 from .planner import TargetPoint
 from .sim import V_MAX, W_MAX, World
 from .tracker import ClusterTrack
@@ -29,7 +29,7 @@ class NoiseConfig:
     """Observation-noise magnitudes. Position/velocity noise is uniform per
     axis."""
 
-    lidar_sigma: float = 0.035
+    lidar_sigma: float = LIDAR_SIGMA
     position_bound: float = 0.1
     velocity_bound: float = 0.1
 
@@ -75,15 +75,13 @@ class ObservationBundle:
     o_c: NeighborGraph
 
 
-def to_body(point: np.ndarray, position: np.ndarray, heading: float) -> np.ndarray:
-    rel = point - position
-    c, s = math.cos(-heading), math.sin(-heading)
-    return np.array([c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]])
-
-
 def rotate_to_body(vec: np.ndarray, heading: float) -> np.ndarray:
     c, s = math.cos(-heading), math.sin(-heading)
     return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+
+
+def to_body(point: np.ndarray, position: np.ndarray, heading: float) -> np.ndarray:
+    return rotate_to_body(point - position, heading)
 
 
 def polar(rel: np.ndarray) -> tuple[float, float]:
@@ -130,7 +128,7 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
         graph = NeighborGraph(nodes=np.array(rows[:N_MAX_NEIGHBORS])
                               if rows else np.zeros((0, 4)))
 
-    bundle = ObservationBundle(o_z=scan_history.stacked.copy(), o_g=o_g,
+    bundle = ObservationBundle(o_z=scan_history.stacked, o_g=o_g,
                                o_v=o_v, o_gp=o_gp, o_c=graph)
     if noise_cfg is not None and rng is not None:
         bundle = apply_state_noise(bundle, rng, noise_cfg)
@@ -186,19 +184,3 @@ def normalize(bundle: ObservationBundle, world_diameter: float) -> NormalizedObs
     else:
         nodes = np.zeros((0, 4))
     return NormalizedObs(z3=z3, extras=np.concatenate([og, ov, ogp]), nodes=nodes)
-
-
-def denormalize(obs: NormalizedObs, world_diameter: float) -> ObservationBundle:
-    """Exact inverse of normalize (modulo dataclass identity)."""
-    og = np.array([obs.extras[0] * world_diameter, obs.extras[1] * math.pi])
-    ov = np.array([obs.extras[2] * V_MAX, obs.extras[3] * W_MAX])
-    ogp = np.array([obs.extras[4] * world_diameter, obs.extras[5] * math.pi,
-                    obs.extras[6] * math.pi])
-    nodes = obs.nodes
-    if len(nodes):
-        nodes = np.column_stack([nodes[:, 0] * MAX_RANGE, nodes[:, 1] * math.pi,
-                                 nodes[:, 2] * V_MAX, nodes[:, 3] * V_MAX])
-    else:
-        nodes = np.zeros((0, 4))
-    return ObservationBundle(o_z=obs.z3 * MAX_RANGE, o_g=og, o_v=ov, o_gp=ogp,
-                             o_c=NeighborGraph(nodes=nodes))

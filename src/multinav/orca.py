@@ -19,7 +19,6 @@ robot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,19 +29,11 @@ from .sim import Action, V_MAX, W_MAX
 EPS = 1e-10
 
 
-@dataclass
-class OrcaConfig:
-    time_horizon_agents: float = 5.0
-    time_horizon_obstacles: float = 1.3
-    neighbor_range: float = 3.5
-    max_speed: float = V_MAX
-    epsilon_tracking: float = 0.1     # radius inflation for tracking error
-    heading_gain: float = 2.5         # w = clip(gain * bearing error)
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if isinstance(v, (int, float)) and v <= 0:
-                raise ValueError(f"{name} must be positive")
+TIME_HORIZON_AGENTS = 5.0       # s, velocity-obstacle horizon for robots
+TIME_HORIZON_OBSTACLES = 1.3    # s, and for circles and walls
+NEIGHBOR_RANGE = 3.5            # m, obstacles beyond it add no line
+EPSILON_TRACKING = 0.1          # m, radius inflation for tracking error
+HEADING_GAIN = 2.5              # w = clip(gain * bearing error)
 
 
 def _cross(a, b):
@@ -212,7 +203,7 @@ class Planes(NamedTuple):
 
 def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
                 neighbors, circles: list[Circle], walls: list[Wall],
-                cfg: OrcaConfig, dt: float = 0.1) -> list[Planes]:
+                dt: float = 0.1) -> list[Planes]:
     """The half-planes of k observers, built in one pass.
 
     positions and velocities are the observers' (k, 2) arrays; neighbors is
@@ -248,7 +239,7 @@ def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
     r_other = np.concatenate([np.broadcast_to(circ[:, 2], (k, len(circ))),
                               np.zeros((k, len(box))), nb_radii], axis=1)
     agent = np.arange(r_other.shape[1]) >= n_static
-    max_dist = cfg.neighbor_range + np.where(agent, 0.0, r_other)
+    max_dist = NEIGHBOR_RANGE + np.where(agent, 0.0, r_other)
     near = ~(dist_sq > max_dist ** 2)
     agent = np.broadcast_to(agent, near.shape)[near]
     combined = radius + r_other[near]
@@ -256,8 +247,8 @@ def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
     other_vel = np.concatenate([np.zeros((k, n_static, 2)), nb_vel], axis=1)
     points, D = _orca_lines(
         rel_pos[near], self_vel - other_vel[near], dist_sq[near],
-        np.where(agent, combined + 2.0 * cfg.epsilon_tracking, combined),
-        np.where(agent, cfg.time_horizon_agents, cfg.time_horizon_obstacles),
+        np.where(agent, combined + 2.0 * EPSILON_TRACKING, combined),
+        np.where(agent, TIME_HORIZON_AGENTS, TIME_HORIZON_OBSTACLES),
         np.where(agent, 0.5, 1.0), dt)
     P = self_vel + points
 
@@ -271,28 +262,26 @@ def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
     return planes
 
 
-def orca_velocity(planes: Planes, preferred_velocity: np.ndarray,
-                  cfg: OrcaConfig):
+def orca_velocity(planes: Planes, preferred_velocity: np.ndarray):
     """Collision-avoiding holonomic velocity closest to the preferred one,
     for one observer's half-planes from orca_planes. Returns (velocity,
     feasible) where feasible is False when the 3-D fallback had to relax
     agent constraints."""
     P, D, rows, num_obst = planes
-    fail, result = _lp2(P, D, rows, cfg.max_speed,
+    fail, result = _lp2(P, D, rows, V_MAX,
                         np.asarray(preferred_velocity, dtype=float), False)
     if fail < len(rows):
-        result = _lp3(P, D, rows, num_obst, fail, cfg.max_speed, result)
+        result = _lp3(P, D, rows, num_obst, fail, V_MAX, result)
         # nearly parallel agent lines give _lp3 far-off projected lines, on
         # which _lp1's disc test cancels and can land outside the disc
         speed = math.hypot(*result)
-        if speed > cfg.max_speed:
-            result = result * (cfg.max_speed / speed)
+        if speed > V_MAX:
+            result = result * (V_MAX / speed)
         return result, False
     return result, True
 
 
-def nh_track(desired: np.ndarray, heading: float,
-             cfg: OrcaConfig | None = None) -> Action:
+def nh_track(desired: np.ndarray, heading: float) -> Action:
     """Map a holonomic velocity to (v, w) for a differential-drive robot
     facing heading (a World.headings entry, or RobotState.heading).
 
@@ -300,18 +289,16 @@ def nh_track(desired: np.ndarray, heading: float,
     cosine (zero when the target direction is behind), so the executed arc
     stays within the tracking error bound the radii were inflated by.
     """
-    cfg = cfg or OrcaConfig()
     speed = math.hypot(*desired)
     if speed < 1e-9:
         return Action(0.0, 0.0)
     alpha = wrap_angle(math.atan2(desired[1], desired[0]) - heading)
-    w = min(max(cfg.heading_gain * alpha, -W_MAX), W_MAX)
+    w = min(max(HEADING_GAIN * alpha, -W_MAX), W_MAX)
     v = min(max(speed * math.cos(alpha), 0.0), V_MAX)
     return Action(v, w)
 
 
 def preferred_velocity(position: np.ndarray, target: np.ndarray,
-                       max_speed: float = V_MAX,
                        goal_distance: float | None = None) -> np.ndarray:
     """Full speed toward the target, slowing inside one meter of the goal.
 
@@ -324,5 +311,5 @@ def preferred_velocity(position: np.ndarray, target: np.ndarray,
     if dist < 1e-9:
         return np.zeros(2)
     brake = dist if goal_distance is None else goal_distance
-    speed = max_speed * min(brake, 1.0)
+    speed = V_MAX * min(brake, 1.0)
     return to_target / dist * speed

@@ -212,10 +212,6 @@ class ActorCritic:
     def critic_param_names(self) -> list[str]:
         return [n for n in self.named_params() if n.startswith("critic")]
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.named_params().values())
-
     def get_flat(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self.named_params().values()])
 

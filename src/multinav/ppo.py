@@ -142,21 +142,13 @@ class UpdateReport:
 
 
 def ppo_update(buffer: RolloutBuffer, net: ActorCritic, cfg: TrainConfig,
-               rng: np.random.Generator,
-               actor_opt: Adam | None = None,
-               critic_opt: Adam | None = None) -> UpdateReport:
-    """Run the clipped-surrogate epochs over shuffled minibatches.
+               rng: np.random.Generator, actor_opt: Adam,
+               critic_opt: Adam) -> UpdateReport:
+    """Run the clipped-surrogate epochs over shuffled minibatches, stepping
+    the actor's and the critic's optimizers.
 
-    Expects buffer.finish() and normalize_advantages() to have run. Creates
-    throwaway optimizers when none are passed (unit-test convenience).
+    Expects buffer.finish() and normalize_advantages() to have run.
     """
-    params = net.named_params()
-    if actor_opt is None:
-        actor_opt = Adam({k: params[k] for k in net.actor_param_names()},
-                         cfg.lr_actor)
-    if critic_opt is None:
-        critic_opt = Adam({k: params[k] for k in net.critic_param_names()},
-                          cfg.lr_critic)
     obs, raws, old_logp, adv, ret = buffer.flat()
     n = len(obs)
     snapshot = net.get_flat()
@@ -257,13 +249,12 @@ CURVE_HEADER = ("step", "mean_reward", "success_rate", "actor_loss",
 
 def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
           policy_cfg: PolicyConfig | None = None,
-          env_cfg: EnvConfig | None = None,
-          eval_spec: ScenarioSpec | None = None) -> TrainResult:
+          env_cfg: EnvConfig | None = None) -> TrainResult:
     """Collect rollouts from parallel worlds under one shared policy, update
-    with PPO, and emit checkpoints plus a training-curve CSV."""
+    with PPO, and emit checkpoints plus a training-curve CSV. The curve's
+    success rate evaluates the first scenario spec."""
     os.makedirs(out_dir, exist_ok=True)
     env_cfg = env_cfg or EnvConfig()
-    eval_spec = eval_spec or scenario_specs[0]
     net = ActorCritic(policy_cfg, seed=cfg.seed)
     params = net.named_params()
     actor_opt = Adam({k: params[k] for k in net.actor_param_names()}, cfg.lr_actor)
@@ -341,7 +332,7 @@ def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
         report = ppo_update(buffer, net, cfg, shuffle_rng, actor_opt, critic_opt)
 
         if env_steps >= next_eval:
-            success_rate = evaluate_policy(net, eval_spec, env_cfg,
+            success_rate = evaluate_policy(net, scenario_specs[0], env_cfg,
                                            cfg.eval_episodes, eval_seed)
             next_eval += cfg.eval_every
         mean_reward = float(np.mean(episode_rewards[-32:])) if episode_rewards else 0.0

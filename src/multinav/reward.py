@@ -16,31 +16,25 @@ import numpy as np
 from .sim import Status
 
 
-@dataclass
-class RewardConfig:
-    r_goal: float = 15.0
-    r_collision: float = -25.0
-    r_s: float = -0.25
-    personal_space: float = 0.3
-    r_p: float = 2.5
-
-    def __post_init__(self):
-        if self.r_goal <= 0 or self.r_collision >= 0 or self.personal_space <= 0:
-            raise ValueError("reward signs/personal space out of range")
+R_GOAL = 15.0                   # arrival bonus
+R_COLLISION = -25.0             # penetration penalty
+R_S = -0.25                     # social penalty at contact
+PERSONAL_SPACE = 0.3            # m, width of the social-penalty band
+R_P = 2.5                       # progress weight per meter
 
 
-def social_penalty(d_min: float, cfg: RewardConfig) -> float:
+def social_penalty(d_min: float) -> float:
     """Linear penalty inside the personal-space band, 0 at the band edge and
-    maximal (r_s) at contact. Caller guards 0 <= d_min < personal_space."""
-    return cfg.r_s * (cfg.personal_space - d_min) / cfg.personal_space
+    maximal (R_S) at contact. Caller guards 0 <= d_min < PERSONAL_SPACE."""
+    return R_S * (PERSONAL_SPACE - d_min) / PERSONAL_SPACE
 
 
 def progress_reward(prev_pos: np.ndarray, curr_pos: np.ndarray,
-                    target: np.ndarray, cfg: RewardConfig) -> float:
+                    target: np.ndarray) -> float:
     """Shaping on the decrease of distance to the tick's target point."""
     prev_d = float(np.hypot(*(np.asarray(prev_pos) - target)))
     curr_d = float(np.hypot(*(np.asarray(curr_pos) - target)))
-    return cfg.r_p * (prev_d - curr_d)
+    return R_P * (prev_d - curr_d)
 
 
 @dataclass
@@ -56,18 +50,17 @@ class RewardTerms:
 
 
 def reward_terms(status: Status, d_min: float, prev_pos: np.ndarray,
-                 curr_pos: np.ndarray, target: np.ndarray,
-                 cfg: RewardConfig) -> RewardTerms:
+                 curr_pos: np.ndarray, target: np.ndarray) -> RewardTerms:
     """Branching reward for a robot that was Active when the step started.
 
     `status` is the post-step status; arrival only pays out with d_min >= 0
     (the simulator assigns Collided in that case anyway).
     """
     if status == Status.REACHED_GOAL and d_min >= 0.0:
-        return RewardTerms(goal=cfg.r_goal)
+        return RewardTerms(goal=R_GOAL)
     if d_min < 0.0:
-        return RewardTerms(collision=cfg.r_collision)
-    terms = RewardTerms(progress=progress_reward(prev_pos, curr_pos, target, cfg))
-    if d_min < cfg.personal_space:
-        terms.social = social_penalty(d_min, cfg)
+        return RewardTerms(collision=R_COLLISION)
+    terms = RewardTerms(progress=progress_reward(prev_pos, curr_pos, target))
+    if d_min < PERSONAL_SPACE:
+        terms.social = social_penalty(d_min)
     return terms

@@ -24,7 +24,7 @@ from .lidar import apply_lidar_noise, raycast  # noqa: F401
 from .observations import (AblationConfig, NoiseConfig, build_observation,
                            normalize)
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
-from .reward import RewardConfig, reward_terms
+from .reward import reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import V_MAX, Action, Status, World
 from .tracker import Tracker, update_trackers
@@ -35,7 +35,6 @@ class EnvConfig:
     horizon: int = 5                       # running-target lookahead, waypoints
     noise: NoiseConfig = field(default_factory=NoiseConfig.disabled)
     ablation: AblationConfig = field(default_factory=AblationConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
     build_observations: bool = True
 
 
@@ -206,8 +205,7 @@ class NavEnv:
             self._targets[i] = self._find_target(i)
             target = self._targets[i].position
             terms = reward_terms(robot.status, float(report.d_min[i]),
-                                 prev_pos[i], robot.position, target,
-                                 self.cfg.reward)
+                                 prev_pos[i], robot.position, target)
             rewards.append(terms.total)
             terms_list.append(terms)
             targets.append(target)

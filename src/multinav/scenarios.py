@@ -313,15 +313,6 @@ def _gen_hallway(spec: ScenarioSpec, rng) -> GeneratedScenario:
     return GeneratedScenario(cfg, starts, goals, grid)
 
 
-TRAINING_SET = [
-    ScenarioSpec(Kind.RANDOM, scale=10.0, num_agents=25, num_obstacles=8),
-    ScenarioSpec(Kind.CIRCLE, scale=10.0, num_agents=24),
-    ScenarioSpec(Kind.PLUS, scale=10.0, num_agents=4),
-    ScenarioSpec(Kind.DOORWAY, scale=10.0, num_agents=5),
-    ScenarioSpec(Kind.ROOM, scale=10.0, num_agents=8, num_obstacles=10),
-    ScenarioSpec(Kind.HALLWAY, scale=10.0, num_agents=8),
-]
-
 EVAL_AGENT_GRID = {
     Kind.CIRCLE: (10, 20, 40),
     Kind.DOORWAY: (5, 10, 15),

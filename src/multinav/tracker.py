@@ -32,6 +32,8 @@ EMA_BETA = 0.5                  # weight of the newest velocity sample
 STATIC_MARGIN = 0.15            # distance to occupied cells = static
 HIT_MARGIN = 1e-6               # below max_range - this counts as a hit
 VELOCITY_BASELINE_STEPS = 5     # frames spanned by the velocity baseline
+ICP_ITERATIONS = 40             # cap on ICP updates per pair
+ICP_TOL = 1e-6                  # m, ICP stops once an update moves less
 
 
 @dataclass
@@ -144,8 +146,8 @@ def _row_median(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (s[rows, (lengths - 1) // 2] + s[rows, lengths // 2]) / 2
 
 
-def _icp_batch(srcs: list, dsts: list, iterations: int, tol: float,
-               out: np.ndarray, slots: np.ndarray) -> None:
+def _icp_batch(srcs: list, dsts: list, out: np.ndarray,
+               slots: np.ndarray) -> None:
     """Run the ICP of every (srcs[b], dsts[b]) pair in lockstep and write
     pair b's translation to out[slots[b]].
 
@@ -181,7 +183,7 @@ def _icp_batch(srcs: list, dsts: list, iterations: int, tol: float,
     first = dst[:, 0].T.copy()        # (2, B): the match of a single dst
     lo, hi = (n - 1) // 2, n // 2
     live = np.ones(len(n), dtype=bool)   # rows still iterating
-    left = iterations                    # iterations still to run
+    left = ICP_ITERATIONS                # iterations still to run
     while True:
         b = len(n)
         middle = np.stack([lo, hi]) * b + np.arange(b)     # flat in (N, B)
@@ -216,7 +218,7 @@ def _icp_batch(srcs: list, dsts: list, iterations: int, tol: float,
             np.copyto(diff, -0.0, where=~keep[:, None])
             delta = np.add.reduce(diff, axis=0) / keep.sum(axis=0)
             t = t + delta
-            done = live & (np.hypot(delta[0], delta[1]) < tol)
+            done = live & (np.hypot(delta[0], delta[1]) < ICP_TOL)
             if not done.any():
                 continue
             out[slots[done]] = t[:, done].T
@@ -234,8 +236,7 @@ def _icp_batch(srcs: list, dsts: list, iterations: int, tol: float,
         live = live[live]
 
 
-def icp_translation(srcs: list, dsts: list, iterations: int = 40,
-                    tol: float = 1e-6) -> np.ndarray:
+def icp_translation(srcs: list, dsts: list) -> np.ndarray:
     """Translation-only ICP of each 2-D point set srcs[b] onto dsts[b], with
     outlier trimming, all pairs in lockstep; returns the (B, 2)
     translations.
@@ -244,9 +245,10 @@ def icp_translation(srcs: list, dsts: list, iterations: int = 40,
     (plain nearest point when dst is a single point), which avoids the
     vertex-aliasing that plagues sparse LiDAR silhouettes. Matches with
     residuals beyond 3x the median residual are dropped before each update;
-    a pair stops once its update moves less than tol, or after iterations
-    updates. Every row equals the pair's own ICP loop bit for bit. Pairs
-    with the most segments go first, into batches of bounded size.
+    a pair stops once its update moves less than ICP_TOL, or after
+    ICP_ITERATIONS updates. Every row equals the pair's own ICP loop bit for
+    bit. Pairs with the most segments go first, into batches of bounded
+    size.
     """
     out = np.empty((len(srcs), 2))
     if len(srcs) == 0:
@@ -263,8 +265,8 @@ def icp_translation(srcs: list, dsts: list, iterations: int = 40,
             points += n[order[stop]]
             stop += 1
         batch = order[start:stop]
-        _icp_batch([srcs[k] for k in batch], [dsts[k] for k in batch],
-                   iterations, tol, out, np.array(batch))
+        _icp_batch([srcs[k] for k in batch], [dsts[k] for k in batch], out,
+                   np.array(batch))
         start = stop
     return out
 
@@ -295,12 +297,15 @@ class Tracker:
         self._next_id = 0
 
     def _new_track(self, cluster: Cluster) -> ClusterTrack:
+        # a cluster's closest point is its own array; its points are a view
+        # of the scan's, detached once. No track array is written in place
+        points = cluster.points.copy()
         track = ClusterTrack(
             id=self._next_id,
-            closest_point=cluster.closest_point.copy(),
+            closest_point=cluster.closest_point,
             velocity_estimate=np.zeros(2),
-            points=cluster.points.copy(),
-            history=[(0, cluster.points.copy())],
+            points=points,
+            history=[(0, points)],
         )
         self._next_id += 1
         return track
@@ -419,9 +424,9 @@ def associate(tracks: list[ClusterTrack], dynamic_clusters: list[Cluster],
         cluster = dynamic_clusters[ci]
         track.velocity_estimate = estimate_velocity(track, base_shift, dt,
                                                     frames)
-        track.closest_point = cluster.closest_point.copy()
+        track.closest_point = cluster.closest_point
         track.points = cluster.points.copy()
-        track.history.append((0, cluster.points.copy()))
+        track.history.append((0, track.points))
         track.age += 1
         track.observations += 1
         track.misses = 0

@@ -22,7 +22,7 @@ from multinav.planner import Unreachable, astar, path_cost_counts
 from multinav.planner import OccupancyGrid
 from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 from multinav.ppo import TrainConfig, compute_gae, train
-from multinav.reward import RewardConfig, progress_reward, reward_terms, social_penalty
+from multinav.reward import R_P, progress_reward, reward_terms, social_penalty
 from multinav.scenarios import Kind, ScenarioSpec, eval_suite
 from multinav.sim import Action, Status, World, WorldConfig
 from multinav.tracker import Tracker
@@ -155,8 +155,7 @@ def test_criterion_06_tracker_fidelity():
 
 
 def test_criterion_07_reward_unit_suite():
-    cfg = RewardConfig()
-    ok = social_penalty(0.15, cfg) == pytest.approx(-0.125)
+    ok = social_penalty(0.15) == pytest.approx(-0.125)
 
     # branch exclusivity over random inputs
     rng = np.random.default_rng(7)
@@ -166,7 +165,7 @@ def test_criterion_07_reward_unit_suite():
         if status == Status.REACHED_GOAL and d_min < 0:
             continue
         t = reward_terms(status, d_min, rng.uniform(-2, 2, 2),
-                         rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2), cfg)
+                         rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
         fired = [t.goal != 0, t.collision != 0,
                  t.social != 0 or t.progress != 0]
         ok = ok and sum(fired) <= 1
@@ -174,10 +173,10 @@ def test_criterion_07_reward_unit_suite():
     # telescoping under a fixed target within 1e-9
     target = np.array([3.0, -2.0])
     pts = [rng.uniform(-5, 5, 2) for _ in range(60)]
-    total = sum(progress_reward(a, b, target, cfg)
+    total = sum(progress_reward(a, b, target)
                 for a, b in zip(pts[:-1], pts[1:]))
-    expect = cfg.r_p * (np.hypot(*(pts[0] - target))
-                        - np.hypot(*(pts[-1] - target)))
+    expect = R_P * (np.hypot(*(pts[0] - target))
+                    - np.hypot(*(pts[-1] - target)))
     ok = ok and abs(total - expect) < 1e-9
     _report(7, "reward suite: branch exclusivity, -0.125 case, telescoping",
             ok)

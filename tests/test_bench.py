@@ -118,8 +118,8 @@ class TestOrcaController:
         calls = []
         orca_velocity = bench.orca_velocity
 
-        def counted(planes, preferred, cfg):
-            result = orca_velocity(planes, preferred, cfg)
+        def counted(planes, preferred):
+            result = orca_velocity(planes, preferred)
             calls.append((planes, preferred, result))
             return result
 
@@ -136,17 +136,17 @@ class TestOrcaController:
                                     world.velocities[others][None],
                                     np.full((1, 5), r)),
                                 world.config.circles, world.config.walls,
-                                ctrl.cfg, world.config.dt)
+                                world.config.dt)
             assert planes.rows == want.rows
             assert planes.num_obst == want.num_obst
             pos = world.positions[i]
             want_pref = preferred_velocity(
-                pos, env.target_point(i).position, ctrl.cfg.max_speed,
+                pos, env.target_point(i).position,
                 goal_distance=float(np.hypot(*(world.goals[i] - pos))))
             assert pref.tobytes() == want_pref.tobytes()
             assert isinstance(feasible, bool)
             assert vel.shape == (2,)
-            a = nh_track(vel, float(world.headings[i]), ctrl.cfg)
+            a = nh_track(vel, float(world.headings[i]))
             assert raws[i] == (a.v, a.w)
         assert any(c[0].rows for c in calls)
 
@@ -244,7 +244,7 @@ class TestLoggingAndReplay:
         log = str(tmp_path / "run.jsonl")
         spec = empty_single_agent_spec(scale=6.0)
         run_trials(spec, "straight", trials=1, base_seed=0, log_path=log,
-                   log_flags=LogFlags(trajectory=True, paths=True))
+                   log_flags=LogFlags(paths=True))
         types = set()
         with open(log) as f:
             for line in f:

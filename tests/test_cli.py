@@ -10,9 +10,12 @@ import pytest
 
 import multinav
 from multinav import cli
-from multinav.cli import main
+from multinav.cli import load_train_config, main
 from multinav.observations import NoiseConfig
 from multinav.policy import ActorCritic, PolicyConfig
+from multinav.scenarios import generate
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def run_cli(*argv):
@@ -270,6 +273,15 @@ class TestTrainCommand:
         p.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(p)) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_committed_config_loads_and_generates(self, name):
+        # a stale key in a long run's config fails here, not when it starts
+        specs, train_cfg, _, _ = load_train_config(os.path.join(CONFIGS, name))
+        assert specs and train_cfg.total_env_steps > 0
+        for spec in specs:
+            scenario = generate(spec)
+            assert len(scenario.starts) == spec.num_agents
 
 
 class TestReplayCommand:

@@ -7,9 +7,9 @@ from multinav.geometry import Circle
 from multinav.lidar import MAX_RANGE, ScanHistory, raycast
 from multinav.observations import (AblationConfig, NeighborGraph, NoiseConfig,
                                    ObservationBundle, apply_state_noise,
-                                   build_observation, denormalize, normalize)
+                                   build_observation, normalize)
 from multinav.planner import TargetPoint, rasterize
-from multinav.sim import Action, World, WorldConfig
+from multinav.sim import V_MAX, W_MAX, Action, World, WorldConfig
 from multinav.tracker import ClusterTrack, Tracker
 
 
@@ -206,6 +206,23 @@ class TestNormalize:
         assert n.extras[2] == pytest.approx(1.0)
 
     def test_round_trip(self):
+        # the oracle: normalize's documented inverse, written out
+        def denormalize(obs, world_diameter):
+            og = np.array([obs.extras[0] * world_diameter,
+                           obs.extras[1] * math.pi])
+            ov = np.array([obs.extras[2] * V_MAX, obs.extras[3] * W_MAX])
+            ogp = np.array([obs.extras[4] * world_diameter,
+                            obs.extras[5] * math.pi, obs.extras[6] * math.pi])
+            nodes = obs.nodes
+            if len(nodes):
+                nodes = np.column_stack([
+                    nodes[:, 0] * MAX_RANGE, nodes[:, 1] * math.pi,
+                    nodes[:, 2] * V_MAX, nodes[:, 3] * V_MAX])
+            else:
+                nodes = np.zeros((0, 4))
+            return ObservationBundle(o_z=obs.z3 * MAX_RANGE, o_g=og, o_v=ov,
+                                     o_gp=ogp, o_c=NeighborGraph(nodes=nodes))
+
         b = self.bundle()
         back = denormalize(normalize(b, 20.0), 20.0)
         assert np.allclose(back.o_z, b.o_z, atol=1e-9)

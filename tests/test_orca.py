@@ -7,12 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from multinav import orca
 from multinav.geometry import Circle, Wall
-from multinav.orca import (EPS, OrcaConfig, _cross, _dots, _lp2, _lp3,
-                           _orca_lines, nh_track, orca_planes, orca_velocity,
+from multinav.orca import (EPS, _cross, _dots, _lp2, _lp3, _orca_lines,
+                           nh_track, orca_planes, orca_velocity,
                            preferred_velocity)
+from multinav.sim import V_MAX
 
-CFG = OrcaConfig()
 NO_NEIGHBORS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -31,7 +32,7 @@ def lp_rows(P, D):
 
 
 def reference_planes(self_pos, self_vel, radius, neighbors, circles, walls,
-                     cfg, dt=0.1):
+                     dt=0.1):
     """One observer's half-planes as orca_velocity built them per robot
     before orca_planes built them for all observers at once, kept as the
     byte-exact reference: (points, directions, number of obstacle lines)."""
@@ -51,27 +52,27 @@ def reference_planes(self_pos, self_vel, radius, neighbors, circles, walls,
     dist_sq = _dots(rel_pos, rel_pos)
     r_other = np.concatenate([statics[:, 2], radii])
     agent = np.arange(len(r_other)) >= n_static
-    max_dist = cfg.neighbor_range + np.where(agent, 0.0, r_other)
+    max_dist = orca.NEIGHBOR_RANGE + np.where(agent, 0.0, r_other)
     near = ~(dist_sq > max_dist ** 2)
     agent, combined = agent[near], radius + r_other[near]
     points, D = _orca_lines(
         rel_pos[near],
         self_vel - np.concatenate([np.zeros((n_static, 2)), velocities])[near],
         dist_sq[near],
-        np.where(agent, combined + 2.0 * cfg.epsilon_tracking, combined),
-        np.where(agent, cfg.time_horizon_agents, cfg.time_horizon_obstacles),
+        np.where(agent, combined + 2.0 * orca.EPSILON_TRACKING, combined),
+        np.where(agent, orca.TIME_HORIZON_AGENTS, orca.TIME_HORIZON_OBSTACLES),
         np.where(agent, 0.5, 1.0), dt)
     return self_vel + points, D, int(near[:n_static].sum())
 
 
 def orca_one(self_pos, self_vel, radius, neighbors, circles, walls,
-             preferred, cfg, dt=0.1):
+             preferred, dt=0.1):
     """orca_velocity for one robot, its half-planes built as a batch of one
     observer."""
     planes, = orca_planes(self_pos[None], self_vel[None], radius,
                           tuple(x[None] for x in neighbors), circles, walls,
-                          cfg, dt)
-    return orca_velocity(planes, preferred, cfg)
+                          dt)
+    return orca_velocity(planes, preferred)
 
 
 # ---- scalar reference: one HalfPlane per neighbor, one line at a time --------
@@ -205,7 +206,7 @@ def _ref_lp3(lines, num_obst_lines, begin_line, radius, result):
 
 
 def reference_orca_velocity(self_pos, self_vel, radius, neighbor_arrays,
-                            circles, walls, preferred_velocity, cfg, dt=0.1,
+                            circles, walls, preferred_velocity, dt=0.1,
                             branches=None):
     """The scalar ORCA the array code replaced, kept as its byte-exact
     reference, plus the program's speed-disc guard on the fallback. Appends
@@ -223,10 +224,10 @@ def reference_orca_velocity(self_pos, self_vel, radius, neighbor_arrays,
         statics.append((q, 0.0, "wall"))
     for q, r_obs, kind in statics:
         rel_pos = np.asarray(q, dtype=float) - self_pos
-        if float(rel_pos @ rel_pos) > (cfg.neighbor_range + r_obs) ** 2:
+        if float(rel_pos @ rel_pos) > (orca.NEIGHBOR_RANGE + r_obs) ** 2:
             continue
         hp, branch = _ref_halfplane(rel_pos, self_vel, radius + r_obs,
-                                    cfg.time_horizon_obstacles, dt,
+                                    orca.TIME_HORIZON_OBSTACLES, dt,
                                     responsibility=1.0)
         lines.append(HalfPlane(self_vel + hp.point, hp.direction))
         if branches is not None:
@@ -235,25 +236,25 @@ def reference_orca_velocity(self_pos, self_vel, radius, neighbor_arrays,
 
     for pos, vel, r_other in zip(*neighbor_arrays):
         rel_pos = np.asarray(pos, dtype=float) - self_pos
-        if float(rel_pos @ rel_pos) > cfg.neighbor_range ** 2:
+        if float(rel_pos @ rel_pos) > orca.NEIGHBOR_RANGE ** 2:
             continue
         rel_vel = self_vel - np.asarray(vel, dtype=float)
         hp, branch = _ref_halfplane(
-            rel_pos, rel_vel, radius + r_other + 2.0 * cfg.epsilon_tracking,
-            cfg.time_horizon_agents, dt, responsibility=0.5)
+            rel_pos, rel_vel, radius + r_other + 2.0 * orca.EPSILON_TRACKING,
+            orca.TIME_HORIZON_AGENTS, dt, responsibility=0.5)
         lines.append(HalfPlane(self_vel + hp.point, hp.direction))
         if branches is not None:
             branches.append(branch)
 
-    fail, result = _ref_lp2(lines, cfg.max_speed,
+    fail, result = _ref_lp2(lines, V_MAX,
                             np.asarray(preferred_velocity, dtype=float), False)
     if fail < len(lines):
-        result = _ref_lp3(lines, num_obst, fail, cfg.max_speed, result)
+        result = _ref_lp3(lines, num_obst, fail, V_MAX, result)
         # the program's guard against _lp1's rounding on nearly parallel
         # lines: back onto the speed disc
         speed = math.hypot(*result)
-        if speed > cfg.max_speed:
-            result = result * (cfg.max_speed / speed)
+        if speed > V_MAX:
+            result = result * (V_MAX / speed)
         return result, False
     return result, True
 
@@ -284,8 +285,7 @@ def random_orca_call(rng):
         else:
             walls.append(Wall(c[0], c[1] - half, c[0], c[1] + half, 0.2))
     pref = disc_velocity(1, 1.2)[0]
-    return (self_pos, disc_velocity(1)[0], 0.25, nb, circles, walls, pref,
-            CFG)
+    return self_pos, disc_velocity(1)[0], 0.25, nb, circles, walls, pref
 
 
 def violation(P, D, v):
@@ -530,7 +530,7 @@ class TestParallelLines:
 class TestOrcaVelocity:
     def test_no_neighbors_returns_pref(self):
         v, feasible = orca_one(np.zeros(2), np.zeros(2), 0.25, NO_NEIGHBORS,
-                               [], [], np.array([0.4, 0.1]), CFG)
+                               [], [], np.array([0.4, 0.1]))
         assert feasible
         assert np.allclose(v, [0.4, 0.1])
 
@@ -538,44 +538,42 @@ class TestOrcaVelocity:
         pa, pb = np.array([0.0, 0.0]), np.array([2.0, 0.0])
         va, vb = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         out_a, _ = orca_one(pa, va, 0.25, neighbors((pb, vb, 0.25)),
-                            [], [], np.array([1.0, 0.0]), CFG)
+                            [], [], np.array([1.0, 0.0]))
         out_b, _ = orca_one(pb, vb, 0.25, neighbors((pa, va, 0.25)),
-                            [], [], np.array([-1.0, 0.0]), CFG)
+                            [], [], np.array([-1.0, 0.0]))
         assert out_a[1] == pytest.approx(-out_b[1], abs=1e-9)
         assert abs(out_a[1]) > 1e-6  # actually dodging sideways
 
     def test_wall_constraint_blocks_through_traffic(self):
         wall = Wall(1.0, -2.0, 1.0, 2.0, 0.2)
         v, _ = orca_one(np.zeros(2), np.array([1.0, 0.0]), 0.25,
-                        NO_NEIGHBORS, [], [wall], np.array([1.0, 0.0]), CFG)
+                        NO_NEIGHBORS, [], [wall], np.array([1.0, 0.0]))
         # 0.65 m of clearance shrinking at 1.3 s horizon: must slow down
         assert v[0] < 1.0
 
-    def test_two_agent_feasible_guarantee(self):
+    def test_two_agent_feasible_guarantee(self, monkeypatch):
         # executing both outputs for one horizon keeps surfaces separated
+        monkeypatch.setattr(orca, "TIME_HORIZON_AGENTS", 3.0)
         rng = np.random.default_rng(103)
-        cfg = OrcaConfig(time_horizon_agents=3.0)
         radius = 0.25
         combined = 2 * radius
         checked = 0
         while checked < 80:
             pa = rng.uniform(-2, 2, 2)
             pb = rng.uniform(-2, 2, 2)
-            if np.hypot(*(pb - pa)) < combined + 2 * cfg.epsilon_tracking + 0.05:
+            if np.hypot(*(pb - pa)) < combined + 2 * orca.EPSILON_TRACKING + 0.05:
                 continue
             va = rng.uniform(-1, 1, 2) * 0.7
             vb = rng.uniform(-1, 1, 2) * 0.7
             prefa = rng.uniform(-1, 1, 2)
             prefb = rng.uniform(-1, 1, 2)
             out_a, fa = orca_one(pa, va, radius,
-                                 neighbors((pb, vb, radius)), [], [], prefa,
-                                 cfg)
+                                 neighbors((pb, vb, radius)), [], [], prefa)
             out_b, fb = orca_one(pb, vb, radius,
-                                 neighbors((pa, va, radius)), [], [], prefb,
-                                 cfg)
+                                 neighbors((pa, va, radius)), [], [], prefb)
             if not (fa and fb):
                 continue
-            t = np.linspace(0.0, cfg.time_horizon_agents, 400)
+            t = np.linspace(0.0, orca.TIME_HORIZON_AGENTS, 400)
             rel0 = pb - pa
             relv = out_b - out_a
             d = np.hypot(*(rel0[:, None] + relv[:, None] * t[None, :]))
@@ -614,11 +612,10 @@ class TestOrcaVelocity:
                 float.fromhex(doc["radius"]),
                 (arr("neighbor_positions", -1, 2),
                  arr("neighbor_velocities", -1, 2), arr("neighbor_radii", -1)),
-                [], [], arr("preferred_velocity", 2), CFG,
-                float.fromhex(doc["dt"]))
+                [], [], arr("preferred_velocity", 2), float.fromhex(doc["dt"]))
         v, feasible = orca_one(*call)
         assert not feasible
-        assert math.hypot(*v) <= CFG.max_speed + 1e-12
+        assert math.hypot(*v) <= V_MAX + 1e-12
         # the near-parallel lines are where a reordered float expression
         # would show first
         want, want_feasible = reference_orca_velocity(*call)
@@ -635,12 +632,12 @@ def world_planes(pos, vel, radii, observers, circles, walls):
                       dtype=int).reshape(len(observers), n - 1)
     planes = orca_planes(pos[observers], vel[observers], 0.25,
                          (pos[others], vel[others], radii[others]), circles,
-                         walls, CFG)
+                         walls)
     assert len(planes) == len(observers)
     for i, row, got in zip(observers, others, planes):
         P, D, num_obst = reference_planes(
             pos[i], vel[i], 0.25, (pos[row], vel[row], radii[row]), circles,
-            walls, CFG)
+            walls)
         assert got.points.tobytes() == P.tobytes()
         assert got.directions.tobytes() == D.tobytes()
         assert (np.array(got.rows).reshape(-1, 4).tobytes()
@@ -685,8 +682,8 @@ class TestOrcaPlanes:
     def test_neighbour_at_exactly_the_range(self):
         # robot 1 sits exactly neighbor_range from robot 0, robot 2 one ulp
         # beyond it
-        beyond = np.nextafter(CFG.neighbor_range, 4.0)
-        pos = np.array([[0.5, 0.25], [0.5 + CFG.neighbor_range, 0.25],
+        beyond = np.nextafter(orca.NEIGHBOR_RANGE, 4.0)
+        pos = np.array([[0.5, 0.25], [0.5 + orca.NEIGHBOR_RANGE, 0.25],
                         [0.5, 0.25 - beyond]])
         vel = np.array([[0.3, 0.0], [-0.3, 0.1], [0.0, 0.2]])
         planes = world_planes(pos, vel, np.full(3, 0.25), [0, 1, 2], [], [])
@@ -719,8 +716,8 @@ class TestOrcaPlanes:
     def test_no_observers(self):
         assert orca_planes(np.zeros((0, 2)), np.zeros((0, 2)), 0.25,
                            (np.zeros((0, 2, 2)), np.zeros((0, 2, 2)),
-                            np.zeros((0, 2))), [Circle(0.0, 0.0, 1.0)], [],
-                           CFG) == []
+                            np.zeros((0, 2))), [Circle(0.0, 0.0, 1.0)],
+                           []) == []
 
 
 class TestNhTrack:

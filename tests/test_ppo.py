@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multinav.nn import Adam
 from multinav.observations import NormalizedObs
 from multinav.policy import ActorCritic, NumericalDivergence, PolicyConfig
 from multinav.ppo import RolloutBuffer, TrainConfig, compute_gae, ppo_update
@@ -105,6 +106,16 @@ def make_buffer(net, n=12, seed=0, nodes=0):
     return buf
 
 
+def update(buf, net, cfg):
+    """ppo_update with fresh actor and critic optimizers, as train builds
+    them, and a seeded shuffle."""
+    params = net.named_params()
+    return ppo_update(
+        buf, net, cfg, np.random.default_rng(0),
+        Adam({k: params[k] for k in net.actor_param_names()}, cfg.lr_actor),
+        Adam({k: params[k] for k in net.critic_param_names()}, cfg.lr_critic))
+
+
 class TestPpoUpdate:
     def cfg(self, **kw):
         base = dict(ppo_epochs=1, minibatch_size=64, rollout_length=12,
@@ -117,7 +128,7 @@ class TestPpoUpdate:
         buf = make_buffer(net)
         buf.finish({}, 0.99, 0.95)
         buf.normalize_advantages()
-        report = ppo_update(buf, net, self.cfg(), np.random.default_rng(0))
+        report = update(buf, net, self.cfg())
         # ratio = 1 everywhere: actor loss is -mean(normalized advantages) = 0
         assert abs(report.actor_loss) < 1e-9
         assert report.clip_fraction == 0.0
@@ -133,7 +144,7 @@ class TestPpoUpdate:
         buf.finish({}, 0.99, 0.95)
         buf.advantages = np.array([1.0, -1.0])
         buf.returns = np.zeros(2)
-        report = ppo_update(buf, net, self.cfg(), np.random.default_rng(0))
+        report = update(buf, net, self.cfg())
         assert report.actor_loss == pytest.approx(0.15, abs=1e-9)
         assert report.clip_fraction == 1.0
 
@@ -146,7 +157,7 @@ class TestPpoUpdate:
             buf.finish({}, 0.99, 0.95)
             buf.normalize_advantages()
             cfg = self.cfg(lr_actor=1e-3, lr_critic=1e-3, entropy_coef=coef)
-            ppo_update(buf, net, cfg, np.random.default_rng(0))
+            update(buf, net, cfg)
             return net.get_flat()
 
         a = run(0.0)
@@ -161,7 +172,7 @@ class TestPpoUpdate:
         buf = make_buffer(net)
         buf.finish({}, 0.99, 0.95)
         buf.normalize_advantages()
-        ppo_update(buf, net, self.cfg(ppo_epochs=3), np.random.default_rng(0))
+        update(buf, net, self.cfg(ppo_epochs=3))
         assert np.array_equal(net.get_flat(), before)
 
     def test_divergence_restores_params(self):
@@ -172,8 +183,7 @@ class TestPpoUpdate:
         buf.advantages = np.full(buf.size, np.inf)
         buf.returns = np.zeros(buf.size)
         with pytest.raises(NumericalDivergence):
-            ppo_update(buf, net, self.cfg(lr_actor=1e-3, lr_critic=1e-3),
-                       np.random.default_rng(0))
+            update(buf, net, self.cfg(lr_actor=1e-3, lr_critic=1e-3))
         assert np.array_equal(net.get_flat(), before)
 
     def test_update_moves_toward_advantage(self):
@@ -185,7 +195,7 @@ class TestPpoUpdate:
         obs, raws, old_logp, adv, _ = buf.flat()
         cfg = self.cfg(lr_actor=1e-3, lr_critic=1e-3, ppo_epochs=4,
                        grad_clip=0.0)
-        ppo_update(buf, net, cfg, np.random.default_rng(0))
+        update(buf, net, cfg)
         gains = []
         for o, a, lp, ad in zip(obs, raws, old_logp, adv):
             dist, _ = net.forward_one(o)

@@ -1,14 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from multinav import rollout, scenarios
+from multinav.cli import load_train_config
 from multinav.planner import astar, rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import (EVAL_AGENT_GRID, Kind, Overconstrained,
-                                ScenarioSpec, TRAINING_SET, eval_suite,
-                                generate)
+                                ScenarioSpec, eval_suite, generate)
 
 ALL_KINDS = [
     ScenarioSpec(Kind.RANDOM, scale=10.0, num_agents=12, num_obstacles=8, rng_seed=3),
@@ -211,12 +212,17 @@ class TestEvalSuite:
         assert EVAL_AGENT_GRID[Kind.RANDOM] == (10, 20, 40)
 
 
+SIX_ENVS = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "train_six_envs.json")
+
+
 class TestTrainingSet:
     def test_covers_six_environments(self):
-        kinds = [s.kind for s in TRAINING_SET]
+        training_set = load_train_config(SIX_ENVS)[0]
+        kinds = [s.kind for s in training_set]
         assert kinds == [Kind.RANDOM, Kind.CIRCLE, Kind.PLUS, Kind.DOORWAY,
                          Kind.ROOM, Kind.HALLWAY]
-        by_kind = {s.kind: s for s in TRAINING_SET}
+        by_kind = {s.kind: s for s in training_set}
         assert by_kind[Kind.RANDOM].num_agents == 25
         assert by_kind[Kind.RANDOM].num_obstacles == 8
         assert by_kind[Kind.CIRCLE].num_agents == 24
