@@ -7,20 +7,17 @@ prints the tracked velocity next to the ground truth.
 
 import numpy as np
 
-from multinav import (Action, Tracker, World, WorldConfig,
-                      apply_lidar_noise, rasterize, raycast)
+from multinav import Action, Tracker, World, WorldConfig, rasterize, raycast
 
 config = WorldConfig(bounds=(-8, -8, 8, 8), rng_seed=0)
 world = World(config, starts=[(0.0, 0.0, 0.0), (-1.5, 1.5, 0.0)],
               goals=[(7.0, 7.0), (3.0, 1.5)])
-grid = rasterize(config, 0.1)
+grid = rasterize(config)
 tracker = Tracker()
-rng = np.random.default_rng(1)
 
 print(f"{'t':>4} {'hits':>5} {'tracked v':>16} {'true v':>14} {'err':>6}")
 for step in range(30):
-    scan = raycast(world, 0)
-    scan = apply_lidar_noise(scan, rng, sigma=0.0)  # omit sigma for noise
+    scan = raycast(world, 0)  # apply_lidar_noise(scan, rng) adds the noise
     tracker.update(scan, (0.0, 0.0, 0.0), grid, config.dt)
     world.step([Action(0, 0), Action(0.6, 0.0)])
     dyn = tracker.dynamic_tracks()

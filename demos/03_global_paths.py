@@ -16,7 +16,7 @@ config = WorldConfig(
            Wall(-5, -2, -5, 2), Wall(5, -2, 5, 2),
            Wall(0, -2, 0, -0.5), Wall(0, 0.5, 0, 2)],
 )
-grid = rasterize(config, resolution=0.1)
+grid = rasterize(config)
 print(f"grid {grid.shape[0]}x{grid.shape[1]} cells, "
       f"{int(grid.cells.sum())} occupied (inflated by {grid.inflation_radius} m)")
 

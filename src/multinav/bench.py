@@ -22,7 +22,7 @@ import numpy as np
 from .observations import AblationConfig, NoiseConfig
 from .orca import nh_track, orca_planes, orca_velocity, preferred_velocity
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
-                     batch_obs, deterministic_action, gaussian_sample)
+                     batch_obs, deterministic_action)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import Action, Status, trajectory_record
@@ -87,16 +87,17 @@ class OrcaController:
 
 
 class PolicyController:
-    """Runs a trained network on the full observation pipeline."""
+    """Runs a trained network on the full observation pipeline, acting on
+    the clamped policy mean. Only deterministic=True is accepted: no caller
+    samples actions through it."""
 
     needs_observations = True
     name = "policy"
 
-    def __init__(self, net: ActorCritic, deterministic: bool = True,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, net: ActorCritic, deterministic: bool = True):
+        if not deterministic:
+            raise ValueError("PolicyController acts deterministically only")
         self.net = net
-        self.deterministic = deterministic
-        self.rng = rng or np.random.default_rng(0)
 
     def act(self, env: NavEnv, obs):
         live = [i for i, o in enumerate(obs) if o is not None]
@@ -104,13 +105,9 @@ class PolicyController:
         if not live:
             return raws
         mean, std = self.net.policy_batch(batch_obs([obs[i] for i in live]))
-        raw = None if self.deterministic else gaussian_sample(mean, std, self.rng)
         for k, i in enumerate(live):
-            if self.deterministic:
-                a = deterministic_action(ActionDistribution(mean[k], std[k]))
-                raws[i] = (a.v, a.w)
-            else:
-                raws[i] = tuple(raw[k])
+            a = deterministic_action(ActionDistribution(mean[k], std[k]))
+            raws[i] = (a.v, a.w)
         return raws
 
 
@@ -156,7 +153,8 @@ def _log_step(logger: JsonlLogger, env: NavEnv, trial: int, step: int,
                           "agent": i, "goal": t.goal, "collision": t.collision,
                           "social": t.social, "progress": t.progress,
                           "total": t.total,
-                          "target": [float(x) for x in result.targets[i]]})
+                          "target": [float(x)
+                                     for x in env.target_point(i).position]})
     if fl.observations:
         for i in range(env.n_agents):
             if env.world.robots[i].status != Status.ACTIVE:
@@ -256,9 +254,8 @@ def _trial_outcomes(args):
      ablation_name, log_path, log_flags, scenario_dict) = args
     spec = ScenarioSpec.from_dict(spec_dict)
     controller = make_controller(controller_name, checkpoint)
-    noise = NoiseConfig() if noise_on else NoiseConfig.disabled()
     ablation = AblationConfig.from_name(ablation_name)
-    env_cfg = EnvConfig(noise=noise, ablation=ablation,
+    env_cfg = EnvConfig(noise=NoiseConfig(enabled=noise_on), ablation=ablation,
                         build_observations=controller.needs_observations
                         or log_flags is not None and (log_flags.observations
                                                       or log_flags.scans
@@ -298,6 +295,8 @@ def run_trials(spec: ScenarioSpec, controller_name: str, trials: int,
     With fixed_scenario, every trial replays that exact world; the seeds
     then drive only the sensor and neighbour-state noise, since every
     controller, the policy included, acts deterministically."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, not {trials}")
     if controller_name == "policy" and not checkpoint:
         raise ConfigError("the policy controller needs --checkpoint")
     scenario_dict = None if fixed_scenario is None else fixed_scenario.to_dict()

@@ -155,14 +155,13 @@ def load_train_config(path: str) -> tuple[list[ScenarioSpec], TrainConfig,
     policy_cfg = PolicyConfig.from_dict(policy_doc) if policy_doc else None
     env_doc = doc.get("env", {})
     _check_keys(env_doc, TRAIN_ENV_KEYS, "env")
-    env_cfg = EnvConfig(horizon=env_doc.get("horizon", 5))
-    if "ablation" in env_doc:
-        env_cfg.ablation = AblationConfig.from_name(env_doc["ablation"])
     noise = env_doc.get("noise", False)
     if not isinstance(noise, bool):
         raise ConfigError(f"env noise must be true or false, not {noise!r}")
-    if noise:
-        env_cfg.noise = NoiseConfig()
+    env_cfg = EnvConfig(horizon=env_doc.get("horizon", 5),
+                        noise=NoiseConfig(enabled=noise))
+    if "ablation" in env_doc:
+        env_cfg.ablation = AblationConfig.from_name(env_doc["ablation"])
     return specs, train_cfg, policy_cfg, env_cfg
 
 

@@ -3,8 +3,9 @@
 120 beams, body-fixed: beam 0 points along the robot heading, indices run
 counter-clockwise. Beams hit static obstacles and the other robots' disc
 surfaces; non-hits report max_range (3.5 m). Multiplicative Gaussian range
-noise models the sensor error. All live robots sense in one raycast_batch
-and one noisy_ranges call per step; raycast and apply_lidar_noise scan one.
+noise of relative sigma LIDAR_SIGMA models the sensor error. All live robots
+sense in one raycast_batch and one noisy_ranges call per step; raycast and
+apply_lidar_noise scan one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ BEAM_OFFSETS = 2.0 * np.pi * np.arange(N_BEAMS) / N_BEAMS
 class LidarScan:
     ranges: np.ndarray            # (120,) meters, each in (0, max_range]
     timestamp: float
-    max_range: float = MAX_RANGE
+    max_range = MAX_RANGE         # a class constant, not a field
 
 
 def raycast_batch(world: World, observers: list[int]) -> np.ndarray:
@@ -70,24 +71,20 @@ def raycast(world: World, agent_index: int) -> LidarScan:
                      timestamp=world.sim_time)
 
 
-def noisy_ranges(ranges: np.ndarray, rng: np.random.Generator,
-                 sigma: float) -> np.ndarray:
-    """Perturb each returned range r to r * (1 + eps), eps ~ Normal(0, sigma),
-    then re-clip into (0, max_range]. Beams without a return stay at exactly
-    max_range; every beam still draws its eps, in row-major order, so a
-    (k, 120) array draws what k scans in turn would."""
-    noisy = ranges * (1.0 + rng.normal(0.0, sigma, size=ranges.shape))
+def noisy_ranges(ranges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Perturb each returned range r to r * (1 + eps), eps ~ Normal(0,
+    LIDAR_SIGMA), then re-clip into (0, max_range]. Beams without a return
+    stay at exactly max_range; every beam still draws its eps, in row-major
+    order, so a (k, 120) array draws what k scans in turn would."""
+    noisy = ranges * (1.0 + rng.normal(0.0, LIDAR_SIGMA, size=ranges.shape))
     noisy = np.clip(noisy, RANGE_EPS, MAX_RANGE)
     noisy[ranges >= MAX_RANGE] = MAX_RANGE
     return noisy
 
 
-def apply_lidar_noise(scan: LidarScan, rng: np.random.Generator,
-                      sigma: float = LIDAR_SIGMA) -> LidarScan:
-    """noisy_ranges on one scan; sigma = 0 returns the scan itself."""
-    if sigma == 0.0:
-        return scan
-    return LidarScan(ranges=noisy_ranges(scan.ranges, rng, sigma),
+def apply_lidar_noise(scan: LidarScan, rng: np.random.Generator) -> LidarScan:
+    """noisy_ranges on one scan."""
+    return LidarScan(ranges=noisy_ranges(scan.ranges, rng),
                      timestamp=scan.timestamp)
 
 

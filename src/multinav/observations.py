@@ -22,20 +22,27 @@ from .tracker import ClusterTrack
 from .geometry import wrap_angle
 
 N_MAX_NEIGHBORS = 16  # nearest-first cap; bounds rollout memory, not the model
+STATE_POSITION_BOUND = 0.1    # m, uniform per axis on neighbour positions
+STATE_VELOCITY_BOUND = 0.1    # m/s, uniform per axis on neighbour velocities
 
 
 @dataclass
 class NoiseConfig:
-    """Observation-noise magnitudes. Position/velocity noise is uniform per
-    axis."""
+    """The evaluation noise protocol, on or off: LiDAR range noise of
+    relative sigma LIDAR_SIGMA, and uniform per-axis noise of at most
+    STATE_POSITION_BOUND on neighbour positions and STATE_VELOCITY_BOUND on
+    neighbour velocities."""
 
-    lidar_sigma: float = LIDAR_SIGMA
-    position_bound: float = 0.1
-    velocity_bound: float = 0.1
+    enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "NoiseConfig":
-        return cls(lidar_sigma=0.0, position_bound=0.0, velocity_bound=0.0)
+        return cls(enabled=False)
+
+    @property
+    def lidar_sigma(self) -> float:
+        """The LiDAR sigma in force (read by perfbench's tracking check)."""
+        return LIDAR_SIGMA if self.enabled else 0.0
 
 
 @dataclass
@@ -90,15 +97,14 @@ def polar(rel: np.ndarray) -> tuple[float, float]:
 
 def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
                       tracks: list[ClusterTrack], target_point: TargetPoint | None,
-                      noise_cfg: NoiseConfig | None = None,
                       ablation: AblationConfig | None = None,
                       rng: np.random.Generator | None = None) -> ObservationBundle:
     """Assemble one agent's observation from its sensors, tracks and path.
 
     tracks are the neighbours to show, as Tracker.dynamic_tracks() returns
-    them; the nearest N_MAX_NEIGHBORS become graph nodes. Pass a noise
-    config plus rng to perturb the neighbor states in the same call; LiDAR
-    noise is applied upstream on the scans themselves.
+    them; the nearest N_MAX_NEIGHBORS become graph nodes. Pass rng to
+    perturb the neighbor states by the noise protocol in the same call;
+    LiDAR noise is applied upstream on the scans themselves.
     """
     ablation = ablation or AblationConfig()
     robot = world.robots[agent_index]
@@ -130,31 +136,25 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
 
     bundle = ObservationBundle(o_z=scan_history.stacked, o_g=o_g,
                                o_v=o_v, o_gp=o_gp, o_c=graph)
-    if noise_cfg is not None and rng is not None:
-        bundle = apply_state_noise(bundle, rng, noise_cfg)
+    if rng is not None:
+        bundle = apply_state_noise(bundle, rng)
     return bundle
 
 
-def apply_state_noise(bundle: ObservationBundle, rng: np.random.Generator,
-                      noise_cfg: NoiseConfig) -> ObservationBundle:
-    """Perturb neighbor node positions (per Cartesian axis, magnitude
-    position_bound) and velocities (velocity_bound). Zero bounds are the
-    identity."""
-    if noise_cfg.position_bound == 0.0 and noise_cfg.velocity_bound == 0.0:
-        return bundle
+def apply_state_noise(bundle: ObservationBundle,
+                      rng: np.random.Generator) -> ObservationBundle:
+    """Perturb neighbor node positions (per Cartesian axis, uniform within
+    STATE_POSITION_BOUND) and velocities (STATE_VELOCITY_BOUND)."""
     nodes = bundle.o_c.nodes
     if len(nodes) == 0:
         return bundle
-
-    def draw(bound, size):
-        if bound == 0.0:
-            return np.zeros(size)
-        return rng.uniform(-bound, bound, size=size)
-
     xy = np.column_stack([nodes[:, 0] * np.cos(nodes[:, 1]),
                           nodes[:, 0] * np.sin(nodes[:, 1])])
-    xy = xy + draw(noise_cfg.position_bound, xy.shape)
-    vel = nodes[:, 2:4] + draw(noise_cfg.velocity_bound, (len(nodes), 2))
+    xy = xy + rng.uniform(-STATE_POSITION_BOUND, STATE_POSITION_BOUND,
+                          size=xy.shape)
+    vel = nodes[:, 2:4] + rng.uniform(-STATE_VELOCITY_BOUND,
+                                      STATE_VELOCITY_BOUND,
+                                      size=(len(nodes), 2))
     new_nodes = np.column_stack([np.hypot(xy[:, 0], xy[:, 1]),
                                  np.arctan2(xy[:, 1], xy[:, 0]), vel])
     return replace(bundle, o_c=NeighborGraph(nodes=new_nodes))

@@ -299,17 +299,16 @@ def nh_track(desired: np.ndarray, heading: float) -> Action:
 
 
 def preferred_velocity(position: np.ndarray, target: np.ndarray,
-                       goal_distance: float | None = None) -> np.ndarray:
+                       goal_distance: float) -> np.ndarray:
     """Full speed toward the target, slowing inside one meter of the goal.
 
     The target is usually a running point just ahead on the global path;
-    pass goal_distance so the slow-down keys on the actual goal instead of
-    the perpetually-near target.
+    goal_distance is the distance to the actual goal, so the slow-down keys
+    on it instead of the perpetually-near target (math.inf never slows).
     """
     to_target = np.asarray(target, dtype=float) - position
     dist = math.hypot(*to_target)
     if dist < 1e-9:
         return np.zeros(2)
-    brake = dist if goal_distance is None else goal_distance
-    speed = V_MAX * min(brake, 1.0)
+    speed = V_MAX * min(goal_distance, 1.0)
     return to_target / dist * speed

@@ -20,6 +20,7 @@ from .geometry import obstacle_surface_distance
 from .sim import WorldConfig
 
 SQRT2 = math.sqrt(2.0)
+GRID_RESOLUTION = 0.1            # m per occupancy cell
 
 
 class InvalidEndpoint(ValueError):
@@ -99,11 +100,11 @@ class OccupancyGrid:
         return (occupied & near).any(axis=(1, 2))
 
 
-def rasterize(config: WorldConfig, resolution: float = 0.1) -> OccupancyGrid:
-    """Boolean grid over the world bounds, obstacles inflated by the robot
-    radius. Other agents are never rasterized."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+def rasterize(config: WorldConfig) -> OccupancyGrid:
+    """Boolean grid of GRID_RESOLUTION cells over the world bounds,
+    obstacles inflated by the robot radius. Other agents are never
+    rasterized."""
+    resolution = GRID_RESOLUTION
     xmin, ymin, xmax, ymax = config.bounds
     nx = max(int(math.ceil((xmax - xmin) / resolution)), 1)
     ny = max(int(math.ceil((ymax - ymin) / resolution)), 1)

@@ -53,6 +53,12 @@ class TrainConfig:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.clip <= 0.0:
             raise ValueError("clip must be positive")
+        # no rollout steps or no envs never advance env_steps, so train()
+        # would loop forever; no minibatch or no epoch is no update
+        for name in ("rollout_length", "num_parallel_envs", "minibatch_size",
+                     "ppo_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):

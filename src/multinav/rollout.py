@@ -21,7 +21,8 @@ from .lidar import LidarScan, ScanHistory, noisy_ranges, raycast_batch
 # they stay importable from this module by name for tracers that wrap them,
 # such as perfbench/spans.py
 from .lidar import apply_lidar_noise, raycast  # noqa: F401
-from .observations import (AblationConfig, NoiseConfig, build_observation,
+from .observations import (STATE_POSITION_BOUND, STATE_VELOCITY_BOUND,
+                           AblationConfig, NoiseConfig, build_observation,
                            normalize)
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import reward_terms
@@ -53,7 +54,6 @@ class StepResult:
     reward_terms: list                     # RewardTerms per agent or None
     dones: list                            # bool per agent (this step)
     d_min: np.ndarray
-    targets: list                          # target used for each reward
 
 
 class NavEnv:
@@ -125,9 +125,8 @@ class NavEnv:
         world = self.world
         live = [i for i, s in enumerate(world.statuses) if s == Status.ACTIVE]
         ranges = raycast_batch(world, live)
-        if self.cfg.noise.lidar_sigma > 0.0:
-            ranges = noisy_ranges(ranges, self.lidar_rng,
-                                  self.cfg.noise.lidar_sigma)
+        if self.cfg.noise.enabled:
+            ranges = noisy_ranges(ranges, self.lidar_rng)
         for i, row in zip(live, ranges):
             self.histories[i].push(LidarScan(row, world.sim_time))
         poses = np.column_stack([world.positions[live], world.headings[live]])
@@ -138,12 +137,12 @@ class NavEnv:
         """Normalized observation per agent; None for frozen robots."""
         if not self.cfg.build_observations:
             return [None] * self.n_agents
+        rng = self.obs_rng if self.cfg.noise.enabled else None
         self._bundles = [
             build_observation(
                 self.world, i, self.histories[i],
                 self.trackers[i].dynamic_tracks(), self.target_point(i),
-                noise_cfg=self.cfg.noise, ablation=self.cfg.ablation,
-                rng=self.obs_rng)
+                ablation=self.cfg.ablation, rng=rng)
             if robot.status == Status.ACTIVE else None
             for i, robot in enumerate(self.world.robots)]
         return [None if b is None else normalize(b, self.diameter)
@@ -159,27 +158,23 @@ class NavEnv:
         (k, n - 1, 2), radii (k, n - 1)) arrays for the k robot indices in
         observers, row i holding every robot but observers[i] in index
         order, read from the world's arrays, with the evaluation noise
-        protocol applied; the baseline controllers' feed, built once per
-        step for all of them."""
+        protocol applied when it is on; the baseline controllers' feed,
+        built once per step for all of them."""
         world = self.world
         others = np.arange(len(world.positions) - 1)
         others = others + (others >= np.reshape(observers, (-1, 1)))
         pos, vel = world.positions[others], world.velocities[others]
         radii = np.full(others.shape, world.config.robot_radius)
+        if not self.cfg.noise.enabled:
+            return pos, vel, radii
         # one draw for all observers: entry (i, j) holds neighbour j's
-        # position noise, then its velocity noise (a zero bound draws
-        # nothing), scaled as Generator.uniform scales, so the values equal
-        # those of a uniform(-b, b, 2) call per observer, neighbour and
-        # bound in that order
-        nc = self.cfg.noise
-        b = np.repeat([x for x in (nc.position_bound, nc.velocity_bound)
-                       if x > 0.0], 2)
+        # position noise, then its velocity noise, scaled as
+        # Generator.uniform scales, so the values equal those of a
+        # uniform(-b, b, 2) call per observer, neighbour and bound in that
+        # order
+        b = np.repeat([STATE_POSITION_BOUND, STATE_VELOCITY_BOUND], 2)
         noise = -b + (b - -b) * self.state_rng.random(others.shape + b.shape)
-        if nc.position_bound > 0.0:
-            pos, noise = pos + noise[..., :2], noise[..., 2:]
-        if nc.velocity_bound > 0.0:
-            vel = vel + noise
-        return pos, vel, radii
+        return pos + noise[..., :2], vel + noise[..., 2:], radii
 
     # ---- stepping --------------------------------------------------------
 
@@ -194,13 +189,12 @@ class NavEnv:
                    for i, a in enumerate(raw_actions)]
         report = world.step(actions)
 
-        rewards, terms_list, dones, targets = [], [], [], []
+        rewards, terms_list, dones = [], [], []
         for i, robot in enumerate(world.robots):
             if not was_active[i]:
                 rewards.append(None)
                 terms_list.append(None)
                 dones.append(False)
-                targets.append(None)
                 continue
             self._targets[i] = self._find_target(i)
             target = self._targets[i].position
@@ -208,7 +202,6 @@ class NavEnv:
                                  prev_pos[i], robot.position, target)
             rewards.append(terms.total)
             terms_list.append(terms)
-            targets.append(target)
             self.episode_rewards[i] += terms.total
             done = robot.status != Status.ACTIVE
             dones.append(done)
@@ -219,7 +212,7 @@ class NavEnv:
                 rec.outcome = robot.status.value
         self._sense()
         return StepResult(rewards=rewards, reward_terms=terms_list, dones=dones,
-                          d_min=report.d_min, targets=targets)
+                          d_min=report.d_min)
 
     @property
     def done(self) -> bool:

@@ -54,6 +54,11 @@ class ScenarioSpec:
     robot_radius: float = 0.25
     max_episode_time: float = 120.0
 
+    def __post_init__(self):
+        if self.num_agents < 1:
+            raise ValueError(f"num_agents must be at least 1, "
+                             f"not {self.num_agents}")
+
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
         d["kind"] = self.kind.value
@@ -119,11 +124,11 @@ def _heading_towards(start, goal) -> float:
     return math.atan2(goal[1] - start[1], goal[0] - start[0])
 
 
-def _sample_clear(rng, box, taken, grid, radius, tries=MAX_PLACE_TRIES):
+def _sample_clear(rng, box, taken, grid, radius):
     """Uniform point in box, on a free inflated cell, clear of taken points."""
     xmin, ymin, xmax, ymax = box
     clearance = 2.0 * radius + SPAWN_MARGIN
-    for _ in range(tries):
+    for _ in range(MAX_PLACE_TRIES):
         p = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
         if grid.occupied_near(p[0], p[1], radius * 0.5):
             continue
@@ -148,11 +153,11 @@ def _sample_starts_goals(spec, rng, cfg, grid, start_box,
     return GeneratedScenario(cfg, starts, goals, grid)
 
 
-def _box_walls(xmin, ymin, xmax, ymax, thickness=0.1) -> list[Wall]:
-    return [Wall(xmin, ymin, xmax, ymin, thickness),
-            Wall(xmin, ymax, xmax, ymax, thickness),
-            Wall(xmin, ymin, xmin, ymax, thickness),
-            Wall(xmax, ymin, xmax, ymax, thickness)]
+def _box_walls(xmin, ymin, xmax, ymax) -> list[Wall]:
+    return [Wall(xmin, ymin, xmax, ymin),
+            Wall(xmin, ymax, xmax, ymax),
+            Wall(xmin, ymin, xmin, ymax),
+            Wall(xmax, ymin, xmax, ymax)]
 
 
 def generate(spec: ScenarioSpec) -> GeneratedScenario:
@@ -225,10 +230,10 @@ def _gen_plus(spec: ScenarioSpec, rng) -> GeneratedScenario:
     bounds = (-L - pad, -L - pad, L + pad, L + pad)
     walls = []
     for sy in (-1, 1):
-        walls.append(Wall(-L, sy * h, -h, sy * h, 0.1))
-        walls.append(Wall(h, sy * h, L, sy * h, 0.1))
-        walls.append(Wall(sy * h, -L, sy * h, -h, 0.1))
-        walls.append(Wall(sy * h, h, sy * h, L, 0.1))
+        walls.append(Wall(-L, sy * h, -h, sy * h))
+        walls.append(Wall(h, sy * h, L, sy * h))
+        walls.append(Wall(sy * h, -L, sy * h, -h))
+        walls.append(Wall(sy * h, h, sy * h, L))
     cfg = _base_config(spec, bounds, walls=walls)
     grid = rasterize(cfg)
     # arm ends: +x, +y, -x, -y assigned round-robin; goal at the opposite arm
@@ -256,8 +261,8 @@ def _gen_doorway(spec: ScenarioSpec, rng) -> GeneratedScenario:
     pad = 0.5
     bounds = (-L - pad, -H - pad, L + pad, H + pad)
     walls = _box_walls(-L, -H, L, H)
-    walls.append(Wall(0.0, -H, 0.0, -gap / 2.0, 0.1))
-    walls.append(Wall(0.0, gap / 2.0, 0.0, H, 0.1))
+    walls.append(Wall(0.0, -H, 0.0, -gap / 2.0))
+    walls.append(Wall(0.0, gap / 2.0, 0.0, H))
     cfg = _base_config(spec, bounds, walls=walls)
     grid = rasterize(cfg)
     left = (-L + 0.6, -H + 0.6, -1.0, H - 0.6)
@@ -275,9 +280,9 @@ def _gen_room(spec: ScenarioSpec, rng) -> GeneratedScenario:
         length = rng.uniform(1.0, 4.0) * unit
         x, y = rng.uniform(-half + 0.5, half - 0.5, 2)
         if rng.random() < 0.5:
-            walls.append(Wall(x, y, min(x + length, half - 0.2), y, 0.1))
+            walls.append(Wall(x, y, min(x + length, half - 0.2), y))
         else:
-            walls.append(Wall(x, y, x, min(y + length, half - 0.2), 0.1))
+            walls.append(Wall(x, y, x, min(y + length, half - 0.2)))
     cfg = _base_config(spec, bounds, walls=walls)
     grid = rasterize(cfg)
     box = (-half + 0.6, -half + 0.6, half - 0.6, half - 0.6)

@@ -338,17 +338,17 @@ def split_static(clusters: list[list[Cluster]],
     return [[c for c in row if not next(static)] for row in clusters]
 
 
-def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster], dt: float,
-               radius: float) -> list[tuple[float, int, int]]:
-    """(distance, track id, cluster index) of every cluster within the
-    gating radius of a track's predicted position, nearest first."""
+def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster],
+               dt: float) -> list[tuple[float, int, int]]:
+    """(distance, track id, cluster index) of every cluster within
+    GATING_RADIUS of a track's predicted position, nearest first."""
     if not tracks or not clusters:
         return []
     pred = np.array([t.closest_point + t.velocity_estimate * dt
                      for t in tracks])
     gap = np.array([c.closest_point for c in clusters]) - pred[:, None]
     dist = np.hypot(gap[..., 0], gap[..., 1])      # (tracks, clusters)
-    close = dist <= radius
+    close = dist <= GATING_RADIUS
     ti, ci = np.nonzero(close)
     return sorted(zip(dist[close].tolist(),
                       [tracks[t].id for t in ti.tolist()], ci.tolist()))
@@ -375,8 +375,7 @@ def update_trackers(trackers: list[Tracker], ranges: np.ndarray,
             cluster_batch(ranges, poses), grid)):
         by_id = {t.id: t for t in tracker.tracks}
         pairs = []                 # (track, cluster index, job, frames)
-        for _, tid, ci in gate_pairs(tracker.tracks, dynamic, dt,
-                                     GATING_RADIUS):
+        for _, tid, ci in gate_pairs(tracker.tracks, dynamic, dt):
             track = by_id[tid]
             # the oldest snapshot spans the velocity baseline; a track
             # spawned last frame has one snapshot, equal to track.points, so

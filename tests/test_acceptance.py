@@ -125,7 +125,7 @@ def test_criterion_06_tracker_fidelity():
     world = World(cfg, [(-1.5, 0.0, 0.0), (1.0, -1.5, math.pi / 2)],
                   [(9.0, 9.0)] * 2)
     from multinav.planner import rasterize
-    grid = rasterize(cfg, 0.1)
+    grid = rasterize(cfg)
     trackers = [Tracker(), Tracker()]
     truths = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
     sq = []

@@ -75,6 +75,12 @@ class TestPolicyController:
         assert (np.array(got).tobytes()
                 == np.array([(a.v, a.w) for a in want]).tobytes())
 
+    def test_sampling_is_refused(self):
+        net = ActorCritic(PolicyConfig.reduced(), seed=2)
+        assert PolicyController(net, deterministic=True).net is net
+        with pytest.raises(ValueError, match="deterministic"):
+            PolicyController(net, deterministic=False)
+
     def run_policy_episode(self, net):
         spec = empty_single_agent_spec(scale=5.0)
         spec.max_episode_time = 2.0
@@ -168,6 +174,11 @@ class TestRunTrials:
     def test_policy_requires_checkpoint(self):
         with pytest.raises(ConfigError):
             run_trials(empty_single_agent_spec(), "policy", trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            run_trials(empty_single_agent_spec(), "straight", trials=trials)
 
     def test_unknown_controller(self):
         with pytest.raises(ConfigError):

@@ -142,6 +142,25 @@ class TestRunCommand:
                        "--out", str(tmp_path / "m.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"),
+                                            ("--trials", "-1"),
+                                            ("--agents", "0")])
+    def test_no_trials_or_no_agents_exit_two(self, tmp_path, capsys, flag,
+                                             value):
+        opts = {"--scenario": "circle", "--agents": "2",
+                "--controller": "straight", "--trials": "1",
+                "--out": str(tmp_path / "m.csv")}
+        opts[flag] = value
+        assert run_cli("run", *[x for kv in opts.items() for x in kv]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_grid_without_trials_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--trials", "0", "--out", str(out)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblationPlumbing:
     def _run_with_log(self, tmp_path, ablation):
@@ -271,6 +290,28 @@ class TestTrainCommand:
             "trained on a bad config"))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(p)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["rollout_length", "num_parallel_envs",
+                                      "minibatch_size", "ppo_epochs",
+                                      "num_agents"])
+    def test_zero_count_is_refused_before_training(self, tmp_path, monkeypatch,
+                                                   capsys, name):
+        # refused when the config loads, before train() could start: a zero
+        # rollout length, env count or agent count once made it spin forever
+        with open(os.path.join(CONFIGS, "train_goal_task.json")) as f:
+            doc = json.load(f)
+        if name == "num_agents":
+            doc["scenarios"][0][name] = 0
+        else:
+            doc["train"][name] = 0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=name):
+            load_train_config(str(p))
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail(
+            "trained on a config that never finishes"))
         assert run_cli("train", "--config", str(p)) == 2
         assert "configuration error" in capsys.readouterr().err
 

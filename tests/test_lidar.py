@@ -242,11 +242,6 @@ class TestLidarNoise:
         scan.ranges = np.full(N_BEAMS, r)
         return scan
 
-    def test_sigma_zero_identity(self):
-        scan = self.base_scan()
-        out = apply_lidar_noise(scan, np.random.default_rng(0), sigma=0.0)
-        assert out is scan
-
     def test_multiplicative_gaussian_stats(self):
         # 1e5 samples of a 2.0 m beam: mean 2.0 +- 0.01, std 0.07 +- 0.005
         rng = np.random.default_rng(21)
@@ -272,7 +267,7 @@ class TestLidarNoise:
         scan = raycast(world_with(), 0)
         rng = np.random.default_rng(8)
         for _ in range(200):
-            out = apply_lidar_noise(scan, rng, sigma=0.035)
+            out = apply_lidar_noise(scan, rng)
             assert np.all(out.ranges == MAX_RANGE)
             assert cluster_scan(out, (0.0, 0.0, 0.0)) == []
 
@@ -288,10 +283,10 @@ class TestLidarNoise:
         batch, turns, count = (np.random.default_rng(9) for _ in range(3))
         for step in range(4):
             rows = ranges[: 6 - step]
-            got = noisy_ranges(rows, batch, 0.035)
+            got = noisy_ranges(rows, batch)
             for row, r in zip(got, rows):
                 want = apply_lidar_noise(LidarScan(ranges=r, timestamp=0.0),
-                                         turns, 0.035).ranges
+                                         turns).ranges
                 assert row.tobytes() == want.tobytes()
             count.normal(size=rows.size)
             assert batch.bit_generator.state == turns.bit_generator.state

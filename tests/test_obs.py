@@ -5,7 +5,7 @@ import pytest
 
 from multinav.geometry import Circle
 from multinav.lidar import MAX_RANGE, ScanHistory, raycast
-from multinav.observations import (AblationConfig, NeighborGraph, NoiseConfig,
+from multinav.observations import (AblationConfig, NeighborGraph,
                                    ObservationBundle, apply_state_noise,
                                    build_observation, normalize)
 from multinav.planner import TargetPoint, rasterize
@@ -125,7 +125,7 @@ class TestBuildObservation:
     def test_two_robot_approach_yields_node(self):
         # closed loop: within 3 steps of visibility the graph is non-empty
         w = make_world([(0, 0, 0), (2.5, 0.0, math.pi)], goal=(5, 0))
-        grid = rasterize(w.config, 0.1)
+        grid = rasterize(w.config)
         tracker = Tracker()
         hist = ScanHistory()
         found_at = None
@@ -149,17 +149,11 @@ class TestStateNoise:
             o_v=np.zeros(2), o_gp=np.zeros(3),
             o_c=NeighborGraph(nodes=np.array([[d, bearing, vx, vy]])))
 
-    def test_zeroed_noise_identity(self):
-        b = self.bundle_with_node()
-        out = apply_state_noise(b, np.random.default_rng(0), NoiseConfig.disabled())
-        assert np.array_equal(out.o_c.nodes, b.o_c.nodes)
-
     def test_uniform_position_bound(self):
         rng = np.random.default_rng(72)
-        cfg = NoiseConfig()
         max_shift = 0.0
         for _ in range(2000):
-            out = apply_state_noise(self.bundle_with_node(), rng, cfg)
+            out = apply_state_noise(self.bundle_with_node(), rng)
             d, bearing = out.o_c.nodes[0, :2]
             x, y = d * math.cos(bearing), d * math.sin(bearing)
             shift = max(abs(x - 1.0), abs(y))
@@ -169,9 +163,8 @@ class TestStateNoise:
 
     def test_velocity_stays_in_box(self):
         rng = np.random.default_rng(73)
-        cfg = NoiseConfig()
         for _ in range(2000):
-            out = apply_state_noise(self.bundle_with_node(), rng, cfg)
+            out = apply_state_noise(self.bundle_with_node(), rng)
             vx, vy = out.o_c.nodes[0, 2:]
             assert 0.4 <= vx <= 0.6
             assert -0.1 <= vy <= 0.1

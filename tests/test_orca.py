@@ -743,13 +743,19 @@ class TestNhTrack:
 
 class TestPreferredVelocity:
     def test_full_speed_far(self):
-        v = preferred_velocity(np.zeros(2), np.array([5.0, 0.0]))
+        v = preferred_velocity(np.zeros(2), np.array([5.0, 0.0]), 5.0)
         assert np.allclose(v, [1.0, 0.0])
 
     def test_slows_near_target(self):
-        v = preferred_velocity(np.zeros(2), np.array([0.5, 0.0]))
+        # the goal, not the near running target, sets the speed
+        v = preferred_velocity(np.zeros(2), np.array([0.5, 0.0]), 0.5)
         assert np.allclose(v, [0.5, 0.0])
+        v = preferred_velocity(np.zeros(2), np.array([0.5, 0.0]), 3.0)
+        assert np.allclose(v, [1.0, 0.0])
+        v = preferred_velocity(np.zeros(2), np.array([0.5, 0.0]), math.inf)
+        assert np.allclose(v, [1.0, 0.0])
 
     def test_zero_at_target(self):
-        v = preferred_velocity(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        v = preferred_velocity(np.array([1.0, 1.0]), np.array([1.0, 1.0]),
+                               0.0)
         assert np.allclose(v, [0.0, 0.0])

@@ -136,14 +136,14 @@ def flood_fill_regions(cells):
 class TestRasterize:
     def test_empty_world(self):
         cfg = WorldConfig(bounds=(0, 0, 10, 10))
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         assert grid.shape == (100, 100)
         assert not grid.cells.any()
 
     def test_inflated_disc(self):
         cfg = WorldConfig(bounds=(0, 0, 10, 10), circles=[Circle(5, 5, 0.5)],
                           robot_radius=0.25)
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         # per-cell oracle: occupied iff center within 0.75 of the circle center
         xs = (np.arange(100) + 0.5) * 0.1
         cx, cy = np.meshgrid(xs, xs, indexing="ij")
@@ -153,12 +153,12 @@ class TestRasterize:
     def test_wall_splits_free_space(self):
         cfg = WorldConfig(bounds=(0, 0, 10, 10),
                           walls=[Wall(0, 5, 10, 5, thickness=0.2)])
-        grid = rasterize(cfg, 0.25)
+        grid = rasterize(cfg)
         assert flood_fill_regions(grid.cells) == 2
 
     def test_pgm_export(self, tmp_path):
         cfg = WorldConfig(bounds=(0, 0, 2, 2), circles=[Circle(1, 1, 0.3)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         out = tmp_path / "map.pgm"
         save_pgm(grid, str(out))
         data = out.read_bytes()
@@ -171,7 +171,7 @@ class TestOccupiedNearPoints:
         cfg = WorldConfig(bounds=(-3, -2, 4, 5),
                           circles=[Circle(0.5, 1.0, 0.6), Circle(3.2, 4.1, 0.3)],
                           walls=[Wall(-2.0, -1.0, 2.5, -1.0, thickness=0.2)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         margin = 0.15
         rng = np.random.default_rng(29)
         inside = rng.uniform([-3, -2], [4, 5], (3000, 2))
@@ -208,7 +208,7 @@ class TestOccupiedNearPoints:
         assert grid.occupied_near_points(points, margin).tolist() == want
 
     def test_empty_grid_and_no_points(self):
-        grid = rasterize(WorldConfig(bounds=(0, 0, 2, 2)), 0.1)
+        grid = rasterize(WorldConfig(bounds=(0, 0, 2, 2)))
         assert not grid.occupied_near_points(np.full((5, 2), 1.0), 0.15).any()
         assert grid.occupied_near_points(np.zeros((0, 2)), 0.15).shape == (0,)
 
@@ -372,7 +372,7 @@ class TestEndToEndPlanning:
     def test_plan_through_doorway(self):
         cfg = WorldConfig(bounds=(-5, -2, 5, 2),
                           walls=[Wall(0, -2, 0, -0.5, 0.2), Wall(0, 0.5, 0, 2, 0.2)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         path = astar(grid, (-4.0, 0.0), (4.0, 0.0))
         # must thread the 1 m gap near the origin
         near_gap = path.waypoints[np.abs(path.waypoints[:, 0]) < 0.2]

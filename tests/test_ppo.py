@@ -219,6 +219,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(clip=0.0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["rollout_length", "num_parallel_envs",
+                                      "minibatch_size", "ppo_epochs"])
+    def test_counts_at_least_one(self, name, value):
+        # a zero rollout length or env count never advances train()'s step
+        # counter, so it must be refused before training starts
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
 
 class TestBufferStreams:
     def test_streams_isolated_per_agent(self):

@@ -47,8 +47,8 @@ class TestNavEnv:
     def test_reward_targets_running_point(self):
         env = NavEnv(single_agent_spec(scale=8.0), seed=2)
         env.reset()
-        result = env.step([(1.0, 0.0)])
-        target = result.targets[0]
+        env.step([(1.0, 0.0)])
+        target = env.target_point(0).position
         goal = env.world.robots[0].goal
         # running target sits on the path ahead, not at the far goal
         d_goal = np.hypot(*(env.world.robots[0].position - goal))
@@ -73,13 +73,41 @@ class TestNavEnv:
             assert np.array_equal(again.extras, o.extras)
         assert env.obs_rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("controller", ["policy", "orca"])
+    def test_disabled_noise_draws_nothing(self, controller):
+        # with the protocol off, a reset, steps and observations leave all
+        # three noise streams untouched; the same run with it on draws from
+        # every stream the controller's inputs use (the state feed serves
+        # the baselines only)
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=4,
+                            rng_seed=3)
+        for noise in (NoiseConfig.disabled(), NoiseConfig()):
+            ctrl = (PolicyController(ActorCritic(TINY_POLICY, seed=0))
+                    if controller == "policy" else OrcaController())
+            env = NavEnv(spec, EnvConfig(noise=noise), seed=3)
+            rngs = (env.lidar_rng, env.state_rng, env.obs_rng)
+            before = [r.bit_generator.state for r in rngs]
+            obs = env.reset()
+            seen = 0
+            for _ in range(5):
+                env.step(ctrl.act(env, obs))
+                obs = env.observations()
+                seen += sum(len(o.nodes) for o in obs if o is not None)
+            assert seen > 0                # observations held neighbours
+            drawn = [r.bit_generator.state != b for r, b in zip(rngs, before)]
+            if not noise.enabled:
+                assert drawn == [False, False, False]
+            else:
+                assert drawn == [True, controller == "orca", True]
+
     def test_no_gp_ablation_targets_goal(self):
         env = NavEnv(single_agent_spec(scale=8.0),
                      EnvConfig(ablation=AblationConfig(no_global_path=True)),
                      seed=2)
         env.reset()
-        result = env.step([(1.0, 0.0)])
-        assert np.allclose(result.targets[0], env.world.robots[0].goal)
+        env.step([(1.0, 0.0)])
+        assert np.allclose(env.target_point(0).position,
+                           env.world.robots[0].goal)
 
     @pytest.mark.parametrize("controller", ["orca", "straight", "policy"])
     def test_one_running_target_per_active_agent_step(self, controller,
@@ -169,9 +197,12 @@ class TestNavEnv:
             assert p.cumulative_length.tobytes() == q.cumulative_length.tobytes()
 
 
-def _neighbor_states_reference(env, i):
+PROTOCOL, OFF = (0.1, 0.1), (0.0, 0.0)   # neighbour position, velocity bounds
+
+
+def _neighbor_states_reference(env, i, bounds):
     """The per-neighbour loop the array feed replaced: two uniform draws
-    per neighbour, position noise first."""
+    per neighbour, position noise first, and none for OFF bounds."""
     out = []
     for j, r in enumerate(env.world.robots):
         if j == i:
@@ -180,23 +211,19 @@ def _neighbor_states_reference(env, i):
         th = r.heading
         vel = np.array([r.linear_velocity * math.cos(th),
                         r.linear_velocity * math.sin(th)])
-        nc = env.cfg.noise
-        if nc.position_bound > 0.0:
-            pos = pos + env.state_rng.uniform(-nc.position_bound,
-                                              nc.position_bound, 2)
-        if nc.velocity_bound > 0.0:
-            vel = vel + env.state_rng.uniform(-nc.velocity_bound,
-                                              nc.velocity_bound, 2)
+        if bounds != OFF:
+            pos = pos + env.state_rng.uniform(-bounds[0], bounds[0], 2)
+            vel = vel + env.state_rng.uniform(-bounds[1], bounds[1], 2)
         out.append((pos, vel, env.world.config.robot_radius))
     return out
 
 
 def _feed_envs(bounds, copies):
-    """Identical moving noisy circle-7 envs, the feed's state_rng untouched
-    since reset."""
+    """Identical moving circle-7 envs, the noise protocol on for PROTOCOL
+    bounds and off for OFF, the feed's state_rng untouched since reset."""
     spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=7,
                         rng_seed=2)
-    noise = NoiseConfig(position_bound=bounds[0], velocity_bound=bounds[1])
+    noise = NoiseConfig(enabled=bounds == PROTOCOL)
     envs = []
     for _ in range(copies):
         env = NavEnv(spec, EnvConfig(noise=noise, build_observations=False),
@@ -208,12 +235,12 @@ def _feed_envs(bounds, copies):
     return envs
 
 
-def _assert_feed_matches_reference(fast, slow, observers):
+def _assert_feed_matches_reference(fast, slow, observers, bounds):
     pos, vel, radii = fast.noisy_neighbor_states(observers)
     assert pos.shape == vel.shape == (len(observers), 6, 2)
     assert radii.shape == (len(observers), 6)
     for k, i in enumerate(observers):
-        want = _neighbor_states_reference(slow, i)
+        want = _neighbor_states_reference(slow, i, bounds)
         assert len(want) == 6
         for p, v, r, (wp, wv, wr) in zip(pos[k], vel[k], radii[k], want):
             assert p.tobytes() == wp.tobytes()
@@ -224,8 +251,7 @@ def _assert_feed_matches_reference(fast, slow, observers):
 
 
 class TestNoisyNeighborStates:
-    @pytest.mark.parametrize("bounds", [(0.1, 0.1), (0.1, 0.0), (0.0, 0.2),
-                                        (0.0, 0.0), (0.37, 0.011)])
+    @pytest.mark.parametrize("bounds", [PROTOCOL, OFF])
     def test_matches_per_neighbour_draws(self, bounds):
         fast, slow = _feed_envs(bounds, 2)
         # twice per world state, all observers then a subset (robots that
@@ -233,17 +259,16 @@ class TestNoisyNeighborStates:
         # step
         for k in range(3):
             for observers in (list(range(7)), [0, 2, 5]):
-                _assert_feed_matches_reference(fast, slow, observers)
+                _assert_feed_matches_reference(fast, slow, observers, bounds)
             for env in (fast, slow):
                 env.step([(0.3 + 0.1 * k, 0.2 - 0.1 * j) for j in range(7)])
         # and after a reset
         for env in (fast, slow):
             env.noisy_neighbor_states([0])
             env.reset()
-        _assert_feed_matches_reference(fast, slow, list(range(7)))
+        _assert_feed_matches_reference(fast, slow, list(range(7)), bounds)
 
-    @pytest.mark.parametrize("bounds", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.2),
-                                        (0.1, 0.1)])
+    @pytest.mark.parametrize("bounds", [OFF, PROTOCOL])
     def test_one_draw_equals_per_observer_draws(self, bounds):
         batch, single = _feed_envs(bounds, 2)
         observers = [1, 3, 4, 6]
@@ -256,7 +281,7 @@ class TestNoisyNeighborStates:
                 == single.state_rng.bit_generator.state)
 
     def test_no_observers_draw_nothing(self):
-        env, = _feed_envs((0.1, 0.1), 1)
+        env, = _feed_envs(PROTOCOL, 1)
         state = env.state_rng.bit_generator.state
         pos, vel, radii = env.noisy_neighbor_states([])
         assert pos.shape == vel.shape == (0, 6, 2) and radii.shape == (0, 6)

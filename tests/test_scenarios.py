@@ -176,6 +176,15 @@ class TestHallway:
         assert left == 4
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("agents", [0, -1])
+    def test_needs_an_agent(self, agents):
+        with pytest.raises(ValueError, match="num_agents"):
+            ScenarioSpec(kind=Kind.RANDOM, num_agents=agents)
+        with pytest.raises(ValueError, match="num_agents"):
+            ScenarioSpec.from_dict({"kind": "circle", "num_agents": agents})
+
+
 class TestEvalSuite:
     def test_circle_forty_radius(self):
         spec = eval_suite(Kind.CIRCLE, 40)

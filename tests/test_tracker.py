@@ -30,7 +30,7 @@ def make_world(robots, circles=(), walls=()):
 
 
 def empty_grid():
-    return rasterize(WorldConfig(bounds=(-10, -10, 10, 10)), 0.1)
+    return rasterize(WorldConfig(bounds=(-10, -10, 10, 10)))
 
 
 def scan_of(world, idx=0):
@@ -184,7 +184,7 @@ class TestClusterBatchMatchesReference:
             live = list(range(len(w.robots)))
             ranges = raycast_batch(w, live)
             if noise:
-                ranges = noisy_ranges(ranges, rng, 0.035)
+                ranges = noisy_ranges(ranges, rng)
             poses = np.array([(*r.position, r.heading) for r in w.robots])
             got = self.assert_rows_match(ranges, poses)
             # scans whose first and last clusters may join across the wrap
@@ -238,7 +238,7 @@ class TestClusterBatchMatchesReference:
         # sit next to its occupied edge cells, others far outside
         cfg = WorldConfig(bounds=(-3, -3, 3, 3),
                           walls=[Wall(-3.0, 3.0, 3.0, 3.0, 0.1)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         assert grid.cells[:, -1].all()
         rng = np.random.default_rng(71)
         observers = []
@@ -409,7 +409,7 @@ class TestAssociate:
     def test_wall_cluster_is_static(self):
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
         tracker = Tracker()
@@ -477,7 +477,7 @@ class TestAssociate:
         monkeypatch.setattr(tracker_module, "icp_translation", counted)
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
-        grid = rasterize(cfg, 0.1)
+        grid = rasterize(cfg)
         w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         tracker = Tracker()
         for _ in range(5):
@@ -511,7 +511,7 @@ class TestAssociate:
             x = rng.uniform(1.0, 2.5)
             cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                               walls=[Wall(x, -3.0, x, 3.0, 0.2)])
-            grid = rasterize(cfg, 0.1)
+            grid = rasterize(cfg)
             w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
             tracker = Tracker()
             for _ in range(5):
@@ -593,9 +593,8 @@ class ReferenceEnv(NavEnv):
                 continue
             scan = LidarScan(ranges=reference_raycast(self.world, i),
                              timestamp=self.world.sim_time)
-            if self.cfg.noise.lidar_sigma > 0.0:
-                scan = apply_lidar_noise(scan, self.lidar_rng,
-                                         self.cfg.noise.lidar_sigma)
+            if self.cfg.noise.enabled:
+                scan = apply_lidar_noise(scan, self.lidar_rng)
             self.histories[i].push(scan)
             reference_update(self.trackers[i], scan,
                              (*robot.position, robot.heading), self.grid,
@@ -647,7 +646,7 @@ class TestBatchedUpdateMatchesReference:
         # call per frame against one reference_update per observer
         rng = np.random.default_rng(83)
         w = random_world(rng, 6, 2, 2)
-        grid = rasterize(w.config, 0.1)
+        grid = rasterize(w.config)
         batched = [Tracker() for _ in w.robots]
         references = [Tracker() for _ in w.robots]
         velocities = rng.uniform(-0.5, 0.5, (6, 2))
@@ -657,13 +656,13 @@ class TestBatchedUpdateMatchesReference:
             live = [i for i in range(6) if i != frame % 7]
             poses = np.array([(*w.robots[i].position, w.robots[i].heading)
                               for i in live])
-            ranges = noisy_ranges(raycast_batch(w, live), noise[0], 0.035)
+            ranges = noisy_ranges(raycast_batch(w, live), noise[0])
             update_trackers([batched[i] for i in live], ranges, poses, grid,
                             0.1)
             for i, pose in zip(live, poses):
                 scan = LidarScan(ranges=reference_raycast(w, i), timestamp=0.0)
                 reference_update(references[i],
-                                 apply_lidar_noise(scan, noise[1], 0.035),
+                                 apply_lidar_noise(scan, noise[1]),
                                  tuple(pose), grid, 0.1)
             for got, want in zip(batched, references):
                 assert track_state(got) == track_state(want), frame
