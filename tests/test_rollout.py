@@ -200,6 +200,13 @@ class TestNavEnv:
 PROTOCOL, OFF = (0.1, 0.1), (0.0, 0.0)   # neighbour position, velocity bounds
 
 
+def _use_bounds(monkeypatch, bounds):
+    """Run the neighbour feed at these (position, velocity) bounds: OFF
+    turns the noise off, any other pair sets the bounds the feed reads."""
+    monkeypatch.setattr(rollout, "STATE_POSITION_BOUND", bounds[0])
+    monkeypatch.setattr(rollout, "STATE_VELOCITY_BOUND", bounds[1])
+
+
 def _neighbor_states_reference(env, i, bounds):
     """The per-neighbour loop the array feed replaced: two uniform draws
     per neighbour, position noise first, and none for OFF bounds."""
@@ -219,11 +226,11 @@ def _neighbor_states_reference(env, i, bounds):
 
 
 def _feed_envs(bounds, copies):
-    """Identical moving circle-7 envs, the noise protocol on for PROTOCOL
-    bounds and off for OFF, the feed's state_rng untouched since reset."""
+    """Identical moving circle-7 envs, the noise on unless bounds are OFF,
+    the feed's state_rng untouched since reset."""
     spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=7,
                         rng_seed=2)
-    noise = NoiseConfig(enabled=bounds == PROTOCOL)
+    noise = NoiseConfig(enabled=bounds != OFF)
     envs = []
     for _ in range(copies):
         env = NavEnv(spec, EnvConfig(noise=noise, build_observations=False),
@@ -251,8 +258,10 @@ def _assert_feed_matches_reference(fast, slow, observers, bounds):
 
 
 class TestNoisyNeighborStates:
-    @pytest.mark.parametrize("bounds", [PROTOCOL, OFF])
-    def test_matches_per_neighbour_draws(self, bounds):
+    @pytest.mark.parametrize("bounds", [PROTOCOL, (0.1, 0.0), (0.0, 0.2),
+                                        OFF, (0.37, 0.011)])
+    def test_matches_per_neighbour_draws(self, bounds, monkeypatch):
+        _use_bounds(monkeypatch, bounds)
         fast, slow = _feed_envs(bounds, 2)
         # twice per world state, all observers then a subset (robots that
         # stopped acting are seen but do not observe), then again after a
@@ -268,8 +277,10 @@ class TestNoisyNeighborStates:
             env.reset()
         _assert_feed_matches_reference(fast, slow, list(range(7)), bounds)
 
-    @pytest.mark.parametrize("bounds", [OFF, PROTOCOL])
-    def test_one_draw_equals_per_observer_draws(self, bounds):
+    @pytest.mark.parametrize("bounds", [OFF, (0.1, 0.0), (0.0, 0.2),
+                                        PROTOCOL])
+    def test_one_draw_equals_per_observer_draws(self, bounds, monkeypatch):
+        _use_bounds(monkeypatch, bounds)
         batch, single = _feed_envs(bounds, 2)
         observers = [1, 3, 4, 6]
         got = batch.noisy_neighbor_states(observers)
