@@ -3,12 +3,23 @@
 Rasterizes the static map with radius inflation, runs A*, then walks an
 agent along the path printing the running target point it would be handed
 at each position. Exports the grid as a PGM image for inspection.
+
+    python3 demos/03_global_paths.py [OUT_DIR]
+
+writes doorway_map.pgm and its .json metadata to OUT_DIR (default: the
+current directory).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from multinav import Wall, WorldConfig, astar, rasterize, running_target
 from multinav.planner import save_pgm
+
+out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+out_dir.mkdir(parents=True, exist_ok=True)
 
 config = WorldConfig(
     bounds=(-5.5, -2.5, 5.5, 2.5),
@@ -23,8 +34,9 @@ print(f"grid {grid.shape[0]}x{grid.shape[1]} cells, "
 path = astar(grid, (-4.0, -1.0), (4.0, 1.0))
 print(f"path: {len(path.waypoints)} waypoints, {path.length:.2f} m")
 
-save_pgm(grid, "/tmp/doorway_map.pgm")
-print("wrote /tmp/doorway_map.pgm (+ .json metadata)")
+pgm = out_dir / "doorway_map.pgm"
+save_pgm(grid, str(pgm))
+print(f"wrote {pgm} (+ .json metadata)")
 
 print(f"\n{'agent at':>16} {'target idx':>10} {'target at':>16} {'path dir':>9}")
 for frac in (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0):

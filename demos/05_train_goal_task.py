@@ -3,11 +3,22 @@
 Trains a reduced network to drive an empty 5 m world toward randomized
 goals, guided by the running target point of an A* path. Takes a couple of
 minutes; the deterministic-eval success rate should climb toward 100%.
+
+    python3 demos/05_train_goal_task.py [OUT_DIR]
+
+writes the checkpoint and the training curve under OUT_DIR/goal_task_training
+(default OUT_DIR: the current directory).
 """
+
+import sys
+from pathlib import Path
 
 from multinav.policy import PolicyConfig
 from multinav.ppo import TrainConfig, train
 from multinav.scenarios import Kind, ScenarioSpec
+
+out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+out_dir.mkdir(parents=True, exist_ok=True)
 
 spec = ScenarioSpec(kind=Kind.RANDOM, scale=5.0, num_agents=1,
                     num_obstacles=0, max_episode_time=15.0, rng_seed=0)
@@ -23,7 +34,7 @@ cfg = TrainConfig(
     seed=1,
 )
 
-result = train([spec], cfg, "/tmp/goal_task_training",
+result = train([spec], cfg, str(out_dir / "goal_task_training"),
                policy_cfg=PolicyConfig.reduced())
 
 print(f"\n{'step':>8} {'mean reward':>12} {'eval success':>13} {'critic loss':>12}")

@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float)
     run.add_argument("--obstacles", type=int)
     run.add_argument("--noise", action="store_true")
-    run.add_argument("--ablation", choices=["none", "no-gp", "no-gnn"])
+    run.add_argument("--ablation",
+                     choices=["none", "no-gp", "no-gnn", "drl-nav"])
     run.add_argument("--workers", type=int)
     run.add_argument("--out")
     run.add_argument("--log", help="trajectory JSONL path")

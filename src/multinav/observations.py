@@ -52,12 +52,17 @@ class AblationConfig:
 
     @classmethod
     def from_name(cls, name: str) -> "AblationConfig":
+        """"drl-nav" drops both inputs: DRL-NAV (Long et al., ICRA 2018),
+        one of the paper's baselines, sees the LiDAR frames, the goal and
+        its own velocity, with no global path and no neighbour graph."""
         if name in ("", "none"):
             return cls()
         if name == "no-gp":
             return cls(no_global_path=True)
         if name == "no-gnn":
             return cls(no_gnn=True)
+        if name == "drl-nav":
+            return cls(no_global_path=True, no_gnn=True)
         raise ValueError(f"unknown ablation {name!r}")
 
 

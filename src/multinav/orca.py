@@ -95,20 +95,28 @@ def _orca_lines(rel_pos, rel_vel, dist_sq, combined_radius, tau,
     return responsibility[:, None] * u, direction
 
 
-# The LP below runs on plain floats, one (p0, p1, d0, d1) row per line, but
-# takes each 2-vector dot product (p @ d, p @ p, opt @ d, d @ (opt - p),
-# opt @ opt and, for parallel lines in _lp3, D[i] @ D[j]) as a numpy `@`:
-# OpenBLAS's ddot may fuse the multiply-add, so `a0 * b0 + a1 * b1` can
-# differ from it in the last bit. Crosses, `p + t * d` and the bounds round
-# once per operation either way.
+# The LP below runs on plain floats, one (p0, p1, d0, d1) row per line, and
+# touches no numpy inside its loops. Each 2-vector dot product it reads is
+# taken in advance by one batched `_dots` call: p @ d and p @ p of every
+# line of every observer in orca_planes; d @ (pref - p) of every line, and
+# pref @ pref, in _lp_preferred, once per orca_velocity call; p @ d, p @ p
+# and opt @ d of each projected line in _lp3, once per sub-problem. Only
+# D[i] @ D[j], for the rare parallel pairs in _lp3, stays a scalar `@`.
+# Batched or not, numpy's matmul hands each 2-vector to BLAS's ddot, and
+# OpenBLAS's ddot may fuse the multiply-add: it computes
+# fma(a1, b1, a0 * b0), so the Python expression `a0 * b0 + a1 * b1` can
+# differ from it in the last bit, and Python has no fma before 3.13.
+# Crosses, `p + t * d` and the bounds round once per operation either way,
+# so they run as Python arithmetic.
 
 
-def _lp1(P, D, rows, line_no, radius, opt_velocity, direction_opt):
+def _lp1(rows, pd, pp, obj, line_no, radius, direction_opt):
     """Optimize along line line_no, respecting earlier lines and the speed
-    disc. Returns the new point or None when infeasible."""
-    p, d = P[line_no], D[line_no]
-    dot = float(p @ d)
-    disc = dot * dot + radius * radius - float(p @ p)
+    disc. pd and pp hold each line's p @ d and p @ p; obj holds its
+    objective dot: opt @ d when direction_opt, else d @ (opt - p). Returns
+    the new point or None when infeasible."""
+    dot = pd[line_no]
+    disc = dot * dot + radius * radius - pp[line_no]
     if disc < 0.0:
         return None
     sq = math.sqrt(disc)
@@ -117,51 +125,66 @@ def _lp1(P, D, rows, line_no, radius, opt_velocity, direction_opt):
     for q0, q1, e0, e1 in rows[:line_no]:
         den = d0 * e1 - d1 * e0
         num = e0 * (p1 - q1) - e1 * (p0 - q0)
-        if abs(den) <= EPS:
+        if -EPS <= den <= EPS:
             # a parallel earlier line either holds along all of this one or
             # nowhere on it
             if num < 0.0:
                 return None
             continue
         t = num / den
+        # `if`s rather than min() and max(): the same choice on every
+        # input, ties and NaN included, without two builtin calls per line
         if den >= 0.0:
-            t_right = min(t_right, t)
-        else:
-            t_left = max(t_left, t)
+            if t < t_right:
+                t_right = t
+        elif t > t_left:
+            t_left = t
         if t_left > t_right:
             return None
     if direction_opt:
-        t = t_right if float(opt_velocity @ d) > 0.0 else t_left
+        t = t_right if obj[line_no] > 0.0 else t_left
     else:
-        t = min(max(float(d @ (opt_velocity - p)), t_left), t_right)
+        t = min(max(obj[line_no], t_left), t_right)
     return p0 + t * d0, p1 + t * d1
 
 
-def _lp2(P, D, rows, radius, opt_velocity, direction_opt):
-    """Feasible velocity closest to opt_velocity inside the speed disc.
-    rows holds the lines' (p0, p1, d0, d1) floats. Returns (index of first
-    failing line or len(P), result)."""
-    o0, o1 = opt_velocity.tolist()
-    if direction_opt:
-        r0, r1 = o0 * radius, o1 * radius
-    elif float(opt_velocity @ opt_velocity) > radius * radius:
-        norm = math.hypot(o0, o1)
-        r0, r1 = o0 / norm * radius, o1 / norm * radius
-    else:
-        r0, r1 = o0, o1
+def _lp2(rows, pd, pp, obj, radius, result, direction_opt):
+    """The incremental 2-D program from the start point result, an (r0, r1)
+    pair: the objective clipped to the speed disc, or the direction scaled
+    to it. rows, pd, pp and obj are as _lp1 reads them. Returns (index of
+    the first failing line or len(rows), the (r0, r1) reached)."""
+    r0, r1 = result
     for i, (p0, p1, d0, d1) in enumerate(rows):
         if d0 * (p1 - r1) - d1 * (p0 - r0) > 0.0:
-            new = _lp1(P, D, rows, i, radius, opt_velocity, direction_opt)
+            new = _lp1(rows, pd, pp, obj, i, radius, direction_opt)
             if new is None:
-                return i, np.array([r0, r1])
+                return i, (r0, r1)
             r0, r1 = new
-    return len(rows), np.array([r0, r1])
+    return len(rows), (r0, r1)
 
 
-def _lp3(P, D, rows, num_obst_lines, begin_line, radius, result):
+def _lp_preferred(planes, preferred_velocity, radius):
+    """_lp2 toward a preferred velocity, from it clipped to the speed disc.
+    One batched call takes d @ (pref - p) for every line and pref @ pref,
+    which decides the clip. Returns what _lp2 returns."""
+    pref = np.asarray(preferred_velocity, dtype=float)
+    *obj, pref_sq = _dots(
+        np.concatenate([planes.directions, pref[None]]),
+        np.concatenate([pref - planes.points, pref[None]])).tolist()
+    o0, o1 = pref.tolist()
+    if pref_sq > radius * radius:
+        norm = math.hypot(o0, o1)
+        o0, o1 = o0 / norm * radius, o1 / norm * radius
+    return _lp2(planes.rows, planes.pd, planes.pp, obj, radius, (o0, o1),
+                False)
+
+
+def _lp3(planes, begin_line, radius, result):
     """Infeasible fallback: minimize the maximum violation over the agent
-    lines while keeping obstacle lines hard."""
-    r0, r1 = result.tolist()
+    lines while keeping obstacle lines hard. result is the (r0, r1) pair
+    the 2-D program reached; returns the pair this one reaches."""
+    rows, num_obst_lines, D = planes.rows, planes.num_obst, planes.directions
+    r0, r1 = result
     distance = 0.0
     for i in range(begin_line, len(rows)):
         p0, p1, d0, d1 = rows[i]
@@ -169,10 +192,10 @@ def _lp3(P, D, rows, num_obst_lines, begin_line, radius, result):
             # each earlier agent line j becomes the bisector of lines i and
             # j; a parallel j pointing the same way adds no constraint
             proj = rows[:num_obst_lines]
-            for j in range(num_obst_lines, i):
-                q0, q1, e0, e1 = rows[j]
+            for j, (q0, q1, e0, e1) in enumerate(rows[num_obst_lines:i],
+                                                 num_obst_lines):
                 den = d0 * e1 - d1 * e0
-                if abs(den) <= EPS:
+                if -EPS <= den <= EPS:
                     if float(D[i] @ D[j]) > 0.0:
                         continue
                     x, y = 0.5 * (p0 + q0), 0.5 * (p1 + q1)
@@ -182,23 +205,35 @@ def _lp3(P, D, rows, num_obst_lines, begin_line, radius, result):
                 u, v = e0 - d0, e1 - d1
                 norm = math.hypot(u, v)
                 proj.append((x, y, u / norm, v / norm))
-            sub = np.array(proj).reshape(-1, 4)
-            fail, new = _lp2(sub[:, :2], sub[:, 2:], proj, radius,
-                             np.array([-d1, d0]), True)
-            if fail == len(proj):
-                r0, r1 = new.tolist()
+            # p @ d, p @ p and opt @ d of every projected line in one call:
+            # a stacks (p, p, opt) and b (d, p, d), the objective being the
+            # direction opt = (-d1, d0)
+            m = len(proj)
+            sub = np.array(proj).reshape(m, 2, 2)
+            a, b = np.empty((2, 3, m, 2))
+            a[0] = a[1] = b[1] = sub[:, 0]
+            a[2] = -d1, d0
+            b[0] = b[2] = sub[:, 1]
+            pd, pp, od = _dots(a, b).tolist()
+            fail, new = _lp2(proj, pd, pp, od, radius,
+                             (-d1 * radius, d0 * radius), True)
+            if fail == m:
+                r0, r1 = new
             distance = d0 * (p1 - r1) - d1 * (p0 - r0)
-    return np.array([r0, r1])
+    return r0, r1
 
 
 class Planes(NamedTuple):
     """One observer's ORCA lines as the LP reads them: points (r, 2) and
-    directions (r, 2), the same lines as (p0, p1, d0, d1) float rows, and
-    how many leading rows are obstacle lines."""
+    directions (r, 2), the same lines as (p0, p1, d0, d1) float rows, how
+    many leading rows are obstacle lines, and each line's p @ d and p @ p
+    as float lists."""
     points: np.ndarray
     directions: np.ndarray
     rows: list
     num_obst: int
+    pd: list
+    pp: list
 
 
 def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
@@ -253,11 +288,14 @@ def orca_planes(positions: np.ndarray, velocities: np.ndarray, radius: float,
     P = self_vel + points
 
     rows = np.hstack([P, D]).tolist()
+    n = len(rows)
+    dots = _dots(np.concatenate([P, P]), np.concatenate([D, P])).tolist()
+    pd, pp = dots[:n], dots[n:]
     ends = np.cumsum(near.sum(axis=1)).tolist()
     planes, start = [], 0
     for end, num_obst in zip(ends, near[:, :n_static].sum(axis=1).tolist()):
         planes.append(Planes(P[start:end], D[start:end], rows[start:end],
-                             num_obst))
+                             num_obst, pd[start:end], pp[start:end]))
         start = end
     return planes
 
@@ -267,18 +305,17 @@ def orca_velocity(planes: Planes, preferred_velocity: np.ndarray):
     for one observer's half-planes from orca_planes. Returns (velocity,
     feasible) where feasible is False when the 3-D fallback had to relax
     agent constraints."""
-    P, D, rows, num_obst = planes
-    fail, result = _lp2(P, D, rows, V_MAX,
-                        np.asarray(preferred_velocity, dtype=float), False)
-    if fail < len(rows):
-        result = _lp3(P, D, rows, num_obst, fail, V_MAX, result)
-        # nearly parallel agent lines give _lp3 far-off projected lines, on
-        # which _lp1's disc test cancels and can land outside the disc
-        speed = math.hypot(*result)
-        if speed > V_MAX:
-            result = result * (V_MAX / speed)
-        return result, False
-    return result, True
+    fail, result = _lp_preferred(planes, preferred_velocity, V_MAX)
+    if fail == len(planes.rows):
+        return np.array(result), True
+    r0, r1 = _lp3(planes, fail, V_MAX, result)
+    # nearly parallel agent lines give _lp3 far-off projected lines, on
+    # which _lp1's disc test cancels and can land outside the disc
+    speed = math.hypot(r0, r1)
+    if speed > V_MAX:
+        scale = V_MAX / speed
+        r0, r1 = r0 * scale, r1 * scale
+    return np.array([r0, r1]), False
 
 
 def nh_track(desired: np.ndarray, heading: float) -> Action:

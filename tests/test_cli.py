@@ -185,6 +185,13 @@ class TestAblationPlumbing:
         obs = [r for r in records if r["type"] == "observation"]
         assert any(r["node_count"] > 0 for r in obs)
 
+    def test_drl_nav_drops_path_and_graph(self, tmp_path):
+        records = self._run_with_log(tmp_path, "drl-nav")
+        obs = [r for r in records if r["type"] == "observation"]
+        assert obs
+        assert all(r["node_count"] == 0 and r["o_gp"] == [0.0, 0.0, 0.0]
+                   for r in obs)
+
     def test_no_gp_zeroes_ogp_and_targets_goal(self, tmp_path):
         records = self._run_with_log(tmp_path, "no-gp")
         obs = [r for r in records if r["type"] == "observation"]

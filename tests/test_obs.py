@@ -72,6 +72,14 @@ class TestBuildObservation:
                               ablation=AblationConfig(no_gnn=True))
         assert b.o_c.node_count == 0
 
+    def test_ablation_names(self):
+        assert AblationConfig.from_name("drl-nav") == AblationConfig(
+            no_global_path=True, no_gnn=True)
+        assert AblationConfig.from_name("none") == AblationConfig()
+        for name in ("drl_nav", "no-gp,no-gnn", "DRL-NAV"):
+            with pytest.raises(ValueError, match="unknown ablation"):
+                AblationConfig.from_name(name)
+
     def test_ablation_no_gp_zeroes_path(self):
         w = make_world([(0, 0, 0)])
         tp = TargetPoint(position=np.array([1.0, 1.0]), path_direction=0.3, index=2)

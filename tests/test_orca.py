@@ -7,11 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from multinav import orca
+from multinav import bench, orca
 from multinav.geometry import Circle, Wall
-from multinav.orca import (EPS, _cross, _dots, _lp2, _lp3, _orca_lines,
-                           nh_track, orca_planes, orca_velocity,
+from multinav.observations import NoiseConfig
+from multinav.orca import (EPS, Planes, _cross, _dots, _lp3, _lp_preferred,
+                           _orca_lines, nh_track, orca_planes, orca_velocity,
                            preferred_velocity)
+from multinav.rollout import EnvConfig, NavEnv
+from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import V_MAX
 
 NO_NEIGHBORS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
@@ -26,9 +29,26 @@ def neighbors(*states):
             np.array([s[2] for s in states], dtype=float))
 
 
-def lp_rows(P, D):
-    """The (p0, p1, d0, d1) float rows orca_velocity hands the LP."""
-    return np.hstack([P, D]).tolist()
+def lp_planes(P, D, num_obst=0):
+    """Planes for the lines (P, D), their p @ d and p @ p taken in one
+    batched call as orca_planes takes them."""
+    n = len(P)
+    dots = _dots(np.concatenate([P, P]), np.concatenate([D, P])).tolist()
+    return Planes(P, D, np.hstack([P, D]).tolist(), num_obst, dots[:n],
+                  dots[n:])
+
+
+def lp2(P, D, radius, pref):
+    """The 2-D program toward pref as orca_velocity runs it: (index of the
+    first failing line or len(P), velocity array)."""
+    fail, v = _lp_preferred(lp_planes(P, D), pref, radius)
+    return fail, np.array(v)
+
+
+def lp3(P, D, num_obst, begin_line, radius, result):
+    """The 3-D fallback from the velocity array result, as an array."""
+    return np.array(_lp3(lp_planes(P, D, num_obst), begin_line, radius,
+                         result.tolist()))
 
 
 def reference_planes(self_pos, self_vel, radius, neighbors, circles, walls,
@@ -390,14 +410,14 @@ def grid_search_lp(P, D, radius, pref, levels=14, res=121):
 
 class TestLinearProgram:
     def test_no_constraints_returns_pref(self):
-        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), [], 1.0,
-                       np.array([0.3, -0.2]), False)
+        fail, v = lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+                      np.array([0.3, -0.2]))
         assert fail == 0
         assert np.allclose(v, [0.3, -0.2])
 
     def test_pref_clipped_to_disc(self):
-        fail, v = _lp2(np.zeros((0, 2)), np.zeros((0, 2)), [], 1.0,
-                       np.array([3.0, 4.0]), False)
+        fail, v = lp2(np.zeros((0, 2)), np.zeros((0, 2)), 1.0,
+                      np.array([3.0, 4.0]))
         assert np.hypot(*v) == pytest.approx(1.0)
         assert np.allclose(v, [0.6, 0.8])
 
@@ -411,7 +431,7 @@ class TestLinearProgram:
                           (rng.uniform(0, 2 * math.pi) for _ in range(n))])
             pref = rng.uniform(-1, 1, 2)
             oracle = grid_search_lp(P, D, 1.0, pref)
-            fail, v = _lp2(P, D, lp_rows(P, D), 1.0, pref, False)
+            fail, v = lp2(P, D, 1.0, pref)
             if fail < n or oracle is None:
                 continue  # infeasible sets checked separately
             # guard against razor-thin regions the grid cannot resolve
@@ -434,11 +454,10 @@ class TestLinearProgram:
             offset = np.where(np.arange(n) < n_obst, rng.uniform(0.1, 0.6, n),
                               rng.uniform(-0.9, 0.1, n))
             P = offset[:, None] * np.column_stack([D[:, 1], -D[:, 0]])
-            fail, v = _lp2(P, D, lp_rows(P, D), 1.0, rng.uniform(-1.0, 1.0, 2),
-                           False)
+            fail, v = lp2(P, D, 1.0, rng.uniform(-1.0, 1.0, 2))
             if fail == n or fail < n_obst:
                 continue
-            v = _lp3(P, D, lp_rows(P, D), n_obst, fail, 1.0, v)
+            v = lp3(P, D, n_obst, fail, 1.0, v)
             oracle = minimax_violation(P, D, n_obst, 1.0)
             assert np.isfinite(v).all()
             assert math.hypot(*v) <= 1.0 + 1e-12
@@ -476,7 +495,7 @@ class TestParallelLines:
     def lp2(self, rows, pref, angle):
         P, D, lines = rotated_lines(rows, angle)
         opt = turned(pref, angle)
-        fail, got = _lp2(P, D, lp_rows(P, D), 1.0, opt, False)
+        fail, got = lp2(P, D, 1.0, opt)
         want_fail, want = _ref_lp2(lines, 1.0, opt, False)
         assert fail == want_fail
         assert got.tobytes() == want.tobytes()
@@ -515,7 +534,7 @@ class TestParallelLines:
                            (0.0, -0.2, -math.cos(tilt), -math.sin(tilt))]
         P, D, lines, fail, v = self.lp2(rows, np.array([0.2, -0.8]), angle)
         assert fail == n_obst + 1
-        got = _lp3(P, D, lp_rows(P, D), n_obst, fail, 1.0, v)
+        got = lp3(P, D, n_obst, fail, 1.0, v)
         want = _ref_lp3(lines, n_obst, fail, 1.0, v)
         assert got.tobytes() == want.tobytes()
         # on the midline y = 0.15, at either end of its feasible chord: the
@@ -623,6 +642,68 @@ class TestOrcaVelocity:
         assert feasible == want_feasible
 
 
+class TestDenseCrowd:
+    """OrcaController on noisy circle-40, where all forty robots meet at the
+    centre, against the scalar reference byte for byte. random_orca_call
+    gives at most ~17 lines and short fallbacks; here calls carry 30+ lines
+    and fallbacks solve several sub-problems, which is where a reordered
+    float expression in the LP would show."""
+
+    WARMUP, CHECKED = 70, 30    # the crowd forms from about step 70
+
+    def test_controller_matches_reference(self, monkeypatch):
+        spec = eval_suite(Kind.CIRCLE, 40, rng_seed=5)
+        env = NavEnv(spec, EnvConfig(noise=NoiseConfig(),
+                                     build_observations=False), seed=5)
+        obs = env.reset(generate(spec))
+        controller = bench.OrcaController()
+        for _ in range(self.WARMUP):
+            env.step(controller.act(env, obs))
+
+        # record every step's orca_planes inputs and, per robot, its
+        # orca_velocity call and how many _lp2 runs that call made
+        steps, lp2_runs = [], [0]
+        program_lp2 = orca._lp2
+
+        def counted_lp2(*args):
+            lp2_runs[0] += 1
+            return program_lp2(*args)
+
+        def spy_planes(*args, **kwargs):
+            steps.append((args, kwargs, []))
+            return orca_planes(*args, **kwargs)
+
+        def spy_velocity(planes, pref):
+            lp2_runs[0] = 0
+            result = orca_velocity(planes, pref)
+            steps[-1][2].append((len(planes.rows), pref, result, lp2_runs[0]))
+            return result
+
+        monkeypatch.setattr(orca, "_lp2", counted_lp2)
+        monkeypatch.setattr(bench, "orca_planes", spy_planes)
+        monkeypatch.setattr(bench, "orca_velocity", spy_velocity)
+        for _ in range(self.CHECKED):
+            env.step(controller.act(env, obs))
+        monkeypatch.undo()
+
+        lines, sub_problems = [], []
+        for (pos, vel, radius, nb, circles, walls), kwargs, calls in steps:
+            assert len(calls) == len(pos)
+            for k, (n_lines, pref, (got, ok), runs) in enumerate(calls):
+                want, want_ok = reference_orca_velocity(
+                    pos[k], vel[k], radius, tuple(x[k] for x in nb),
+                    circles, walls, pref, kwargs["dt"])
+                assert got.tobytes() == want.tobytes()
+                assert ok == want_ok
+                lines.append(n_lines)
+                if not ok:
+                    sub_problems.append(runs - 1)
+        # 1,200 calls: about 300 with 30+ lines, and about 550 fallbacks
+        # of which some 350 solve two or more sub-problems
+        assert sum(n >= 30 for n in lines) >= 100
+        assert sum(n >= 2 for n in sub_problems) >= 100
+
+
 def world_planes(pos, vel, radii, observers, circles, walls):
     """orca_planes for the observers of a world of len(pos) robots, each
     seeing every other robot, checked row for row against the per-observer
@@ -642,6 +723,9 @@ def world_planes(pos, vel, radii, observers, circles, walls):
         assert got.directions.tobytes() == D.tobytes()
         assert (np.array(got.rows).reshape(-1, 4).tobytes()
                 == np.hstack([P, D]).tobytes())
+        # the batched dots equal the LP's former one-line `@`s
+        assert got.pd == [float(p @ d) for p, d in zip(P, D)]
+        assert got.pp == [float(p @ p) for p in P]
         assert got.num_obst == num_obst
     return planes
 
