@@ -1,12 +1,15 @@
 """PPO with the clipped surrogate objective and GAE over vectorized
 multi-agent rollouts.
 
-All agents in all worlds act through one shared parameter set. Rollouts are
-collected per (env, agent) stream so episode boundaries never leak across
-the bootstrap; advantages are normalized per batch before each update.
-Actor and critic use separate Adam optimizers with their own learning
-rates. A non-finite loss aborts the update and restores the pre-update
-parameters.
+All agents in all worlds act through one shared parameter set. One store,
+RolloutBuffer, takes each step's acting rows once, as array rows. Its
+learning order groups them into (env, agent) streams in first-appearance
+order, so episode boundaries never leak across the bootstrap. A minibatch
+is an index into the rows, its nodes as wide as its largest node count, as
+batch_obs pads them: OpenBLAS rounds a product differently when its shape
+changes. Advantages are normalized per batch before each update. Actor and
+critic use separate Adam optimizers with their own learning rates. A
+non-finite loss aborts the update and restores the pre-update parameters.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 
 from .bench import PolicyController, run_episode
 from .nn import Adam, clip_grad_norm
-from .policy import (LOG_2PI, ActorCritic, NumericalDivergence, PolicyConfig,
-                     batch_obs, gaussian_log_prob, gaussian_sample)
+from .observations import N_MAX_NEIGHBORS
+from .policy import (LOG_2PI, ActorCritic, BatchedObs, NumericalDivergence,
+                     PolicyConfig, batch_obs, gaussian_log_prob,
+                     gaussian_sample)
 from .rollout import EnvConfig, NavEnv
 from .scenarios import ScenarioSpec
 from .sim import Status
@@ -87,55 +92,65 @@ def compute_gae(rewards, values, dones, bootstrap_value, gamma, lam):
 
 
 class RolloutBuffer:
-    """Per-(env, agent) transition streams; advantages are filled in once a
-    segment is complete and never mix across episode boundaries."""
+    """One row per transition in acting order. A stable sort by stream id,
+    a stream's first-appearance rank, gives the learning order."""
 
-    FIELDS = ("obs", "raw", "reward", "value", "log_prob", "done")
+    def __init__(self, capacity: int):
+        self.n = 0
+        self.keys: dict = {}             # (env, agent) -> stream id
+        self.stream, self.node_count = np.zeros((2, capacity), dtype=np.intp)
+        self.raw = np.zeros((capacity, 2))
+        self.reward, self.value, self.log_prob = np.zeros((3, capacity))
+        self.done = np.zeros(capacity, dtype=bool)
+        self.z3 = self.extras = self.nodes = None   # shaped by the first add
+        self.order = self.advantages = self.returns = None
 
-    def __init__(self):
-        self.streams: dict = {}
-        self.advantages = None
-        self.returns = None
+    def add(self, keys, batch: BatchedObs, raw, reward, value, log_prob, done):
+        """One row per (env, agent) key, observed as the rows of batch;
+        nodes are zero-padded to N_MAX_NEIGHBORS."""
+        if self.z3 is None:
+            cap = len(self.stream)
+            self.z3 = np.zeros((cap,) + batch.z3.shape[1:])
+            self.extras = np.zeros((cap,) + batch.extras.shape[1:])
+            self.nodes = np.zeros((cap, N_MAX_NEIGHBORS) + batch.nodes.shape[2:])
+        rows = slice(self.n, self.n + len(keys))
+        self.stream[rows] = [self.keys.setdefault(k, len(self.keys)) for k in keys]
+        self.node_count[rows] = batch.mask.sum(axis=1)
+        self.nodes[rows, :batch.nodes.shape[1]] = batch.nodes
+        self.z3[rows], self.extras[rows] = batch.z3, batch.extras
+        self.raw[rows], self.reward[rows], self.done[rows] = raw, reward, done
+        self.value[rows], self.log_prob[rows] = value, log_prob
+        self.n = rows.stop
 
-    def add(self, env_idx, agent_idx, obs, raw, reward, value, log_prob, done):
-        s = self.streams.setdefault((env_idx, agent_idx),
-                                    {f: [] for f in self.FIELDS})
-        s["obs"].append(obs)
-        s["raw"].append(raw)
-        s["reward"].append(reward)
-        s["value"].append(value)
-        s["log_prob"].append(log_prob)
-        s["done"].append(done)
-
-    @property
-    def size(self) -> int:
-        return sum(len(s["reward"]) for s in self.streams.values())
-
-    def finish(self, bootstrap_values: dict, gamma: float, lam: float) -> None:
-        """Compute GAE per stream; bootstrap_values maps stream keys to
-        V(s_T) for streams whose last transition was not terminal."""
-        adv_chunks, ret_chunks = [], []
-        for key in self.streams:
-            s = self.streams[key]
-            boot = 0.0 if s["done"][-1] else bootstrap_values[key]
-            adv, ret = compute_gae(s["reward"], s["value"], s["done"], boot,
-                                   gamma, lam)
-            adv_chunks.append(adv)
-            ret_chunks.append(ret)
-        self.advantages = np.concatenate(adv_chunks) if adv_chunks else np.zeros(0)
-        self.returns = np.concatenate(ret_chunks) if ret_chunks else np.zeros(0)
+    def finish(self, bootstrap, gamma: float, lam: float) -> None:
+        """Compute GAE per stream. bootstrap maps the keys of the streams
+        whose last row is not done, in stream order, to their V(s_T)."""
+        stream = self.stream[:self.n]
+        self.order = np.argsort(stream, kind="stable")
+        counts = np.bincount(stream)
+        ends = np.cumsum(counts)
+        open_keys = [k for k, d in zip(self.keys, self.done[self.order[ends - 1]])
+                     if not d]
+        boots = dict(zip(open_keys, bootstrap(open_keys))) if open_keys else {}
+        self.advantages, self.returns = np.zeros((2, self.n))
+        for key, lo, hi in zip(self.keys, ends - counts, ends):
+            rows = self.order[lo:hi]
+            boot = 0.0 if self.done[rows[-1]] else boots[key]
+            self.advantages[lo:hi], self.returns[lo:hi] = compute_gae(
+                self.reward[rows], self.value[rows], self.done[rows], boot,
+                gamma, lam)
 
     def normalize_advantages(self) -> None:
         a = self.advantages
         self.advantages = (a - a.mean()) / (a.std() + 1e-8)
 
-    def flat(self):
-        obs, raws, logps = [], [], []
-        for s in self.streams.values():
-            obs.extend(s["obs"])
-            raws.extend(s["raw"])
-            logps.extend(s["log_prob"])
-        return obs, np.array(raws), np.array(logps), self.advantages, self.returns
+    def batch(self, rows) -> BatchedObs:
+        """The rows' observations, nodes cut to their largest node count."""
+        counts = self.node_count[rows]
+        width = int(counts.max(initial=0))
+        return BatchedObs(z3=self.z3[rows], extras=self.extras[rows],
+                          nodes=self.nodes[rows, :width],
+                          mask=np.arange(width) < counts[:, None])
 
 
 @dataclass
@@ -153,34 +168,34 @@ def ppo_update(buffer: RolloutBuffer, net: ActorCritic, cfg: TrainConfig,
     """Run the clipped-surrogate epochs over shuffled minibatches, stepping
     the actor's and the critic's optimizers.
 
-    Expects buffer.finish() and normalize_advantages() to have run.
+    Expects buffer.finish() and normalize_advantages() to have run. A
+    minibatch is a slice of a permutation of the learning order.
     """
-    obs, raws, old_logp, adv, ret = buffer.flat()
-    n = len(obs)
     snapshot = net.get_flat()
     actor_names = set(net.actor_param_names())
 
-    stats = {k: [] for k in ("actor", "critic", "entropy", "kl", "clip")}
+    stats = []      # (actor, critic, entropy, kl, clip) per minibatch
     try:
         for _ in range(cfg.ppo_epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, cfg.minibatch_size):
-                idx = order[lo:lo + cfg.minibatch_size]
+            perm = rng.permutation(buffer.n)
+            for lo in range(0, buffer.n, cfg.minibatch_size):
+                idx = perm[lo:lo + cfg.minibatch_size]
+                rows = buffer.order[idx]
                 m = len(idx)
-                batch = batch_obs([obs[i] for i in idx])
-                mean, std, value = net.forward_batch(batch)
-                a = raws[idx]
+                mean, std, value = net.forward_batch(buffer.batch(rows))
+                a = buffer.raw[rows]
+                old_logp = buffer.log_prob[rows]
                 z = (a - mean) / std
                 logp = gaussian_log_prob(a, mean, std)
-                ratio = np.exp(logp - old_logp[idx])
-                adv_b = adv[idx]
+                ratio = np.exp(logp - old_logp)
+                adv_b = buffer.advantages[idx]
                 unclipped = ratio * adv_b
                 clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv_b
                 actor_loss = -np.minimum(unclipped, clipped).mean()
                 entropy = (0.5 * (1.0 + LOG_2PI) + np.log(std)).sum(axis=1).mean()
                 if cfg.entropy_coef != 0.0:
                     actor_loss = actor_loss - cfg.entropy_coef * entropy
-                verr = value - ret[idx]
+                verr = value - buffer.returns[idx]
                 critic_loss = float((verr * verr).mean())
                 if not (math.isfinite(actor_loss) and math.isfinite(critic_loss)):
                     raise NumericalDivergence("non-finite loss in ppo_update")
@@ -209,21 +224,13 @@ def ppo_update(buffer: RolloutBuffer, net: ActorCritic, cfg: TrainConfig,
                 actor_opt.step({k: grads[k] for k in actor_opt.params})
                 critic_opt.step({k: grads[k] for k in critic_opt.params})
 
-                stats["actor"].append(float(actor_loss))
-                stats["critic"].append(critic_loss)
-                stats["entropy"].append(float(entropy))
-                stats["kl"].append(float((old_logp[idx] - logp).mean()))
-                stats["clip"].append(float((np.abs(ratio - 1.0) > cfg.clip).mean()))
+                stats.append((float(actor_loss), critic_loss, float(entropy),
+                              float((old_logp - logp).mean()),
+                              float((np.abs(ratio - 1.0) > cfg.clip).mean())))
     except NumericalDivergence:
         net.set_flat(snapshot)
         raise
-    return UpdateReport(
-        actor_loss=float(np.mean(stats["actor"])),
-        critic_loss=float(np.mean(stats["critic"])),
-        entropy=float(np.mean(stats["entropy"])),
-        kl=float(np.mean(stats["kl"])),
-        clip_fraction=float(np.mean(stats["clip"])),
-    )
+    return UpdateReport(*(float(np.mean(col)) for col in zip(*stats)))
 
 
 def evaluate_policy(net: ActorCritic, spec: ScenarioSpec, env_cfg: EnvConfig,
@@ -286,54 +293,47 @@ def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
     ckpt_path = os.path.join(out_dir, "policy.json")
     curve_path = os.path.join(out_dir, "training_curve.csv")
 
+    capacity = cfg.rollout_length * sum(env.n_agents for env in envs)
+    with open(curve_path, "w", newline="") as f:
+        csv.writer(f).writerow(CURVE_HEADER)
+
     while env_steps < cfg.total_env_steps:
-        buffer = RolloutBuffer()
+        buffer = RolloutBuffer(capacity)
         for _ in range(cfg.rollout_length):
             # an observation is live exactly when its robot is active, and
             # only then does the step return a reward for it
             acting = [[i for i, o in enumerate(env_obs) if o is not None]
                       for env_obs in obs]
-            acting_obs = [obs[e][i] for e, agents in enumerate(acting)
-                          for i in agents]
-            if acting_obs:
-                mean, std, value = net.forward_batch(batch_obs(acting_obs))
-                raw = gaussian_sample(mean, std, sample_rng)
-                logp = gaussian_log_prob(raw, mean, std)
-            first = 0
+            keys = [(e, i) for e, agents in enumerate(acting) for i in agents]
+            batch = batch_obs([obs[e][i] for e, i in keys])
+            mean, std, value = net.forward_batch(batch)
+            raw = gaussian_sample(mean, std, sample_rng)
+            logp = gaussian_log_prob(raw, mean, std)
+            # every env has an active robot: one with none is done and reset
+            rewards, dones = [], []
+            raw_rows = iter(raw)
             for e, env in enumerate(envs):
                 agents = acting[e]
-                if not agents:
-                    continue
-                batch_rows = range(first, first + len(agents))
-                first += len(agents)
                 raws = [None] * env.n_agents
-                for i, r in zip(agents, batch_rows):
-                    raws[i] = raw[r]
+                for i in agents:
+                    raws[i] = next(raw_rows)
                 result = env.step(raws)
-                for i, r in zip(agents, batch_rows):
-                    buffer.add(e, i, obs[e][i], raw[r], result.rewards[i],
-                               float(value[r]), float(logp[r]), result.dones[i])
+                rewards += [result.rewards[i] for i in agents]
+                dones += [result.dones[i] for i in agents]
                 env_steps += len(agents)
                 if env.done:
                     episode_rewards.append(float(env.episode_rewards.mean()))
                     obs[e] = env.reset()
                 else:
                     obs[e] = env.observations()
+            buffer.add(keys, batch, raw, rewards, value, logp, dones)
             if env_steps >= cfg.total_env_steps:
                 break
 
-        # bootstrap streams that were cut mid-episode
-        boots = {}
-        open_keys = [key for key, s in buffer.streams.items() if not s["done"][-1]]
-        live = [(key, obs[key[0]][key[1]]) for key in open_keys]
-        live = [(key, o) for key, o in live if o is not None]
-        if live:
-            values = net.value_batch(batch_obs([o for _, o in live]))
-            boots = {key: float(v) for (key, _), v in zip(live, values)}
-        for key in open_keys:
-            boots.setdefault(key, 0.0)
-
-        buffer.finish(boots, cfg.gamma, cfg.gae_lambda)
+        # bootstrap streams that were cut mid-episode: their robots are still
+        # active, so each has an observation
+        buffer.finish(lambda keys: net.value_batch(
+            batch_obs([obs[e][i] for e, i in keys])), cfg.gamma, cfg.gae_lambda)
         buffer.normalize_advantages()
         report = ppo_update(buffer, net, cfg, shuffle_rng, actor_opt, critic_opt)
 
@@ -344,14 +344,13 @@ def train(scenario_specs: list[ScenarioSpec], cfg: TrainConfig, out_dir: str,
         mean_reward = float(np.mean(episode_rewards[-32:])) if episode_rewards else 0.0
         rows.append((env_steps, mean_reward, success_rate, report.actor_loss,
                      report.critic_loss, report.kl, report.clip_fraction))
+        # on disk at once: a run that diverges or is killed keeps its rows
+        with open(curve_path, "a", newline="") as f:
+            csv.writer(f).writerow(rows[-1])
         if env_steps >= next_checkpoint:
             net.save(ckpt_path)
             next_checkpoint += cfg.checkpoint_every
 
     net.save(ckpt_path)
-    with open(curve_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CURVE_HEADER)
-        writer.writerows(rows)
     return TrainResult(checkpoint_path=ckpt_path, curve_path=curve_path,
                        rows=rows, final_success_rate=success_rate)

@@ -269,7 +269,7 @@ def test_criterion_09_gradient_and_permutation():
             ok, f"grad {worst:.2e}, perm {perm_err:.2e}")
 
 
-def test_criterion_10_desk_scale_training():
+def test_criterion_10_desk_scale_training(tmp_path):
     spec = ScenarioSpec(kind=Kind.RANDOM, scale=5.0, num_agents=1,
                         num_obstacles=0, max_episode_time=15.0, rng_seed=0)
     cfg = TrainConfig(lr_actor=3e-4, lr_critic=4e-4, rollout_length=256,
@@ -277,7 +277,7 @@ def test_criterion_10_desk_scale_training():
                       total_env_steps=100_000, eval_every=10_000,
                       eval_episodes=10)
     t0 = time.time()
-    result = train([spec], cfg, "/tmp/multinav_acceptance_train",
+    result = train([spec], cfg, str(tmp_path),
                    policy_cfg=PolicyConfig.reduced())
     elapsed = time.time() - t0
     best = max(r[2] for r in result.rows)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from multinav import rollout
+from multinav import ppo, rollout
 from multinav.bench import OrcaController, PolicyController, StraightController
 from multinav.observations import AblationConfig, NoiseConfig, normalize
 from multinav.ppo import TrainConfig, evaluate_policy, train
@@ -381,6 +381,37 @@ class TestTrainDeterminism:
         r2 = train([spec], self.make_cfg(5), str(tmp_path / "b"),
                    policy_cfg=TINY_POLICY)
         assert r1.rows != r2.rows
+
+
+class TestTrainingCurve:
+    def test_divergence_keeps_the_rows_made(self, tmp_path, monkeypatch):
+        # the curve is written row by row: a run stopped by divergence in
+        # its second update keeps the header and the first row, and that
+        # row is byte for byte the first row of an uninterrupted run
+        cfg = TrainConfig(total_env_steps=300, rollout_length=64,
+                          num_parallel_envs=2, minibatch_size=64,
+                          ppo_epochs=1, seed=4, eval_every=10**9,
+                          eval_episodes=1)
+        full = train([single_agent_spec()], cfg, str(tmp_path / "full"),
+                     policy_cfg=TINY_POLICY)
+        assert len(full.rows) == 3
+        calls = []
+        update = ppo.ppo_update
+
+        def diverge_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalDivergence("injected")
+            return update(*args)
+
+        monkeypatch.setattr(ppo, "ppo_update", diverge_second)
+        with pytest.raises(NumericalDivergence):
+            train([single_agent_spec()], cfg, str(tmp_path / "cut"),
+                  policy_cfg=TINY_POLICY)
+        cut = (tmp_path / "cut" / "training_curve.csv").read_bytes()
+        whole = open(full.curve_path, "rb").read()
+        assert cut.splitlines() == whole.splitlines()[:2]
+        assert cut.endswith(b"\r\n")
 
 
 class TestScenarioFileCli:

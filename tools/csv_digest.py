@@ -1,5 +1,5 @@
-"""Regenerate the fixed-seed metrics CSV set and the desk-scale training
-outputs, and print one sha256 per file.
+"""Regenerate the fixed-seed metrics CSV set and two training runs' outputs,
+and print one sha256 per file; the second run's two files share one.
 
     python3 tools/csv_digest.py OUT_DIR
 
@@ -8,12 +8,17 @@ policy (1 trial, on a checkpoint saved from `ActorCritic(PolicyConfig(),
 seed=0)`), each with and without `--noise`, on circle-20 (seed 0),
 doorway-10 (seed 3), random-10 (seed 5) and hallway-8 (seed 7): 24 CSVs.
 Then runs `multinav train --config configs/train_goal_task.json` and hashes
-its `training_curve.csv` and `policy.json`. Last, it reruns the noisy policy
+its `training_curve.csv` and `policy.json`. Then it reruns the noisy policy
 trial on circle-20 with `--log --log-tracks --log-obs` and hashes the JSONL,
-which holds every step's tracks and neighbour-graph sizes. The package is
+which holds every step's tracks and neighbour-graph sizes. Last, it trains
+CROWD_CONFIG, a noisy multi-robot run (two envs of circle-6 at 4 m, 4 s
+episodes, the reduced net, `rollout_length` 32, 1,500 env steps, seed 3),
+and hashes its curve and checkpoint together: 28 lines in all. Its
+rollouts interleave twelve (env, robot) streams step by step and reset
+envs mid-rollout, which the one-robot desk run never does. The package is
 imported from this tree's `src`, so running the script in two checkouts and
-diffing the printed lines checks that a change keeps the metrics, the
-training run and the tracker output byte-identical.
+diffing the printed lines checks that a change keeps the metrics, both
+training runs and the tracker output byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -35,6 +41,18 @@ CELLS = (("circle", 20, 0), ("doorway", 10, 3), ("random", 10, 5),
 CONTROLLERS = (("straight", 2), ("orca", 2), ("policy", 1))
 TRAIN_CONFIG = os.path.join(ROOT, "configs", "train_goal_task.json")
 TRAIN_FILES = ("training_curve.csv", "policy.json")
+# the multi-robot training run: its rows interleave streams
+CROWD_CONFIG = {
+    "scenarios": [{"kind": "circle", "scale": 4.0, "num_agents": 6,
+                   "rng_seed": 3, "max_episode_time": 4.0}],
+    "train": {"rollout_length": 32, "minibatch_size": 128, "ppo_epochs": 4,
+              "num_parallel_envs": 2, "total_env_steps": 1500,
+              "eval_every": 10**9, "eval_episodes": 1, "seed": 3},
+    "policy": {"conv_channels": [4, 8], "conv_kernel": 3, "node_hidden": 8,
+               "attention_heads": 2, "attention_head_dim": 4, "score_dim": 8,
+               "trunk": [32, 32]},
+    "env": {"noise": True},
+}
 
 
 def _run(argv: list[str]) -> None:
@@ -44,9 +62,12 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"multinav {' '.join(argv)} exited {code}")
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+def _sha256(*paths: str) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
 
 
 def digest(out_dir: str) -> list[str]:
@@ -79,6 +100,13 @@ def digest(out_dir: str) -> list[str]:
           "--seed", "0", "--out", os.path.join(out_dir, "tracks-run.csv"),
           "--log", log, "--log-tracks", "--log-obs"])
     lines.append(f"{_sha256(log)}  {os.path.basename(log)}")
+    crowd_config = os.path.join(out_dir, "train-circle6-noise.json")
+    with open(crowd_config, "w") as f:
+        json.dump(CROWD_CONFIG, f)
+    crowd_dir = os.path.join(out_dir, "train-circle6-noise")
+    _run(["train", "--config", crowd_config, "--out", crowd_dir])
+    lines.append(f"{_sha256(*(os.path.join(crowd_dir, n) for n in TRAIN_FILES))}"
+                 f"  train-circle6-noise/{'+'.join(TRAIN_FILES)}")
     return lines
 
 
