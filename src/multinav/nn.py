@@ -63,15 +63,23 @@ class Linear(Layer):
 
 
 class ReLU:
+    """max(x, 0) in the layout of x. np.maximum returns +0.0 for x = -0.0,
+    so a finite x gives the bytes of np.where(x > 0, x, 0.0); a NaN passes
+    through. The backward multiplies by the kept mask. That can flip only
+    the sign of a masked zero, which the += into each +0.0-initialised
+    grads buffer erases. The mask is kept in C order, the order of the
+    arriving gradients, even where x is a conv's channel-last view: a
+    multiply across mismatched layouts costs ~5x as much."""
+
     def __init__(self):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        self._mask = np.greater(x, 0.0, order="C")
+        return np.maximum(x, 0.0)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, gy, 0.0)
+        return gy * self._mask
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -85,9 +93,13 @@ def softplus_grad(x: np.ndarray) -> np.ndarray:
 class CircularConv1d(Layer):
     """1-D convolution over the beam axis with circular padding.
 
-    Input (B, c_in, L), output (B, c_out, ceil(L / stride)). The gather is a
-    fancy index; the backward scatter is a precomputed 0/1 matrix so the
-    whole pass stays in BLAS.
+    Input (B, c_in, L), output (B, c_out, ceil(L / stride)). The im2col
+    gather is one np.take from the input's memory, viewed as one flat row
+    per batch entry, through offsets precomputed for the layout that memory
+    has; it writes the (B, L_out, c_in·k) columns of the GEMM directly. The
+    backward takes the column gradients into (B, c_in, L_out·k) order the
+    same way, and its scatter is a precomputed 0/1 matrix so the whole pass
+    stays in BLAS.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
@@ -99,6 +111,18 @@ class CircularConv1d(Layer):
         pad = (kernel - 1) // 2
         l = np.arange(self.out_length) * stride
         self.idx = (l[:, None] + np.arange(kernel)[None, :] - pad) % length
+        # cols[b, l, c·k + j] = x[b, c, idx[l, j]], at these offsets in a
+        # row of x's memory when it holds (c_in, L) or, as the transposed
+        # view a conv returns, (L, c_in)
+        ch, tap = np.arange(c_in)[None, :, None], self.idx[:, None, :]
+        self._at_channel_first = (ch * length + tap).reshape(self.out_length, -1)
+        self._at_channel_last = (tap * c_in + ch).reshape(self.out_length, -1)
+        # the backward's (L_out, c_in, k) column gradients, read in the
+        # scatter's (c_in, L_out·k) order
+        self._gcols_channel_first = (
+            np.arange(self.out_length * c_in * kernel)
+            .reshape(self.out_length, c_in, kernel).transpose(1, 0, 2)
+            .reshape(c_in, -1))
         scatter = np.zeros((self.out_length * kernel, length))
         scatter[np.arange(self.idx.size), self.idx.ravel()] = 1.0
         self._scatter = scatter
@@ -108,11 +132,30 @@ class CircularConv1d(Layer):
         self.b = self.add_param("b", np.zeros(c_out))
         self._cols = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x's memory as C-contiguous rows (B, W) and the im2col offsets in
+        them. A channel-first or channel-last x is read in place, as is a
+        run of channels of a C-contiguous (B, F, L) stack, such as the
+        current frame of z3; any other layout is copied first."""
         b = x.shape[0]
-        gathered = x[:, :, self.idx]                       # (B, c_in, L_out, k)
-        cols = gathered.transpose(0, 2, 1, 3).reshape(b, self.out_length,
-                                                      self.c_in * self.kernel)
+        if x.flags.c_contiguous:
+            return x.reshape(b, -1), self._at_channel_first
+        xt = x.transpose(0, 2, 1)
+        if xt.flags.c_contiguous:
+            return xt.reshape(b, -1), self._at_channel_last
+        stack = x.base
+        if (isinstance(stack, np.ndarray) and stack.flags.c_contiguous
+                and stack.ndim == 3 and stack.strides == x.strides
+                and stack.shape[::2] == x.shape[::2]):
+            first = ((x.__array_interface__["data"][0]
+                      - stack.__array_interface__["data"][0]) // x.strides[1])
+            return (stack.reshape(b, -1),
+                    self._at_channel_first + first * self.length)
+        return np.ascontiguousarray(x).reshape(b, -1), self._at_channel_first
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        base, at = self._rows(x)
+        cols = np.take(base, at, axis=1)                   # (B, L_out, c_in·k)
         self._cols = cols
         wmat = self.w.reshape(self.c_out, self.c_in * self.kernel)
         y = cols @ wmat.T + self.b                         # (B, L_out, c_out)
@@ -128,9 +171,7 @@ class CircularConv1d(Layer):
         self.accumulate(gy)
         b = gy.shape[0]
         gcols = gy.transpose(0, 2, 1) @ self.w.reshape(self.c_out, -1)
-        gg = gcols.reshape(b, self.out_length, self.c_in, self.kernel)
-        gg = gg.transpose(0, 2, 1, 3).reshape(b, self.c_in,
-                                              self.out_length * self.kernel)
+        gg = np.take(gcols.reshape(b, -1), self._gcols_channel_first, axis=1)
         return gg @ self._scatter                          # (B, c_in, L)
 
 

@@ -287,10 +287,24 @@ class ActorCritic:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
         net = cls(PolicyConfig.from_dict(doc["config"]), seed=0)
         params = net.named_params()
+        missing = sorted(params.keys() - doc["params"].keys())
+        unknown = sorted(doc["params"].keys() - params.keys())
+        if missing or unknown:
+            raise ValueError(f"checkpoint parameters: missing {missing}, "
+                             f"unknown {unknown}")
         for name, spec in doc["params"].items():
-            arr = np.frombuffer(base64.b64decode(spec["data"]),
-                                dtype=spec["dtype"]).reshape(spec["shape"])
-            params[name][...] = arr
+            param = params[name]
+            if spec["dtype"] != str(param.dtype):
+                raise ValueError(f"checkpoint parameter {name}: dtype "
+                                 f"{spec['dtype']}, expected {param.dtype}")
+            if tuple(spec["shape"]) != param.shape:
+                raise ValueError(f"checkpoint parameter {name}: shape "
+                                 f"{spec['shape']}, expected {list(param.shape)}")
+            data = np.frombuffer(base64.b64decode(spec["data"]), dtype=param.dtype)
+            if data.size != param.size:
+                raise ValueError(f"checkpoint parameter {name}: {data.size} "
+                                 f"values, shape needs {param.size}")
+            param[...] = data.reshape(param.shape)
         return net
 
 

@@ -1,9 +1,12 @@
+import base64
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
-from multinav.nn import softplus_grad
+from multinav.nn import ReLU, softplus_grad
 from multinav.observations import NormalizedObs
 from multinav.policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                              PolicyConfig, batch_obs, deterministic_action,
@@ -283,6 +286,122 @@ class TestFirstLayers:
         assert grads[0] == grads[1]
 
 
+def reference_conv_forward(conv, x):
+    """CircularConv1d.forward as it gathered before np.take: a fancy index,
+    then a transpose copy into the GEMM's (B, L_out, c_in·k) layout."""
+    gathered = x[:, :, conv.idx]                       # (B, c_in, L_out, k)
+    conv._cols = gathered.transpose(0, 2, 1, 3).reshape(
+        x.shape[0], conv.out_length, conv.c_in * conv.kernel)
+    wmat = conv.w.reshape(conv.c_out, conv.c_in * conv.kernel)
+    return (conv._cols @ wmat.T + conv.b).transpose(0, 2, 1)
+
+
+def reference_conv_backward(conv, gy):
+    """CircularConv1d.backward as it ordered the column gradients before
+    np.take: a transpose copy."""
+    conv.accumulate(gy)
+    b = gy.shape[0]
+    gcols = gy.transpose(0, 2, 1) @ conv.w.reshape(conv.c_out, -1)
+    gg = gcols.reshape(b, conv.out_length, conv.c_in, conv.kernel)
+    gg = gg.transpose(0, 2, 1, 3).reshape(b, conv.c_in,
+                                          conv.out_length * conv.kernel)
+    return gg @ conv._scatter
+
+
+def conv_input(rng, layout, b, c, length):
+    if layout == "channel_first":
+        return rng.normal(size=(b, c, length))
+    if layout == "conv_output":                        # a conv's transposed view
+        return rng.normal(size=(b, length, c)).transpose(0, 2, 1)
+    return rng.normal(size=(b, c + 2, length))[:, 2:, :]   # as z3[:, 2:3, :]
+
+
+class TestConvIm2col:
+    @pytest.mark.parametrize("layout", ["channel_first", "conv_output",
+                                        "frame_slice"])
+    @pytest.mark.parametrize("b", [1, 8, 512])
+    @pytest.mark.parametrize("cfg", [PolicyConfig.reduced(), PolicyConfig()],
+                             ids=["reduced", "full"])
+    def test_matches_gather_and_transpose_byte_for_byte(self, cfg, b, layout):
+        rng = np.random.default_rng(34)
+        tower = ActorCritic(cfg, seed=8).actor
+        for conv in (tower.conv_s1, tower.conv_s2, tower.conv_t1, tower.conv_t2):
+            conv.b[...] = rng.normal(size=conv.b.shape)
+            ref = copy.deepcopy(conv)
+            x = conv_input(rng, layout, b, conv.c_in, conv.length)
+            gy = rng.normal(size=(b, conv.c_out, conv.out_length))
+            base, _ = conv._rows(x)
+            assert np.shares_memory(base, x)           # read in place, no copy
+            assert conv.forward(x).tobytes() == reference_conv_forward(ref, x).tobytes()
+            assert conv._cols.flags.c_contiguous
+            assert conv._cols.tobytes() == ref._cols.tobytes()
+            assert (conv.backward(gy).tobytes()
+                    == reference_conv_backward(ref, gy).tobytes())
+            for k in ("w", "b"):
+                assert conv.grads[k].tobytes() == ref.grads[k].tobytes()
+
+    def test_other_layouts_are_copied_first(self):
+        rng = np.random.default_rng(35)
+        conv = ActorCritic(PolicyConfig.reduced(), seed=8).actor.conv_t2
+        ref = copy.deepcopy(conv)
+        x = rng.normal(size=(6, conv.c_in, 2 * conv.length))[:, :, ::2]
+        assert conv.forward(x).tobytes() == reference_conv_forward(ref, x).tobytes()
+        assert conv._cols.tobytes() == ref._cols.tobytes()
+
+
+class TestReLU:
+    def test_matches_where_on_signed_zeros(self):
+        rng = np.random.default_rng(36)
+        relu = ReLU()
+        for n in range(1, 71):
+            rows = [np.full(n, -0.0)]
+            for p in range(n):
+                for zero in (0.0, -0.0):
+                    rows.append(rng.normal(size=n))
+                    rows[-1][p] = zero
+            for vals in rows:
+                gappy = np.full(2 * n, np.nan)
+                gappy[::2] = vals
+                pair = np.stack([vals, -vals], axis=1)
+                for x in (vals, gappy[::2], pair.T):   # contiguous, strided, transposed
+                    assert (relu.forward(x).tobytes()
+                            == np.where(x > 0, x, 0.0).tobytes())
+                    assert np.array_equal(relu.backward(np.ones(x.shape)), x > 0)
+
+    @pytest.mark.parametrize("cfg", [PolicyConfig.reduced(), PolicyConfig()],
+                             ids=["reduced", "full"])
+    def test_backward_grads_match_where_byte_for_byte(self, monkeypatch, cfg):
+        rng = np.random.default_rng(37)
+        counts = (0, 3, 2, 0, 1, 3)
+        batch = batch_obs([obs_of(rng, n_nodes=k) for k in counts])
+        gmean, gstd = rng.normal(size=(2, len(counts), 2))
+        gvalue = rng.normal(size=len(counts))
+        product = ReLU.backward
+        signs_differ = []
+
+        def where(self, gy):
+            out = np.where(self._mask, gy, 0.0)
+            signs_differ.append(np.any(np.signbit(out) != np.signbit(product(self, gy))))
+            return out
+
+        grads = []
+        for backward in (product, where):
+            monkeypatch.setattr(ReLU, "backward", backward)
+            net = ActorCritic(cfg, seed=9)
+            net.forward_batch(batch)
+            net.backward_batch(gmean, gstd, gvalue)
+            grads.append({k: g.tobytes() for k, g in net.named_grads().items()})
+        assert any(signs_differ)       # the product does make -0.0 somewhere
+        assert grads[0] == grads[1]
+
+    def test_nan_activation_raises_divergence(self):
+        rng = np.random.default_rng(38)
+        batch = batch_obs([obs_of(rng), obs_of(rng)])
+        batch.z3[1, 2, 40] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalDivergence):
+            ActorCritic(PolicyConfig.reduced(), seed=10).forward_batch(batch)
+
+
 class TestSampling:
     def test_sigma_zero_limit_returns_clamped_mean(self):
         dist = ActionDistribution(mean=np.array([1.4, -0.2]),
@@ -346,3 +465,46 @@ class TestCheckpoint:
             json.dump(doc, f)
         with pytest.raises(ValueError):
             ActorCritic.load(path)
+
+    @staticmethod
+    def saved_doc(tmp_path):
+        path = tmp_path / "ckpt.json"
+        ActorCritic(TINY, seed=16).save(str(path))
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def rejects(path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            ActorCritic.load(str(path))
+
+    def test_rejects_missing_parameter(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        del doc["params"]["critic.value.w"]
+        self.rejects(path, doc, r"missing.*critic\.value\.w")
+
+    def test_rejects_unknown_parameter(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["actor.extra.w"] = doc["params"]["critic.value.w"]
+        self.rejects(path, doc, r"unknown.*actor\.extra\.w")
+
+    def test_rejects_shape_mismatch(self, tmp_path):
+        # one value would broadcast over all of actor.fc1.b
+        path, doc = self.saved_doc(tmp_path)
+        doc["params"]["actor.fc1.b"].update(
+            shape=[1], data=base64.b64encode(np.ones(1).tobytes()).decode())
+        self.rejects(path, doc, r"actor\.fc1\.b.*shape")
+
+    def test_rejects_dtype_mismatch(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        spec = doc["params"]["actor.fc1.b"]
+        data = np.ones(spec["shape"], dtype=np.float32)
+        spec.update(dtype="float32",
+                    data=base64.b64encode(data.tobytes()).decode())
+        self.rejects(path, doc, r"actor\.fc1\.b.*dtype")
+
+    def test_rejects_data_of_wrong_length(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        spec = doc["params"]["actor.fc1.b"]
+        spec["data"] = base64.b64encode(np.ones(1).tobytes()).decode()
+        self.rejects(path, doc, r"actor\.fc1\.b.*values")
