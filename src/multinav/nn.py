@@ -63,20 +63,20 @@ class Linear(Layer):
 
 
 class ReLU:
-    """max(x, 0) in the layout of x. np.maximum returns +0.0 for x = -0.0,
-    so a finite x gives the bytes of np.where(x > 0, x, 0.0); a NaN passes
-    through. The backward multiplies by the kept mask. That can flip only
-    the sign of a masked zero, which the += into each +0.0-initialised
-    grads buffer erases. The mask is kept in C order, the order of the
-    arriving gradients, even where x is a conv's channel-last view: a
-    multiply across mismatched layouts costs ~5x as much."""
+    """max(x, 0), written in C order whatever the layout of x, so a conv's
+    transposed output comes out channel-first and flattens as a view.
+    np.maximum returns +0.0 for x = -0.0, so a finite x gives the bytes of
+    np.where(x > 0, x, 0.0); a NaN passes through. The backward multiplies
+    by the kept mask. That can flip only the sign of a masked zero, which
+    the += into each +0.0-initialised grads buffer erases."""
 
     def __init__(self):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = np.greater(x, 0.0, order="C")
-        return np.maximum(x, 0.0)
+        y = np.maximum(x, 0.0, order="C")
+        self._mask = y > 0.0
+        return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return gy * self._mask
@@ -94,12 +94,13 @@ class CircularConv1d(Layer):
     """1-D convolution over the beam axis with circular padding.
 
     Input (B, c_in, L), output (B, c_out, ceil(L / stride)). The im2col
-    gather is one np.take from the input's memory, viewed as one flat row
-    per batch entry, through offsets precomputed for the layout that memory
-    has; it writes the (B, L_out, c_in·k) columns of the GEMM directly. The
-    backward takes the column gradients into (B, c_in, L_out·k) order the
-    same way, and its scatter is a precomputed 0/1 matrix so the whole pass
-    stays in BLAS.
+    gather is one np.take from the input as (B, c_in·L) rows, through
+    offsets precomputed at construction; it writes the (B, L_out, c_in·k)
+    columns of the GEMM directly. The rows are a view of a channel-first
+    input and of a single-channel slice such as the current frame of z3;
+    any other layout is copied into them. The backward takes the column
+    gradients into (B, c_in, L_out·k) order the same way, and its scatter
+    is a precomputed 0/1 matrix so the whole pass stays in BLAS.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
@@ -112,14 +113,12 @@ class CircularConv1d(Layer):
         l = np.arange(self.out_length) * stride
         self.idx = (l[:, None] + np.arange(kernel)[None, :] - pad) % length
         # cols[b, l, c·k + j] = x[b, c, idx[l, j]], at these offsets in a
-        # row of x's memory when it holds (c_in, L) or, as the transposed
-        # view a conv returns, (L, c_in)
+        # (c_in·L) row of x
         ch, tap = np.arange(c_in)[None, :, None], self.idx[:, None, :]
-        self._at_channel_first = (ch * length + tap).reshape(self.out_length, -1)
-        self._at_channel_last = (tap * c_in + ch).reshape(self.out_length, -1)
+        self._col_offsets = (ch * length + tap).reshape(self.out_length, -1)
         # the backward's (L_out, c_in, k) column gradients, read in the
         # scatter's (c_in, L_out·k) order
-        self._gcols_channel_first = (
+        self._gcol_offsets = (
             np.arange(self.out_length * c_in * kernel)
             .reshape(self.out_length, c_in, kernel).transpose(1, 0, 2)
             .reshape(c_in, -1))
@@ -132,30 +131,9 @@ class CircularConv1d(Layer):
         self.b = self.add_param("b", np.zeros(c_out))
         self._cols = None
 
-    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x's memory as C-contiguous rows (B, W) and the im2col offsets in
-        them. A channel-first or channel-last x is read in place, as is a
-        run of channels of a C-contiguous (B, F, L) stack, such as the
-        current frame of z3; any other layout is copied first."""
-        b = x.shape[0]
-        if x.flags.c_contiguous:
-            return x.reshape(b, -1), self._at_channel_first
-        xt = x.transpose(0, 2, 1)
-        if xt.flags.c_contiguous:
-            return xt.reshape(b, -1), self._at_channel_last
-        stack = x.base
-        if (isinstance(stack, np.ndarray) and stack.flags.c_contiguous
-                and stack.ndim == 3 and stack.strides == x.strides
-                and stack.shape[::2] == x.shape[::2]):
-            first = ((x.__array_interface__["data"][0]
-                      - stack.__array_interface__["data"][0]) // x.strides[1])
-            return (stack.reshape(b, -1),
-                    self._at_channel_first + first * self.length)
-        return np.ascontiguousarray(x).reshape(b, -1), self._at_channel_first
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        base, at = self._rows(x)
-        cols = np.take(base, at, axis=1)                   # (B, L_out, c_in·k)
+        cols = np.take(x.reshape(x.shape[0], -1), self._col_offsets,
+                       axis=1)                             # (B, L_out, c_in·k)
         self._cols = cols
         wmat = self.w.reshape(self.c_out, self.c_in * self.kernel)
         y = cols @ wmat.T + self.b                         # (B, L_out, c_out)
@@ -171,7 +149,7 @@ class CircularConv1d(Layer):
         self.accumulate(gy)
         b = gy.shape[0]
         gcols = gy.transpose(0, 2, 1) @ self.w.reshape(self.c_out, -1)
-        gg = np.take(gcols.reshape(b, -1), self._gcols_channel_first, axis=1)
+        gg = np.take(gcols.reshape(b, -1), self._gcol_offsets, axis=1)
         return gg @ self._scatter                          # (B, c_in, L)
 
 

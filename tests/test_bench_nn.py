@@ -6,14 +6,11 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_nn.py"
 
 
-def test_prints_host_and_median_per_pass(tmp_path):
-    out = tmp_path / "nn.json"
-    proc = subprocess.run([sys.executable, str(TOOL), "--repeats", "1",
-                           "--out", str(out)],
+def test_prints_host_and_median_per_pass():
+    proc = subprocess.run([sys.executable, str(TOOL), "--repeats", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert json.loads(out.read_text()) == doc
     assert doc["host"]["blas_threads"] in (1, None)
     assert set(doc["cases"]) == {"reduced_512x0", "full_256x3"}
     assert doc["cases"]["reduced_512x0"]["rows"] == 512

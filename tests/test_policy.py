@@ -330,8 +330,6 @@ class TestConvIm2col:
             ref = copy.deepcopy(conv)
             x = conv_input(rng, layout, b, conv.c_in, conv.length)
             gy = rng.normal(size=(b, conv.c_out, conv.out_length))
-            base, _ = conv._rows(x)
-            assert np.shares_memory(base, x)           # read in place, no copy
             assert conv.forward(x).tobytes() == reference_conv_forward(ref, x).tobytes()
             assert conv._cols.flags.c_contiguous
             assert conv._cols.tobytes() == ref._cols.tobytes()
@@ -364,8 +362,9 @@ class TestReLU:
                 gappy[::2] = vals
                 pair = np.stack([vals, -vals], axis=1)
                 for x in (vals, gappy[::2], pair.T):   # contiguous, strided, transposed
-                    assert (relu.forward(x).tobytes()
-                            == np.where(x > 0, x, 0.0).tobytes())
+                    y = relu.forward(x)
+                    assert y.flags.c_contiguous
+                    assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
                     assert np.array_equal(relu.backward(np.ones(x.shape)), x > 0)
 
     @pytest.mark.parametrize("cfg", [PolicyConfig.reduced(), PolicyConfig()],

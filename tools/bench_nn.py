@@ -1,6 +1,6 @@
 """Microbenchmark of the policy network's learning passes.
 
-    python3 tools/bench_nn.py [--repeats N] [--out FILE]
+    python3 tools/bench_nn.py [--repeats N]
 
 Times `ActorCritic.forward_batch` and `backward_batch` on fixed-seed
 inputs for two cases: the reduced net on 512 rows with empty graphs, the
@@ -91,26 +91,22 @@ def time_case(reduced: bool, rows: int, nodes: int, repeats: int) -> dict:
             "backward_batch": summary(backward, speed)}
 
 
-def main(argv=None) -> int:
+def main(perfbench_run, argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=50,
                    help="timed calls per pass and case (default 50)")
-    p.add_argument("--out", help="also write the JSON to this file")
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be at least 1")
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    doc = {"host": load_perfbench_run().host_block(),
+    doc = {"host": perfbench_run.host_block(),
            "cases": {name: time_case(*case, args.repeats)
                      for name, case in CASES.items()}}
-    text = json.dumps(doc, indent=1)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+    print(json.dumps(doc, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    load_perfbench_run().pin_blas()
-    sys.exit(main())
+    perfbench_run = load_perfbench_run()
+    perfbench_run.pin_blas()
+    perfbench_run.use_checkout_source()
+    sys.exit(main(perfbench_run))
