@@ -137,7 +137,7 @@ class JsonlLogger:
 
 
 def _log_step(logger: JsonlLogger, env: NavEnv, trial: int, step: int,
-              raws, result) -> None:
+              raws, result, obs) -> None:
     fl = logger.flags
     for i in range(env.n_agents):
         act = None if raws[i] is None else Action(*raws[i])
@@ -156,10 +156,9 @@ def _log_step(logger: JsonlLogger, env: NavEnv, trial: int, step: int,
                           "target": [float(x)
                                      for x in env.target_point(i).position]})
     if fl.observations:
-        for i in range(env.n_agents):
-            if env.world.robots[i].status != Status.ACTIVE:
+        for i, b in enumerate(obs):
+            if b is None:
                 continue
-            b = env.observation_bundle(i)
             logger.write({"type": "observation", "trial": trial, "step": step,
                           "agent": i, "node_count": b.o_c.node_count,
                           "o_gp": [float(x) for x in b.o_gp],
@@ -218,7 +217,7 @@ def run_episode(env: NavEnv, controller, scenario: GeneratedScenario | None = No
         step += 1
         obs = env.observations()
         if logger is not None:
-            _log_step(logger, env, trial, step, raws, result)
+            _log_step(logger, env, trial, step, raws, result, obs)
     return env
 
 

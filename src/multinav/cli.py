@@ -136,7 +136,8 @@ def load_train_config(path: str) -> tuple[list[ScenarioSpec], TrainConfig,
                                           PolicyConfig | None, EnvConfig]:
     """Parse and validate a training config file into (scenario specs,
     TrainConfig, PolicyConfig or None, EnvConfig). An unknown or missing key
-    raises ConfigError, a value out of range ValueError."""
+    raises ConfigError, an unknown policy key or a value out of range
+    ValueError."""
     with open(path) as f:
         doc = json.load(f)
     _check_keys(doc, TRAIN_KEYS, "config")
@@ -151,7 +152,6 @@ def load_train_config(path: str) -> tuple[list[ScenarioSpec], TrainConfig,
     _check_keys(train_doc, _field_names(TrainConfig), "train")
     train_cfg = TrainConfig(**train_doc)
     policy_doc = doc.get("policy")
-    _check_keys(policy_doc or {}, _field_names(PolicyConfig), "policy")
     policy_cfg = PolicyConfig.from_dict(policy_doc) if policy_doc else None
     env_doc = doc.get("env", {})
     _check_keys(env_doc, TRAIN_ENV_KEYS, "env")

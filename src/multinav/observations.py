@@ -6,6 +6,7 @@ the global path, and a graph of tracked dynamic neighbors (closest point in
 body-frame polar plus body-frame velocity). Everything is relative or
 body-fixed, so rigidly moving the whole world leaves observations unchanged.
 Ablation switches empty the neighbor graph or zero the path component.
+unit_scale maps a batch of stacked bundles to the policy's unit inputs.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class ObservationBundle:
     o_v: np.ndarray                  # (2,) linear, angular velocity
     o_gp: np.ndarray                 # (3,) target distance, bearing, path direction
     o_c: NeighborGraph
+    world_diameter: float            # m, bounds diagonal: scales o_g, o_gp distances
 
 
 def rotate_to_body(vec: np.ndarray, heading: float) -> np.ndarray:
@@ -139,8 +141,10 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
         graph = NeighborGraph(nodes=np.array(rows[:N_MAX_NEIGHBORS])
                               if rows else np.zeros((0, 4)))
 
+    xmin, ymin, xmax, ymax = world.config.bounds
     bundle = ObservationBundle(o_z=scan_history.stacked, o_g=o_g,
-                               o_v=o_v, o_gp=o_gp, o_c=graph)
+                               o_v=o_v, o_gp=o_gp, o_c=graph,
+                               world_diameter=math.hypot(xmax - xmin, ymax - ymin))
     if rng is not None:
         bundle = apply_state_noise(bundle, rng)
     return bundle
@@ -165,27 +169,20 @@ def apply_state_noise(bundle: ObservationBundle,
     return replace(bundle, o_c=NeighborGraph(nodes=new_nodes))
 
 
-@dataclass
-class NormalizedObs:
-    """Unit-scaled policy inputs. Inverse transform: multiply ranges by the
-    max LiDAR range, o_g/o_gp distances by the world diameter, node distances
-    by the max LiDAR range, angles by pi and velocities by their bounds."""
-
-    z3: np.ndarray                   # (3, 120) in [0, 1]
-    extras: np.ndarray               # (7,) = o_g (2) + o_v (2) + o_gp (3)
-    nodes: np.ndarray                # (n, 4)
+# divisors of the extras o_g (2) + o_v (2) + o_gp (3); the two distances,
+# here 1.0, are divided by the world diameter instead
+EXTRAS_SCALE = np.array([1.0, math.pi, V_MAX, W_MAX, 1.0, math.pi, math.pi])
+NODE_SCALE = np.array([MAX_RANGE, math.pi, V_MAX, V_MAX])
 
 
-def normalize(bundle: ObservationBundle, world_diameter: float) -> NormalizedObs:
-    z3 = bundle.o_z / MAX_RANGE
-    og = np.array([bundle.o_g[0] / world_diameter, bundle.o_g[1] / math.pi])
-    ov = np.array([bundle.o_v[0] / V_MAX, bundle.o_v[1] / W_MAX])
-    ogp = np.array([bundle.o_gp[0] / world_diameter, bundle.o_gp[1] / math.pi,
-                    bundle.o_gp[2] / math.pi])
-    nodes = bundle.o_c.nodes
-    if len(nodes):
-        nodes = np.column_stack([nodes[:, 0] / MAX_RANGE, nodes[:, 1] / math.pi,
-                                 nodes[:, 2] / V_MAX, nodes[:, 3] / V_MAX])
-    else:
-        nodes = np.zeros((0, 4))
-    return NormalizedObs(z3=z3, extras=np.concatenate([og, ov, ogp]), nodes=nodes)
+def unit_scale(z3: np.ndarray, extras: np.ndarray, nodes: np.ndarray,
+               world_diameter: np.ndarray):
+    """Unit-scaled policy inputs from stacked bundle fields: ranges z3
+    (B, 3, beams), extras (B, 7) = o_g + o_v + o_gp, nodes (B, N, 4) and
+    each row's world diameter (B,). Each value is divided by its scale.
+    Inverse transform: multiply ranges by the max LiDAR range, o_g/o_gp
+    distances by the world diameter, node distances by the max LiDAR range,
+    angles by pi and velocities by their bounds."""
+    scale = np.tile(EXTRAS_SCALE, (len(extras), 1))
+    scale[:, [0, 4]] = np.reshape(world_diameter, (-1, 1))
+    return z3 / MAX_RANGE, extras / scale, nodes / NODE_SCALE

@@ -16,13 +16,13 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .nn import (AttentiveMeanPool, CircularConv1d, Linear,
                  MultiHeadSelfAttention, ReLU, softplus, softplus_grad)
-from .observations import NormalizedObs
+from .observations import ObservationBundle, unit_scale
 from .sim import Action, clamp_action
 
 CHECKPOINT_VERSION = 1
@@ -58,7 +58,11 @@ class PolicyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolicyConfig":
-        """Build from JSON, where the tuple fields arrive as lists."""
+        """Build from JSON, where the tuple fields arrive as lists. A key
+        that names no field is a ValueError."""
+        unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown policy config keys {unknown}")
         return cls(**{k: tuple(v) if k in ("conv_channels", "trunk") else v
                       for k, v in d.items()})
 
@@ -71,19 +75,20 @@ class BatchedObs:
     mask: np.ndarray                 # (B, N) bool
 
 
-def batch_obs(obs_list: list[NormalizedObs]) -> BatchedObs:
-    b = len(obs_list)
-    n = max((len(o.nodes) for o in obs_list), default=0)
-    z3 = np.stack([o.z3 for o in obs_list])
-    extras = np.stack([o.extras for o in obs_list])
-    nodes = np.zeros((b, n, 4))
-    mask = np.zeros((b, n), dtype=bool)
-    for i, o in enumerate(obs_list):
-        k = len(o.nodes)
-        if k:
-            nodes[i, :k] = o.nodes
-            mask[i, :k] = True
-    return BatchedObs(z3=z3, extras=extras, nodes=nodes, mask=mask)
+def batch_obs(bundles: list[ObservationBundle]) -> BatchedObs:
+    """Stack observation bundles into one unit-scaled batch, nodes
+    zero-padded to the largest node count among them."""
+    counts = [o.o_c.node_count for o in bundles]
+    n = max(counts)
+    nodes = np.zeros((len(bundles), n, 4))
+    for i, o in enumerate(bundles):
+        nodes[i, :counts[i]] = o.o_c.nodes
+    z3, extras, nodes = unit_scale(
+        np.stack([o.o_z for o in bundles]),
+        np.stack([np.concatenate((o.o_g, o.o_v, o.o_gp)) for o in bundles]),
+        nodes, np.array([o.world_diameter for o in bundles]))
+    return BatchedObs(z3=z3, extras=extras, nodes=nodes,
+                      mask=np.arange(n) < np.array(counts)[:, None])
 
 
 class _Tower:
@@ -257,7 +262,7 @@ class ActorCritic:
         gv = self.value_head.backward(gvalue[:, None])
         self.critic.backward(gv)
 
-    def forward_one(self, obs: NormalizedObs):
+    def forward_one(self, obs: ObservationBundle):
         """Single-observation convenience: (ActionDistribution, value)."""
         mean, std, value = self.forward_batch(batch_obs([obs]))
         return ActionDistribution(mean=mean[0], std=std[0]), float(value[0])

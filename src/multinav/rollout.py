@@ -10,20 +10,20 @@ each reset and step senses once for all live robots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lidar import LidarScan, ScanHistory, noisy_ranges, raycast_batch
 # raycast and apply_lidar_noise (_sense scans all robots at once), astar and
-# rasterize (GeneratedScenario.plan plans each episode) are not called here;
-# they stay importable from this module by name for tracers that wrap them,
-# such as perfbench/spans.py
+# rasterize (GeneratedScenario.plan plans each episode), and normalize
+# (policy.batch_obs scales a whole batch) are not called here; they stay
+# importable from this module by name for tracers that wrap them, such as
+# perfbench/spans.py
 from .lidar import apply_lidar_noise, raycast  # noqa: F401
 from .observations import (STATE_POSITION_BOUND, STATE_VELOCITY_BOUND,
-                           AblationConfig, NoiseConfig, build_observation,
-                           normalize)
+                           AblationConfig, NoiseConfig, build_observation)
+from .observations import unit_scale as normalize  # noqa: F401
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
@@ -72,7 +72,6 @@ class NavEnv:
         self.obs_rng = np.random.default_rng(child[3])     # observation noise
         self.world: World | None = None
         self.scenario: GeneratedScenario | None = None
-        self._bundles: list = []          # what the last observations() built
 
     # ---- episode lifecycle ---------------------------------------------------
 
@@ -86,8 +85,6 @@ class NavEnv:
         # the plan generate() checked reachability with; a scenario loaded
         # from JSON plans here
         self.grid, self.paths = scenario.plan()
-        xmin, ymin, xmax, ymax = self.world.config.bounds
-        self.diameter = math.hypot(xmax - xmin, ymax - ymin)
         n = len(self.world.robots)
         self.trackers = [Tracker() for _ in range(n)]
         self.histories = [ScanHistory() for _ in range(n)]
@@ -134,24 +131,16 @@ class NavEnv:
                         self.grid, world.config.dt)
 
     def observations(self):
-        """Normalized observation per agent; None for frozen robots."""
+        """ObservationBundle per agent; None for frozen robots."""
         if not self.cfg.build_observations:
             return [None] * self.n_agents
         rng = self.obs_rng if self.cfg.noise.enabled else None
-        self._bundles = [
-            build_observation(
-                self.world, i, self.histories[i],
-                self.trackers[i].dynamic_tracks(), self.target_point(i),
-                ablation=self.cfg.ablation, rng=rng)
-            if robot.status == Status.ACTIVE else None
-            for i, robot in enumerate(self.world.robots)]
-        return [None if b is None else normalize(b, self.diameter)
-                for b in self._bundles]
-
-    def observation_bundle(self, i: int):
-        """The un-normalized bundle the last observations() call built for
-        agent i (logging support: reading it draws no noise)."""
-        return self._bundles[i]
+        return [build_observation(
+                    self.world, i, self.histories[i],
+                    self.trackers[i].dynamic_tracks(), self.target_point(i),
+                    ablation=self.cfg.ablation, rng=rng)
+                if robot.status == Status.ACTIVE else None
+                for i, robot in enumerate(self.world.robots)]
 
     def noisy_neighbor_states(self, observers):
         """Ground-truth neighbour (positions (k, n - 1, 2), velocities

@@ -17,7 +17,6 @@ from multinav.bench import run_trials
 from multinav.cli import main as cli_main
 from multinav.geometry import Circle, dist_circle_surface
 from multinav.lidar import BEAM_OFFSETS, MAX_RANGE, N_BEAMS, raycast
-from multinav.observations import NormalizedObs
 from multinav.planner import Unreachable, astar, path_cost_counts
 from multinav.planner import OccupancyGrid
 from multinav.policy import ActorCritic, PolicyConfig, batch_obs
@@ -29,6 +28,7 @@ from multinav.tracker import Tracker
 
 from test_lidar import march_ray
 from test_planner import dijkstra_cost
+from test_obs import bundle_of
 from test_ppo import mc_advantages
 
 
@@ -212,12 +212,12 @@ def test_criterion_09_gradient_and_permutation():
                         score_dim=5, trunk=(12, 12))
     rng = np.random.default_rng(90)
     net = ActorCritic(tiny, seed=12)
-    obs = [NormalizedObs(z3=rng.uniform(0.1, 1, (3, 12)),
-                         extras=rng.uniform(-1, 1, 7),
-                         nodes=rng.uniform(-1, 1, (3, 4))),
-           NormalizedObs(z3=rng.uniform(0.1, 1, (3, 12)),
-                         extras=rng.uniform(-1, 1, 7),
-                         nodes=np.zeros((0, 4)))]
+    obs = [bundle_of(z3=rng.uniform(0.1, 1, (3, 12)),
+                     extras=rng.uniform(-1, 1, 7),
+                     nodes=rng.uniform(-1, 1, (3, 4))),
+           bundle_of(z3=rng.uniform(0.1, 1, (3, 12)),
+                     extras=rng.uniform(-1, 1, 7),
+                     nodes=np.zeros((0, 4)))]
     batch = batch_obs(obs)
     actions = rng.normal(0.3, 0.5, (2, 2))
 

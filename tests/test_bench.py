@@ -9,12 +9,12 @@ from multinav.bench import (ConfigError, EpisodeMetrics, LogFlags,
                             OrcaController, PolicyController,
                             StraightController, make_controller, replay_svg,
                             report, run_episode, run_trials)
-from multinav.observations import NormalizedObs
 from multinav.orca import nh_track, orca_planes, preferred_velocity
 from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, ScenarioSpec, eval_suite
 from multinav.sim import Action, Status, clamp_action
+from test_obs import bundle_of
 
 
 def empty_single_agent_spec(scale=15.0, seed=0):
@@ -55,9 +55,9 @@ class TestPolicyController:
     def test_acts_without_the_critic(self, monkeypatch):
         net = ActorCritic(PolicyConfig.reduced(), seed=2)
         rng = np.random.default_rng(5)
-        obs = [NormalizedObs(z3=rng.uniform(0.1, 1.0, (3, 120)),
-                             extras=rng.uniform(-1, 1, 7),
-                             nodes=rng.uniform(-1, 1, (k, 4)))
+        obs = [bundle_of(z3=rng.uniform(0.1, 1.0, (3, 120)),
+                         extras=rng.uniform(-1, 1, 7),
+                         nodes=rng.uniform(-1, 1, (k, 4)))
                for k in (0, 3, 3, 0)]
         obs.insert(2, None)                    # a robot that no longer acts
         live = [o for o in obs if o is not None]

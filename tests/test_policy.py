@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from multinav.nn import ReLU, softplus_grad
-from multinav.observations import NormalizedObs
 from multinav.policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                              PolicyConfig, batch_obs, deterministic_action,
                              gaussian_log_prob, gaussian_sample)
 from multinav.sim import Action, clamp_action
+from test_obs import bundle_of
 
 TINY = PolicyConfig(n_beams=12, conv_channels=(3, 4), conv_kernel=3,
                     node_hidden=6, attention_heads=2, attention_head_dim=3,
@@ -19,7 +19,7 @@ TINY = PolicyConfig(n_beams=12, conv_channels=(3, 4), conv_kernel=3,
 
 
 def obs_of(rng, n_beams=120, n_nodes=0):
-    return NormalizedObs(
+    return bundle_of(
         z3=rng.uniform(0.1, 1.0, (3, n_beams)),
         extras=rng.uniform(-1, 1, 7),
         nodes=rng.uniform(-1, 1, (n_nodes, 4)) if n_nodes else np.zeros((0, 4)),
@@ -192,12 +192,12 @@ class TestGradientCheck:
         rng = np.random.default_rng(90)
         net = ActorCritic(TINY, seed=12)
         obs = [
-            NormalizedObs(z3=rng.uniform(0.1, 1, (3, 12)),
-                          extras=rng.uniform(-1, 1, 7),
-                          nodes=rng.uniform(-1, 1, (3, 4))),
-            NormalizedObs(z3=rng.uniform(0.1, 1, (3, 12)),
-                          extras=rng.uniform(-1, 1, 7),
-                          nodes=np.zeros((0, 4))),  # exercises the null path
+            bundle_of(z3=rng.uniform(0.1, 1, (3, 12)),
+                      extras=rng.uniform(-1, 1, 7),
+                      nodes=rng.uniform(-1, 1, (3, 4))),
+            bundle_of(z3=rng.uniform(0.1, 1, (3, 12)),
+                      extras=rng.uniform(-1, 1, 7),
+                      nodes=np.zeros((0, 4))),  # exercises the null path
         ]
         batch = batch_obs(obs)
         actions = rng.normal(0.3, 0.5, (2, 2))
@@ -507,3 +507,8 @@ class TestCheckpoint:
         spec = doc["params"]["actor.fc1.b"]
         spec["data"] = base64.b64encode(np.ones(1).tobytes()).decode()
         self.rejects(path, doc, r"actor\.fc1\.b.*values")
+
+    def test_rejects_unknown_config_key(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["config"].update(bogus=1, also_bogus=[2])
+        self.rejects(path, doc, r"unknown.*\['also_bogus', 'bogus'\]")

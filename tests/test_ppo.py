@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from multinav.nn import Adam
-from multinav.observations import N_MAX_NEIGHBORS, NormalizedObs
-from multinav.policy import (ActorCritic, BatchedObs, NumericalDivergence,
-                             PolicyConfig, batch_obs, gaussian_log_prob)
+from multinav.observations import N_MAX_NEIGHBORS
+from multinav.policy import (ActorCritic, NumericalDivergence, PolicyConfig,
+                             batch_obs, gaussian_log_prob)
 from multinav.ppo import RolloutBuffer, TrainConfig, compute_gae, ppo_update
+from test_obs import assert_same_batch, bundle_of, reference_batch_obs
 
 TINY = PolicyConfig(n_beams=12, conv_channels=(3, 4), conv_kernel=3,
                     node_hidden=6, attention_heads=2, attention_head_dim=3,
@@ -97,10 +98,10 @@ def make_buffer(net, n=12, seed=0, nodes=0):
     rng = np.random.default_rng(seed)
     buf = RolloutBuffer(n)
     for k in range(n):
-        obs = NormalizedObs(z3=rng.uniform(0.1, 1, (3, 12)),
-                            extras=rng.uniform(-1, 1, 7),
-                            nodes=rng.uniform(-1, 1, (nodes, 4))
-                            if nodes else np.zeros((0, 4)))
+        obs = bundle_of(z3=rng.uniform(0.1, 1, (3, 12)),
+                        extras=rng.uniform(-1, 1, 7),
+                        nodes=rng.uniform(-1, 1, (nodes, 4))
+                        if nodes else np.zeros((0, 4)))
         dist, value = net.forward_one(obs)
         raw = dist.mean + dist.std * rng.standard_normal(2)
         z = (raw - dist.mean) / dist.std
@@ -234,8 +235,8 @@ class TestBufferStreams:
         # both agents act at every step, so their rows interleave in the
         # store; each stream's GAE still sees only its own rows
         buf = RolloutBuffer(6)
-        obs = NormalizedObs(z3=np.zeros((3, 12)), extras=np.zeros(7),
-                            nodes=np.zeros((0, 4)))
+        obs = bundle_of(z3=np.zeros((3, 12)), extras=np.zeros(7),
+                        nodes=np.zeros((0, 4)))
         batch = batch_obs([obs, obs])
         for t in range(3):
             buf.add([(0, 0), (0, 1)], batch, np.zeros((2, 2)), [0.0, 1.0],
@@ -246,31 +247,6 @@ class TestBufferStreams:
         adv0, _ = compute_gae([0, 0, 0], [0, 0, 0], [0, 0, 1], 0.0, 0.5, 1.0)
         adv1, _ = compute_gae([1, 1, 1], [0, 0, 0], [0, 0, 1], 0.0, 0.5, 1.0)
         assert np.allclose(buf.advantages, np.concatenate([adv0, adv1]))
-
-
-def reference_batch_obs(obs_list):
-    """batch_obs as it padded per observation, the per-minibatch batching
-    the store replaced."""
-    b = len(obs_list)
-    n = max((len(o.nodes) for o in obs_list), default=0)
-    nodes = np.zeros((b, n, 4))
-    mask = np.zeros((b, n), dtype=bool)
-    for i, o in enumerate(obs_list):
-        k = len(o.nodes)
-        if k:
-            nodes[i, :k] = o.nodes
-            mask[i, :k] = True
-    return BatchedObs(z3=np.stack([o.z3 for o in obs_list]),
-                      extras=np.stack([o.extras for o in obs_list]),
-                      nodes=nodes, mask=mask)
-
-
-def assert_same_batch(got, want):
-    for f in ("z3", "extras", "nodes", "mask"):
-        a, b = getattr(got, f), getattr(want, f)
-        assert a.shape == b.shape and a.dtype == b.dtype, f
-        assert a.flags.c_contiguous, f
-        assert a.tobytes() == b.tobytes(), f
 
 
 class ReferenceBuffer:
@@ -329,9 +305,9 @@ def synthetic_rollout(steps=40, agents=(3, 1, 4), seed=0):
         for _ in keys:
             has_nodes = rng.random() < 0.5
             k = int(rng.integers(0, N_MAX_NEIGHBORS + 1)) if has_nodes else 0
-            obs.append(NormalizedObs(z3=rng.uniform(0, 1, (3, 12)),
-                                     extras=rng.normal(size=7),
-                                     nodes=rng.normal(size=(k, 4))))
+            obs.append(bundle_of(z3=rng.uniform(0, 1, (3, 12)),
+                                 extras=rng.normal(size=7),
+                                 nodes=rng.normal(size=(k, 4))))
         m = len(keys)
         raw = rng.normal(size=(m, 2))
         value = rng.normal(size=m)

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 from multinav import ppo, rollout
-from multinav.bench import OrcaController, PolicyController, StraightController
-from multinav.observations import AblationConfig, NoiseConfig, normalize
+from multinav.bench import (JsonlLogger, LogFlags, OrcaController,
+                            PolicyController, StraightController, run_episode)
+from multinav.observations import AblationConfig, NoiseConfig
 from multinav.ppo import TrainConfig, evaluate_policy, train
 from multinav.policy import ActorCritic, NumericalDivergence, PolicyConfig
 from multinav.rollout import EnvConfig, NavEnv
@@ -33,7 +34,7 @@ class TestNavEnv:
         obs = env.reset()
         assert len(obs) == 1
         assert obs[0] is not None
-        assert obs[0].z3.shape == (3, 120)
+        assert obs[0].o_z.shape == (3, 120)
 
     def test_frozen_agents_get_none(self):
         spec = single_agent_spec(max_episode_time=0.2)
@@ -56,22 +57,55 @@ class TestNavEnv:
         if d_goal > 1.5:
             assert d_target < d_goal
 
-    def test_observation_bundle_is_the_one_observed(self):
-        # under state noise, the logged bundle must be the one the policy
-        # read, and reading it must draw no noise
+    def test_logged_observations_are_the_ones_acted_on(self, tmp_path):
+        # under state noise, each observation record is the bundle the
+        # controller was given, and logging draws no noise and changes no
+        # trajectory
         spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=4,
-                            rng_seed=3)
-        env = NavEnv(spec, EnvConfig(noise=NoiseConfig()), seed=3)
-        env.reset()
-        env.step([(0.5, 0.0)] * 4)
-        obs = env.observations()
-        assert any(len(o.nodes) for o in obs)
-        state = env.obs_rng.bit_generator.state
-        for i, o in enumerate(obs):
-            again = normalize(env.observation_bundle(i), env.diameter)
-            assert np.array_equal(again.nodes, o.nodes)
-            assert np.array_equal(again.extras, o.extras)
-        assert env.obs_rng.bit_generator.state == state
+                            max_episode_time=3.0, rng_seed=3)
+
+        class Recording(PolicyController):
+            def act(self, env, obs):
+                given.append(obs)
+                return super().act(env, obs)
+
+        runs = []
+        for flags in (LogFlags(observations=True), LogFlags(), None):
+            given = []
+            env = NavEnv(spec, EnvConfig(noise=NoiseConfig()), seed=3)
+            path = tmp_path / f"{len(runs)}.jsonl"
+            logger = None if flags is None else JsonlLogger(str(path), flags)
+            run_episode(env, Recording(ActorCritic(TINY_POLICY, seed=0)),
+                        logger=logger)
+            records = []
+            if logger is not None:
+                logger.close()
+                records = [json.loads(line) for line in open(path)]
+            runs.append((env.obs_rng.bit_generator.state,
+                         env.world.positions.tobytes(), records, given))
+
+        (state, end, records, given), plain, unlogged = runs
+        assert state == plain[0] == unlogged[0]
+        assert end == unlogged[1]
+
+        def of_type(records, kind):
+            return [r for r in records if r["type"] == kind]
+
+        assert of_type(records, "trajectory") == of_type(plain[2], "trajectory")
+        assert not of_type(plain[2], "observation")
+        logged = {(r["step"], r["agent"]): r
+                  for r in of_type(records, "observation")}
+        # the observations built after step s are those acted on at step s + 1
+        acted = {(s, i): b for s, obs in enumerate(given) if s > 0
+                 for i, b in enumerate(obs) if b is not None}
+        assert len(given) > 1 and acted.keys() <= logged.keys()
+        assert {s for s, _ in logged.keys() - acted.keys()} <= {len(given)}
+        assert any(b.o_c.node_count for b in acted.values())
+        for key, b in acted.items():
+            rec = logged[key]
+            assert rec["node_count"] == b.o_c.node_count
+            assert rec["o_g"] == [float(x) for x in b.o_g]
+            assert rec["o_gp"] == [float(x) for x in b.o_gp]
 
     @pytest.mark.parametrize("controller", ["policy", "orca"])
     def test_disabled_noise_draws_nothing(self, controller):
@@ -92,7 +126,7 @@ class TestNavEnv:
             for _ in range(5):
                 env.step(ctrl.act(env, obs))
                 obs = env.observations()
-                seen += sum(len(o.nodes) for o in obs if o is not None)
+                seen += sum(o.o_c.node_count for o in obs if o is not None)
             assert seen > 0                # observations held neighbours
             drawn = [r.bit_generator.state != b for r, b in zip(rngs, before)]
             if not noise.enabled:

@@ -630,9 +630,11 @@ class TestBatchedUpdateMatchesReference:
             for a, b in zip(*obs):
                 assert (a is None) == (b is None)
                 if a is not None:
-                    for x, y in ((a.z3, b.z3), (a.extras, b.extras),
-                                 (a.nodes, b.nodes)):
+                    for x, y in ((a.o_z, b.o_z), (a.o_g, b.o_g),
+                                 (a.o_v, b.o_v), (a.o_gp, b.o_gp),
+                                 (a.o_c.nodes, b.o_c.nodes)):
                         assert x.tobytes() == y.tobytes()
+                    assert a.world_diameter == b.world_diameter
             for env in envs:
                 env.step(ctrl.act(env, None))
             obs = [env.observations() for env in envs]

@@ -58,17 +58,23 @@ def time_case(reduced: bool, rows: int, nodes: int, repeats: int) -> dict:
     import hostspeed
     import numpy as np
 
-    from multinav.observations import NormalizedObs
+    from multinav.lidar import MAX_RANGE
+    from multinav.observations import NeighborGraph, ObservationBundle
     from multinav.policy import ActorCritic, PolicyConfig, batch_obs
 
     cfg = PolicyConfig.reduced() if reduced else PolicyConfig()
     net = ActorCritic(cfg, seed=0)
     rng = np.random.default_rng(0)
-    batch = batch_obs([
-        NormalizedObs(z3=rng.uniform(0.1, 1.0, (3, cfg.n_beams)),
-                      extras=rng.uniform(-1.0, 1.0, cfg.extras_dim),
-                      nodes=rng.uniform(-1.0, 1.0, (nodes, cfg.node_features)))
-        for _ in range(rows)])
+
+    def bundle():
+        o_z = rng.uniform(0.1, 1.0, (3, cfg.n_beams)) * MAX_RANGE
+        extras = rng.uniform(-1.0, 1.0, cfg.extras_dim)
+        graph = NeighborGraph(
+            nodes=rng.uniform(-1.0, 1.0, (nodes, cfg.node_features)))
+        return ObservationBundle(o_z=o_z, o_g=extras[:2], o_v=extras[2:4],
+                                 o_gp=extras[4:], o_c=graph, world_diameter=1.0)
+
+    batch = batch_obs([bundle() for _ in range(rows)])
     gmean, gstd = rng.normal(size=(2, rows, 2))
     gvalue = rng.normal(size=rows)
     forward, backward, speed = [], [], []
