@@ -142,9 +142,9 @@ def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
                               if rows else np.zeros((0, 4)))
 
     xmin, ymin, xmax, ymax = world.config.bounds
-    bundle = ObservationBundle(o_z=scan_history.stacked, o_g=o_g,
-                               o_v=o_v, o_gp=o_gp, o_c=graph,
-                               world_diameter=math.hypot(xmax - xmin, ymax - ymin))
+    bundle = ObservationBundle(
+        o_z=scan_history.stacked, o_g=o_g, o_v=o_v, o_gp=o_gp, o_c=graph,
+        world_diameter=math.hypot(xmax - xmin, ymax - ymin))
     if rng is not None:
         bundle = apply_state_noise(bundle, rng)
     return bundle

@@ -27,8 +27,8 @@ from multinav.sim import Action, Status, World, WorldConfig
 from multinav.tracker import Tracker
 
 from test_lidar import march_ray
-from test_planner import dijkstra_cost
 from test_obs import bundle_of
+from test_planner import dijkstra_cost
 from test_ppo import mc_advantages
 
 
