@@ -13,7 +13,6 @@ config = WorldConfig(
     bounds=(-6, -6, 6, 6),
     circles=[Circle(0.0, 1.0, 0.5)],
     max_episode_time=30.0,
-    rng_seed=7,
 )
 # one (x, y, heading) start and one (x, y) goal per robot
 world = World(config, starts=[(-4.0, 0.0, 0.0), (4.0, -0.8, np.pi)],

@@ -9,7 +9,7 @@ import numpy as np
 
 from multinav import Action, Tracker, World, WorldConfig, rasterize, raycast
 
-config = WorldConfig(bounds=(-8, -8, 8, 8), rng_seed=0)
+config = WorldConfig(bounds=(-8, -8, 8, 8))
 world = World(config, starts=[(0.0, 0.0, 0.0), (-1.5, 1.5, 0.0)],
               goals=[(7.0, 7.0), (3.0, 1.5)])
 grid = rasterize(config)

@@ -190,7 +190,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
 def _base_config(spec: ScenarioSpec, bounds, circles=(), walls=()) -> WorldConfig:
     return WorldConfig(bounds=bounds, circles=list(circles), walls=list(walls),
                        max_episode_time=spec.max_episode_time,
-                       rng_seed=spec.rng_seed, robot_radius=spec.robot_radius)
+                       robot_radius=spec.robot_radius)
 
 
 def _gen_circle(spec: ScenarioSpec, rng) -> GeneratedScenario:

@@ -128,7 +128,6 @@ class WorldConfig:
     circles: list[Circle] = field(default_factory=list)
     walls: list[Wall] = field(default_factory=list)
     max_episode_time: float = 120.0
-    rng_seed: int = 0
     robot_radius: float = 0.25
     goal_tolerance: float = 0.2
 
@@ -145,7 +144,6 @@ class WorldConfig:
             "circles": [[c.cx, c.cy, c.r] for c in self.circles],
             "walls": [[w.x0, w.y0, w.x1, w.y1, w.thickness] for w in self.walls],
             "max_episode_time": self.max_episode_time,
-            "rng_seed": self.rng_seed,
             "robot_radius": self.robot_radius,
             "goal_tolerance": self.goal_tolerance,
         }
@@ -158,7 +156,6 @@ class WorldConfig:
             circles=[Circle(*row) for row in d.get("circles", [])],
             walls=[Wall(*row) for row in d.get("walls", [])],
             max_episode_time=d["max_episode_time"],
-            rng_seed=int(d.get("rng_seed", 0)),
             robot_radius=d.get("robot_radius", 0.25),
             goal_tolerance=d.get("goal_tolerance", 0.2),
         )

@@ -3,10 +3,12 @@
 Pipeline per observer and frame: adjacent-beam clustering of scan returns,
 a coarse static/dynamic split against the inflated static map, nearest-
 predicted-point association of the dynamic clusters refined by
-translation-only ICP with outlier trimming, a velocity gate on accepted
-matches, and a constant-velocity estimate smoothed by an exponential moving
-average. Static clusters are dropped at the split: they take no part in
-association and leave no entry, so a tracker holds dynamic tracks only.
+translation-only ICP with outlier trimming (point-to-polyline matches, its
+fixed-point update sped up by a depth-1 Anderson step that an energy test
+safeguards), a velocity gate on accepted matches, and a constant-velocity
+estimate smoothed by an exponential moving average. Static clusters are
+dropped at the split: they take no part in association and leave no
+entry, so a tracker holds dynamic tracks only.
 Discs make rotation unobservable, so tracks carry linear velocity only.
 update_trackers advances the trackers of all live robots by one frame, once
 per step: one clustering pass over all their scans, one static split and
@@ -32,8 +34,8 @@ EMA_BETA = 0.5                  # weight of the newest velocity sample
 STATIC_MARGIN = 0.15            # distance to occupied cells = static
 HIT_MARGIN = 1e-6               # below max_range - this counts as a hit
 VELOCITY_BASELINE_STEPS = 5     # frames spanned by the velocity baseline
-ICP_ITERATIONS = 40             # cap on ICP updates per pair
-ICP_TOL = 1e-6                  # m, ICP stops once an update moves less
+ICP_ITERATIONS = 40             # cap on ICP passes per pair
+ICP_TOL = 1e-6                  # m, ICP stops once a plain update moves less
 
 
 @dataclass
@@ -151,17 +153,30 @@ def _icp_batch(srcs: list, dsts: list, out: np.ndarray,
     """Run the ICP of every (srcs[b], dsts[b]) pair in lockstep and write
     pair b's translation to out[slots[b]].
 
+    Each pass projects every row's source, moved by the row's current
+    point x, onto its polyline, trims, and takes the trimmed means of the
+    residual vectors, f(x), and of the squared residuals, the energy E(x).
+    The plain update is g = x + f(x). Once a row has a previous pass
+    (f', g'), its next point is the depth-1 Anderson step g - gamma (g - g')
+    with gamma = (df . f) / (df . df), df = f - f' (the divisor at least
+    the smallest normal float, so gamma is 0 when df is 0). A step whose
+    energy is above that of the point it came from is rejected: the row
+    falls back to that point's g and restarts its history, so the next
+    point after it is a plain update again. A row stops at the first
+    accepted point whose plain update moves less than ICP_TOL, or after
+    ICP_ITERATIONS passes, and returns the g of its last accepted point.
+
     Per-row arrays are padded to the longest source, points first and the
     batch last, (N, 2, B); the sum over a row's points then runs in point
-    order, as the per-pair sum over an (n, 2) array does. Source pads get
-    +inf residuals (sorted after the real ones, never kept) and -0.0
-    differences (the additive identity, so each sum equals the per-pair one
-    bit for bit, signed zeros included). The projection onto the polylines
-    runs on the real points of the rows with two or more dst points only,
-    (2, M, P) with M the most segments in the batch; pad segments lie at
-    _FAR. A row leaves the batch at the iteration where its own loop would
-    stop; the finished rows are dropped once they are a quarter of the
-    batch.
+    order, as the per-pair sum over an (n, 2) array does. Source pads lie at
+    +inf, so their residuals are +inf (sorted after the real ones, never
+    kept), and every dropped term is -0.0 (the additive identity, so each
+    sum equals the per-pair one bit for bit, signed zeros included). The
+    projection onto the polylines runs on the real points of the rows with
+    two or more dst points only, (2, M, P) with M the most segments in the
+    batch; pad segments lie at _FAR. A row leaves the batch at the pass
+    where its own loop would stop; the finished rows are dropped once they
+    are a quarter of the batch.
     """
     n = np.array([len(s) for s in srcs])
     m = np.array([len(d) for d in dsts])
@@ -170,10 +185,9 @@ def _icp_batch(srcs: list, dsts: list, out: np.ndarray,
     dst = _padded(dsts, m, segments + 1, np.inf)
     # per-axis median init: projection updates cannot fix a tangential error
     # inherited from an outlier-skewed centroid
-    t = (_row_median(dst, m) - _row_median(src, n)).T      # (2, B)
+    x = (_row_median(dst, m) - _row_median(src, n)).T     # (2, B)
     pad = np.arange(width)[:, None] >= n                   # (N, B)
     src = src.transpose(1, 2, 0).copy()                    # (N, 2, B)
-    np.copyto(src, 0.0, where=pad[:, None])
     seg_pad = np.arange(segments)[:, None] >= m - 1        # (M, B)
     a = dst[:, :-1].transpose(2, 1, 0).copy()              # (2, M, B)
     a[:, seg_pad] = _FAR
@@ -182,21 +196,31 @@ def _icp_batch(srcs: list, dsts: list, out: np.ndarray,
     seg_len2 = np.maximum(seg[0] * seg[0] + seg[1] * seg[1], 1e-18)
     first = dst[:, 0].T.copy()        # (2, B): the match of a single dst
     lo, hi = (n - 1) // 2, n // 2
+    # per row: (g, f, E) of the last accepted pass; whether x is an Anderson
+    # step; whether the last pass was accepted, so that a step can follow it
+    accepted = np.zeros((5, len(n)))
+    step, history = np.zeros((2, len(n)), dtype=bool)
     live = np.ones(len(n), dtype=bool)   # rows still iterating
-    left = ICP_ITERATIONS                # iterations still to run
+    tiny = np.finfo(float).tiny
+    left = ICP_ITERATIONS                # passes still to run
     while True:
         b = len(n)
         middle = np.stack([lo, hi]) * b + np.arange(b)     # flat in (N, B)
         pi, pb = np.nonzero(~pad & (m > 1))                # points on polylines
         p = len(pi)
         at = pi * (2 * b) + np.arange(2)[:, None] * b + pb  # flat in (N, 2, B)
-        pa, ps, pl = (np.take(x, pb, axis=-1) for x in (a, seg, seg_len2))
+        pa, ps, pl = (np.take(v, pb, axis=-1) for v in (a, seg, seg_len2))
         corner = np.arange(2)[:, None] * (segments * p) + np.arange(p)
-        # work buffers for the projection, reused by every iteration
+        # work buffers, reused by every pass: q holds each point's match,
+        # terms its residual vector and squared residual, current the pass's
+        # (g, f, E)
         ap, qs, tt = np.empty(pa.shape), np.empty(pa.shape), np.empty(pl.shape)
+        moved, residuals = np.empty(src.shape), np.empty(pad.shape)
+        q = np.repeat(first[None], width, axis=0)          # (N, 2, B)
+        terms, current = np.empty((width, 3, b)), np.empty((5, b))
+        g, f, energy = current[:2], current[2:4], current[4]
         for left in range(left - 1, -1, -1):
-            moved = src + t                                # (N, 2, B)
-            q = np.broadcast_to(first, moved.shape).copy()
+            np.add(src, x, out=moved)
             if p:
                 mv = moved.ravel()[at][:, None]            # (2, 1, P)
                 np.subtract(mv, pa, out=ap)                # (2, M, P)
@@ -210,29 +234,43 @@ def _icp_batch(srcs: list, dsts: list, out: np.ndarray,
                 d *= d
                 nearest = np.add(d[0], d[1], out=tt).argmin(axis=0)  # (P,)
                 q.ravel()[at] = qs.ravel()[nearest * p + corner]
-            diff = q - moved
-            residuals = np.hypot(diff[:, 0], diff[:, 1])   # (N, B)
-            np.copyto(residuals, np.inf, where=pad)
+            np.subtract(q, moved, out=terms[:, :2])
+            np.hypot(terms[:, 0], terms[:, 1], out=residuals)
+            np.multiply(residuals, residuals, out=terms[:, 2])
             mid = np.sort(residuals, axis=0).ravel()[middle]
             keep = residuals <= 3.0 * ((mid[0] + mid[1]) / 2) + 1e-12
-            np.copyto(diff, -0.0, where=~keep[:, None])
-            delta = np.add.reduce(diff, axis=0) / keep.sum(axis=0)
-            t = t + delta
-            done = live & (np.hypot(delta[0], delta[1]) < ICP_TOL)
+            np.copyto(terms, -0.0, where=~keep[:, None])
+            np.add.reduce(terms, axis=0, out=current[2:])
+            current[2:] /= keep.sum(axis=0)
+            np.add(x, f, out=g)
+            accept = ~step | (energy <= accepted[4])
+            done = live & accept & (np.hypot(f[0], f[1]) < ICP_TOL)
+            # the next point: the Anderson step after an accepted pass with a
+            # previous one, the plain update after an accepted pass without,
+            # the last accepted g after a rejected step
+            df = f - accepted[2:4]
+            gamma = ((df[0] * f[0] + df[1] * f[1])
+                     / np.maximum(df[0] * df[0] + df[1] * df[1], tiny))
+            anderson = g - gamma * (g - accepted[:2])
+            np.copyto(accepted, current, where=accept)
+            step, history = accept & history, accept
+            x = np.where(step, anderson, accepted[:2])
             if not done.any():
                 continue
-            out[slots[done]] = t[:, done].T
+            out[slots[done]] = accepted[:2, done].T
             live &= ~done
             if not live.any():
                 return
             if 4 * np.count_nonzero(live) <= 3 * len(live):
                 break
         else:
-            out[slots[live]] = t[:, live].T
+            out[slots[live]] = accepted[:2, live].T
             return
-        src, t, a, seg, seg_len2, pad, first, n, m, lo, hi, slots = (
-            x.compress(live, axis=-1) for x in (
-                src, t, a, seg, seg_len2, pad, first, n, m, lo, hi, slots))
+        (src, x, accepted, step, history, a, seg, seg_len2, pad, first, n, m,
+         lo, hi, slots) = (
+            v.compress(live, axis=-1) for v in (
+                src, x, accepted, step, history, a, seg, seg_len2, pad, first,
+                n, m, lo, hi, slots))
         live = live[live]
 
 
@@ -244,11 +282,13 @@ def icp_translation(srcs: list, dsts: list) -> np.ndarray:
     Correspondences project src+T onto the polyline through the dst points
     (plain nearest point when dst is a single point), which avoids the
     vertex-aliasing that plagues sparse LiDAR silhouettes. Matches with
-    residuals beyond 3x the median residual are dropped before each update;
-    a pair stops once its update moves less than ICP_TOL, or after
-    ICP_ITERATIONS updates. Every row equals the pair's own ICP loop bit for
-    bit. Pairs with the most segments go first, into batches of bounded
-    size.
+    residuals beyond 3x the median residual are dropped before each update.
+    The plain update T + mean residual crawls along a silhouette's tangent,
+    so each pair takes depth-1 Anderson steps instead, each kept only if it
+    does not raise the trimmed energy (see _icp_batch). A pair stops once its
+    plain update moves less than ICP_TOL, or after ICP_ITERATIONS passes.
+    Every row equals the pair's own ICP loop bit for bit. Pairs with the
+    most segments go first, into batches of bounded size.
     """
     out = np.empty((len(srcs), 2))
     if len(srcs) == 0:

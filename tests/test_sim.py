@@ -280,10 +280,15 @@ class TestWorldConfigJson:
         cfg = WorldConfig(dt=0.05, bounds=(-7, -7, 7, 7),
                           circles=[Circle(1, 2, 0.5)],
                           walls=[Wall(0, 0, 0, 3, 0.2)],
-                          max_episode_time=60.0, rng_seed=42,
+                          max_episode_time=60.0,
                           robot_radius=0.3, goal_tolerance=0.15)
         back = WorldConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    def test_loads_json_with_the_retired_rng_seed_key(self):
+        doc = {**WorldConfig().to_dict(), "rng_seed": 42}
+        assert "rng_seed" not in WorldConfig().to_dict()
+        assert WorldConfig.from_dict(doc) == WorldConfig()
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
