@@ -69,7 +69,15 @@ def ray_circles(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
     oc = origin[..., None, :] - centers                     # (..., m, 2)
     b = dirs @ np.swapaxes(oc, -1, -2)      # (..., n, m): dot(d, o - c)
     c0 = np.einsum("...ij,...ij->...i", oc, oc) - radii ** 2  # (..., m)
-    disc = b * b - c0[..., None, :]
+    return circle_roots(b, c0[..., None, :])
+
+
+def circle_roots(b: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """Nearest non-negative root of t^2 + 2 b t + c0 = 0, elementwise over
+    b and c0 broadcast: a unit ray's hit parameter on a circle, given
+    b = dot(d, o - c) and c0 = |o - c|^2 - r^2. np.inf where the ray misses,
+    0 where it starts inside."""
+    disc = b * b - c0
     hit = disc >= 0.0
     t = np.full(disc.shape, np.inf)
     b, sq = b[hit], np.sqrt(disc[hit])       # the rays that meet a circle
@@ -84,30 +92,32 @@ def ray_aabbs(origin: np.ndarray, dirs: np.ndarray, boxes: np.ndarray) -> np.nda
     """Nearest non-negative hit parameter of each unit ray against each AABB.
 
     origin (..., 2) and dirs (..., n, 2) broadcast over their leading axes;
-    boxes is (m, 4) rows of (xmin, ymin, xmax, ymax). Returns (..., n, m).
-    Slab method, elementwise; rays starting inside a box report t = 0.
+    boxes is (..., m, 4) rows of (xmin, ymin, xmax, ymax), its leading axes
+    broadcast against origin's. Returns (..., n, m). Slab method,
+    elementwise; rays starting inside a box report t = 0.
     """
     ox, oy = origin[..., 0, None, None], origin[..., 1, None, None]
+    xmin, ymin, xmax, ymax = (boxes[..., None, :, j] for j in range(4))
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs[..., None, :]  # (..., n, 1, 2), inf where 0
-        t1 = (boxes[:, 0] - ox) * inv[..., 0]
-        t2 = (boxes[:, 2] - ox) * inv[..., 0]
-        t3 = (boxes[:, 1] - oy) * inv[..., 1]
-        t4 = (boxes[:, 3] - oy) * inv[..., 1]
-    # 0 * inf from a zero direction component sitting exactly on a slab edge
-    for t in (t1, t2, t3, t4):
-        np.nan_to_num(t, copy=False, nan=np.inf)
+        # inf where a component is 0; a unit direction from cos and sin has
+        # no subnormal component, so no other 1/d overflows. The slabs a zero
+        # component makes (nan on an edge, else inf) are replaced below
+        inv = 1.0 / dirs[..., None, :]  # (..., n, 1, 2)
+        t1 = (xmin - ox) * inv[..., 0]
+        t2 = (xmax - ox) * inv[..., 0]
+        t3 = (ymin - oy) * inv[..., 1]
+        t4 = (ymax - oy) * inv[..., 1]
     txmin = np.minimum(t1, t2)
     txmax = np.maximum(t1, t2)
     # a zero component never enters its slab unless origin is inside it
     zero_x = dirs[..., 0, None] == 0.0
-    inside_x = (ox >= boxes[:, 0]) & (ox <= boxes[:, 2])
+    inside_x = (ox >= xmin) & (ox <= xmax)
     txmin = np.where(zero_x, np.where(inside_x, -np.inf, np.inf), txmin)
     txmax = np.where(zero_x, np.where(inside_x, np.inf, -np.inf), txmax)
     tymin = np.minimum(t3, t4)
     tymax = np.maximum(t3, t4)
     zero_y = dirs[..., 1, None] == 0.0
-    inside_y = (oy >= boxes[:, 1]) & (oy <= boxes[:, 3])
+    inside_y = (oy >= ymin) & (oy <= ymax)
     tymin = np.where(zero_y, np.where(inside_y, -np.inf, np.inf), tymin)
     tymax = np.where(zero_y, np.where(inside_y, np.inf, -np.inf), tymax)
 

@@ -5,7 +5,9 @@ counter-clockwise. Beams hit static obstacles and the other robots' disc
 surfaces; non-hits report max_range (3.5 m). Multiplicative Gaussian range
 noise of relative sigma LIDAR_SIGMA models the sensor error. All live robots
 sense in one raycast_batch and one noisy_ranges call per step; raycast and
-apply_lidar_noise scan one.
+apply_lidar_noise scan one. A disc whose center lies beyond max_range plus
+its radius, or a wall box farther than max_range, cannot return a range, so
+raycast_batch solves no beam against it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ray_aabbs, ray_circles
+from .geometry import circle_roots, ray_aabbs
 from .sim import World
 
 N_BEAMS = 120
 MAX_RANGE = 3.5
 RANGE_EPS = 1e-9
 LIDAR_SIGMA = 0.035             # relative range noise of the noise protocol
+# a disc is in range when its center lies within MAX_RANGE + r + this, a
+# wall box when it lies within MAX_RANGE + this; the slack dwarfs the
+# rounding of the squared-distance tests and of the hit parameters
+CULL_SLACK = 1e-6
 BEAM_OFFSETS = 2.0 * np.pi * np.arange(N_BEAMS) / N_BEAMS
 
 
@@ -36,9 +42,11 @@ def raycast_batch(world: World, observers: list[int]) -> np.ndarray:
 
     Each beam returns the nearest surface intersection with any static
     obstacle or any other robot's disc, frozen robots included, clipped to
-    max_range. The sensing robot never hits itself. Each disc product keeps
-    the width one robot's scan gives it (the other robots, the static
-    circles): OpenBLAS rounds one column (gemv) unlike several (gemm).
+    max_range. The sensing robot never hits itself. Beams are solved only
+    against the discs and wall boxes in range of their observer. Each disc
+    product still keeps the width one robot's scan gives it (the other
+    robots, the static circles): OpenBLAS rounds one column (gemv) unlike
+    several (gemm).
     """
     pos, cfg = world.positions, world.config
     n = len(pos)
@@ -51,18 +59,51 @@ def raycast_batch(world: World, observers: list[int]) -> np.ndarray:
             # row k's columns: every robot but observer k, in index order
             cols = np.arange(n - 1)
             cols = cols + (cols >= np.array(observers)[:, None])
-            t = np.minimum(t, ray_circles(
-                origins, dirs, pos[cols],
-                np.full(cols.shape, cfg.robot_radius)).min(axis=-1))
+            t = np.minimum(t, _disc_ranges(
+                origins, dirs, pos[cols], np.full(cols.shape, cfg.robot_radius)))
         if cfg.circles:
             centers = np.array([[c.cx, c.cy] for c in cfg.circles])
             radii = np.array([c.r for c in cfg.circles])
-            t = np.minimum(t, ray_circles(origins, dirs, centers,
-                                          radii).min(axis=-1))
+            t = np.minimum(t, _disc_ranges(origins, dirs, centers, radii))
         if cfg.walls:
             boxes = np.array([w.aabb for w in cfg.walls])
-            t = np.minimum(t, ray_aabbs(origins, dirs, boxes).min(axis=-1))
+            # each observer's gap to each box, 0 along an axis it lies within
+            gap = np.maximum(np.maximum(boxes[:, :2] - origins[:, None],
+                                        origins[:, None] - boxes[:, 2:]), 0.0)
+            row, col = np.nonzero((gap * gap).sum(axis=-1)
+                                  <= (MAX_RANGE + CULL_SLACK) ** 2)
+            # the slab test is elementwise: one box per in-range pair
+            t = np.minimum(t, _min_per_row(row, ray_aabbs(
+                origins[row], dirs[row], boxes[col, None])[..., 0], len(t)))
     return np.clip(t, RANGE_EPS, MAX_RANGE)
+
+
+def _disc_ranges(origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
+                 radii: np.ndarray) -> np.ndarray:
+    """(k, 120) nearest hit of each observer's beams on its discs, np.inf
+    where none lies in range. centers (k, m, 2) or (m, 2) and radii (k, m)
+    or (m,) broadcast against the k origins, as in geometry.ray_circles,
+    whose (k, 120, m) product this keeps whole. The roots and the min run
+    only on the observer-disc pairs in range: a farther disc's hits lie
+    beyond MAX_RANGE, where the clip puts its beams anyway."""
+    oc = origins[:, None, :] - centers                  # (k, m, 2)
+    b = dirs @ np.swapaxes(oc, -1, -2)                  # (k, 120, m)
+    d2 = np.einsum("...ij,...ij->...i", oc, oc)         # (k, m)
+    c0 = d2 - radii ** 2
+    row, col = np.nonzero(d2 <= (MAX_RANGE + radii + CULL_SLACK) ** 2)
+    return _min_per_row(row, circle_roots(b[row, :, col], c0[row, col, None]),
+                        len(origins))
+
+
+def _min_per_row(row: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """(k, 120) beamwise min of the (p, 120) rows of t, grouped by their
+    observer row[i] (sorted, as np.nonzero gives it); np.inf for an
+    observer without rows."""
+    out = np.full((k, N_BEAMS), np.inf)
+    if len(row):
+        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        out[row[first]] = np.minimum.reduceat(t, first, axis=0)
+    return out
 
 
 def raycast(world: World, agent_index: int) -> LidarScan:

@@ -76,15 +76,48 @@ class OccupancyGrid:
                         return True
         return False
 
-    def occupied_near_points(self, points: np.ndarray, margin: float) -> np.ndarray:
-        """occupied_near for every row of an (n, 2) array of points at once."""
+    def occupied_near_points(self, points: np.ndarray, margin: float,
+                             dilated: np.ndarray | None = None) -> np.ndarray:
+        """occupied_near for every row of an (n, 2) array of points at once.
+
+        dilated, when given, must be dilate(self.cells, r) for this margin's
+        window radius r = ceil(margin / resolution). One lookup in it then
+        settles a point whose in-grid window holds no occupied cell (not
+        near), and one whose own cell is occupied (near), when the margin
+        covers a cell's half diagonal. Only the rest, and the points off the
+        grid, take the window test, so the answer does not change.
+        """
         r = int(math.ceil(margin / self.resolution))
+        cx = np.floor((points[:, 0] - self.origin[0]) / self.resolution).astype(int)
+        cy = np.floor((points[:, 1] - self.origin[1]) / self.resolution).astype(int)
+        if dilated is None:
+            return self._window_near(points, cx, cy, r, margin)
+        nx, ny = self.cells.shape
+        on = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+        near = np.zeros(len(points), dtype=bool)
+        undecided = ~on
+        ix, iy = cx[on], cy[on]
+        maybe = dilated[ix, iy]
+        # a point in its own cell lies within the half diagonal of that cell's
+        # center; the 1e-9 m covers the rounding of floor() at a cell edge
+        if margin >= self.resolution * SQRT2 / 2 + 1e-9:
+            own = self.cells[ix, iy]
+            near[on] = own
+            maybe &= ~own
+        undecided[on] = maybe
+        k = np.flatnonzero(undecided)
+        near[k] = self._window_near(points[k], cx[k], cy[k], r, margin)
+        return near
+
+    def _window_near(self, points: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                     r: int, margin: float) -> np.ndarray:
+        """occupied_near over each point's (2r + 1)² window of cells around
+        its cell (cx, cy)."""
         offsets = np.arange(-r, r + 1)
         x, y = points[:, 0, None, None], points[:, 1, None, None]
-        cx = np.floor((x - self.origin[0]) / self.resolution).astype(int)
-        cy = np.floor((y - self.origin[1]) / self.resolution).astype(int)
         # (n, w, w) cell indices of each point's window
-        ix, iy = np.broadcast_arrays(cx + offsets[:, None], cy + offsets)
+        ix, iy = np.broadcast_arrays(cx[:, None, None] + offsets[:, None],
+                                     cy[:, None, None] + offsets)
         nx, ny = self.cells.shape
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         occupied = np.zeros(ix.shape, dtype=bool)
@@ -98,6 +131,35 @@ class OccupancyGrid:
         for k in np.flatnonzero(np.abs(dist - margin) <= 2 * np.spacing(margin)):
             near.flat[k] = math.hypot(dx.flat[k], dy.flat[k]) <= margin
         return (occupied & near).any(axis=(1, 2))
+
+
+def dilate(cells: np.ndarray, r: int) -> np.ndarray:
+    """cells dilated by a (2r + 1)² square: True where an occupied cell lies
+    within r cells along both axes. The square is separable, so this is one
+    sliding OR along x and one along y (a binary distance transform under
+    the Chebyshev metric, as in Felzenszwalb & Huttenlocher, ToC 2012)."""
+    nx, ny = cells.shape
+    padded = np.pad(cells, r)
+    rows = np.logical_or.reduce([padded[k:k + nx] for k in range(2 * r + 1)])
+    return np.logical_or.reduce([rows[:, k:k + ny] for k in range(2 * r + 1)])
+
+
+class NearTable:
+    """occupied_near_points of one grid at one margin, from a dilation of
+    the grid's cells that is built on the first call with points. The grid
+    does not hold the table, since plans cache their grids; whoever splits
+    scans on a grid does, e.g. NavEnv, one per episode."""
+
+    def __init__(self, grid: OccupancyGrid, margin: float):
+        self.grid, self.margin = grid, margin
+        self._dilated = None
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        if self._dilated is None and len(points):
+            r = int(math.ceil(self.margin / self.grid.resolution))
+            self._dilated = dilate(self.grid.cells, r)
+        return self.grid.occupied_near_points(points, self.margin,
+                                              self._dilated)
 
 
 def rasterize(config: WorldConfig) -> OccupancyGrid:

@@ -24,11 +24,12 @@ from .lidar import apply_lidar_noise, raycast  # noqa: F401
 from .observations import (STATE_POSITION_BOUND, STATE_VELOCITY_BOUND,
                            AblationConfig, NoiseConfig, build_observation)
 from .observations import unit_scale as normalize  # noqa: F401
+from .planner import NearTable
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
 from .reward import reward_terms
 from .scenarios import GeneratedScenario, ScenarioSpec, generate
 from .sim import V_MAX, Action, Status, World
-from .tracker import Tracker, update_trackers
+from .tracker import STATIC_MARGIN, Tracker, update_trackers
 
 
 @dataclass
@@ -85,6 +86,8 @@ class NavEnv:
         # the plan generate() checked reachability with; a scenario loaded
         # from JSON plans here
         self.grid, self.paths = scenario.plan()
+        # the static split's table of this grid, built at its first point
+        self.static_near = NearTable(self.grid, STATIC_MARGIN)
         n = len(self.world.robots)
         self.trackers = [Tracker() for _ in range(n)]
         self.histories = [ScanHistory() for _ in range(n)]
@@ -128,7 +131,7 @@ class NavEnv:
             self.histories[i].push(LidarScan(row, world.sim_time))
         poses = np.column_stack([world.positions[live], world.headings[live]])
         update_trackers([self.trackers[i] for i in live], ranges, poses,
-                        self.grid, world.config.dt)
+                        self.static_near, world.config.dt)
 
     def observations(self):
         """ObservationBundle per agent; None for frozen robots."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lidar import BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan
-from .planner import OccupancyGrid
+from .planner import NearTable, OccupancyGrid
 
 
 CLUSTER_GAP = 0.3               # max gap between adjacent beam hits
@@ -353,7 +353,7 @@ class Tracker:
                grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
         """The tracks after this frame, coasting ones included."""
         update_trackers([self], scan.ranges[None], np.array([observer_pose]),
-                        grid, dt)
+                        NearTable(grid, STATIC_MARGIN), dt)
         return self.tracks
 
     def dynamic_tracks(self) -> list[ClusterTrack]:
@@ -363,15 +363,15 @@ class Tracker:
 
 
 def split_static(clusters: list[list[Cluster]],
-                 grid: OccupancyGrid) -> list[list[Cluster]]:
+                 static_near: NearTable) -> list[list[Cluster]]:
     """Each observer's dynamic clusters: a cluster is static, and dropped,
-    when all its points sit within STATIC_MARGIN of inflated occupancy. One
-    occupied_near_points call serves every observer."""
+    when all its points sit within STATIC_MARGIN of inflated occupancy.
+    static_near is NearTable(grid, STATIC_MARGIN); one call of it serves
+    every observer."""
     flat = [c for row in clusters for c in row]
     if not flat:
         return clusters
-    near = grid.occupied_near_points(
-        np.concatenate([c.points for c in flat]), STATIC_MARGIN)
+    near = static_near(np.concatenate([c.points for c in flat]))
     starts = np.cumsum([0] + [len(c.points) for c in flat[:-1]])
     static = iter(np.logical_and.reduceat(near, starts).tolist())
     return [[c for c in row if not next(static)] for row in clusters]
@@ -394,10 +394,12 @@ def gate_pairs(tracks: list[ClusterTrack], clusters: list[Cluster],
 
 
 def update_trackers(trackers: list[Tracker], ranges: np.ndarray,
-                    poses: np.ndarray, grid: OccupancyGrid, dt: float) -> None:
+                    poses: np.ndarray, static_near: NearTable,
+                    dt: float) -> None:
     """Advance each observer's tracker by one frame, trackers[k] on the scan
     ranges[k] taken from poses[k] = (x, y, heading); one clustering pass,
-    one static split and one ICP batch serve them all.
+    one static split against static_near, NearTable(grid, STATIC_MARGIN),
+    and one ICP batch serve them all.
 
     Per observer: cluster the scan, drop the static clusters and gate the
     tracks against the rest. Every gated pair's ICP inputs are fixed before
@@ -411,7 +413,7 @@ def update_trackers(trackers: list[Tracker], ranges: np.ndarray,
         raise ValueError("dt must be positive")
     observers, srcs, dsts = [], [], []
     for tracker, dynamic in zip(trackers, split_static(
-            cluster_batch(ranges, poses), grid)):
+            cluster_batch(ranges, poses), static_near)):
         by_id = {t.id: t for t in tracker.tracks}
         pairs = []                 # (track, cluster index, job, frames)
         for _, tid, ci in gate_pairs(tracker.tracks, dynamic, dt):

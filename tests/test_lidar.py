@@ -5,6 +5,7 @@ import pytest
 
 from multinav.geometry import (Circle, Wall, dist_aabb_surface,
                                dist_circle_surface, ray_aabbs, ray_circles)
+from multinav import lidar
 from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, RANGE_EPS,
                             LidarScan, ScanHistory, apply_lidar_noise,
                             noisy_ranges, raycast, raycast_batch)
@@ -45,16 +46,17 @@ def reference_raycast(world, agent_index):
     return np.clip(t, RANGE_EPS, MAX_RANGE)
 
 
-def random_world(rng, n_robots, n_circles, n_walls, heading_zero=False):
-    circles = [Circle(*rng.uniform(-4, 4, 2), rng.uniform(0.1, 0.8))
+def random_world(rng, n_robots, n_circles, n_walls, heading_zero=False,
+                 span=4.0):
+    circles = [Circle(*rng.uniform(-span, span, 2), rng.uniform(0.1, 0.8))
                for _ in range(n_circles)]
     walls = []
     for _ in range(n_walls):
-        a, b = sorted(rng.uniform(-4, 4, 2))
-        c = rng.uniform(-4, 4)
+        a, b = sorted(rng.uniform(-span, span, 2))
+        c = rng.uniform(-span, span)
         walls.append(Wall(a, c, b, c, 0.2) if rng.random() < 0.5
                      else Wall(c, a, c, b, 0.1))
-    robots = [(*rng.uniform(-4, 4, 2),
+    robots = [(*rng.uniform(-span, span, 2),
                0.0 if heading_zero else rng.uniform(-4, 4))
               for _ in range(n_robots)]
     return world_with(circles, walls, robots)
@@ -234,6 +236,104 @@ class TestRaycastBatchMatchesReference:
     def test_no_observers(self):
         w = world_with(robots=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
         assert raycast_batch(w, []).shape == (0, N_BEAMS)
+
+    # raycast_batch solves a beam only against the discs and wall boxes in
+    # range of its observer; the worlds below sit on and around that range
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_worlds(self, seed):
+        # robots over +-12 m: most observer-disc pairs lie out of range
+        rng = np.random.default_rng(300 + seed)
+        pairs = in_range = 0
+        for trial in range(25):
+            w = random_world(rng, int(rng.integers(2, 25)),
+                             int(rng.integers(0, 8)), int(rng.integers(0, 6)),
+                             heading_zero=trial % 4 == 0, span=12.0)
+            observers = [i for i in range(len(w.robots)) if rng.random() < 0.8]
+            self.assert_rows_match(w, observers)
+            gap = np.hypot(*(w.positions[observers, None]
+                             - w.positions[None]).transpose(2, 0, 1))
+            pairs += gap.size - len(observers)
+            in_range += int((gap <= MAX_RANGE + 0.25).sum()) - len(observers)
+        assert in_range < 0.3 * pairs
+
+    def range_edge_world(self, offsets, radius=0.25):
+        """Observer 0 at the origin, heading 0. Along beam 5k (k from 0)
+        sits robot k + 1 and along beam 5k + 2 a static circle of radius
+        0.4, each centered offsets[k] away from MAX_RANGE + r; a wall across
+        the -x axis (beam 60) and one across the -y axis (beam 90) have
+        their near face at MAX_RANGE + offsets[0] and + offsets[-1]."""
+        robots, circles = [(0.0, 0.0, 0.0)], []
+        for k, off in enumerate(offsets):
+            for beam, r, out in ((5 * k, radius, robots),
+                                 (5 * k + 2, 0.4, circles)):
+                a = BEAM_OFFSETS[beam]
+                d = MAX_RANGE + r + off
+                out.append((d * math.cos(a), d * math.sin(a), 0.0)
+                           if out is robots else
+                           Circle(d * math.cos(a), d * math.sin(a), r))
+        e0, e1 = MAX_RANGE + offsets[0], MAX_RANGE + offsets[-1]
+        walls = [Wall(-e0 - 0.05, -0.5, -e0 - 0.05, 0.5),
+                 Wall(-0.5, -e1 - 0.05, 0.5, -e1 - 0.05)]
+        assert walls[0].aabb[2] == -e0 and walls[1].aabb[3] == -e1
+        return world_with(circles, walls, robots, radius)
+
+    # offsets from the edge of range: a few ulps either side, and half the
+    # slack inside, which a cull at MAX_RANGE + r - 1e-6 would drop
+    EDGE = [-5e-7, -4, -2, -1, 0, 1, 2, 4]
+
+    def edge_offsets(self):
+        ulp = np.spacing(MAX_RANGE + 0.4)
+        return [o if isinstance(o, float) else o * ulp for o in self.EDGE]
+
+    def test_discs_and_walls_at_the_edge_of_range(self):
+        w = self.range_edge_world(self.edge_offsets())
+        got = self.assert_rows_match(w, list(range(len(w.robots))))
+        # the surfaces half the slack inside range are seen from the origin
+        for beam in (0, 2, 60):
+            assert got[0, beam] < MAX_RANGE - 1e-7
+
+    def test_a_cull_inside_range_fails_these_tests(self, monkeypatch):
+        # the same world with a cull 1e-6 m too tight must not pass
+        w = self.range_edge_world(self.edge_offsets())
+        monkeypatch.setattr(lidar, "CULL_SLACK", -1e-6)
+        got = raycast_batch(w, [0])
+        assert got[0].tobytes() != reference_raycast(w, 0).tobytes()
+        assert got[0, 0] == got[0, 2] == got[0, 60] == MAX_RANGE
+
+    def test_one_disc_in_range_among_far_ones(self):
+        rng = np.random.default_rng(11)
+        far = rng.uniform(5.0, 11.0, 30) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, 30))
+        robots = [(0.0, 0.0, 0.3), (1.5, 1.0, 0.0)] + [
+            (z.real, z.imag, 0.0) for z in far]
+        circles = [Circle(-z.real, -z.imag, 0.3) for z in far[:10]]
+        w = world_with(circles, robots=robots)
+        got = self.assert_rows_match(w, [0, 1])
+        assert (got[0] < MAX_RANGE).any() and (got[0] == MAX_RANGE).any()
+
+    def test_no_disc_in_range(self):
+        # robots 7 m apart on a lattice, circles at its cell centers: every
+        # disc is out of every observer's range
+        xy = 7.0 * np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)])
+        robots = [(x, y, 0.1 * k) for k, (x, y) in enumerate(xy)]
+        circles = [Circle(x + 3.5, y + 3.5, 0.3) for x, y in xy[::3]]
+        w = world_with(circles, robots=robots)
+        got = self.assert_rows_match(w, list(range(len(robots))))
+        assert np.all(got == MAX_RANGE)
+
+    def test_frozen_robots_beyond_range(self):
+        w = world_with(robots=[(0.0, 0.0, 0.0), (3.6, 0.0, 0.0),
+                               (0.0, 3.74, 0.0), (6.0, 0.0, 0.0),
+                               (-8.0, 1.0, 0.0), (0.0, -3.76, 0.0)])
+        for i in (1, 3, 4):
+            w.robots[i].status = Status.COLLIDED
+        w.robots[5].status = Status.REACHED_GOAL
+        live = [i for i, r in enumerate(w.robots) if r.status == Status.ACTIVE]
+        got = self.assert_rows_match(w, live)
+        # the frozen robot at 3.6 m is seen; the one at 3.76 m is not
+        assert got[0, 0] == pytest.approx(3.35)
+        assert got[0, 90] == MAX_RANGE
 
 
 class TestLidarNoise:

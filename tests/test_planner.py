@@ -6,7 +6,8 @@ import pytest
 
 from multinav.geometry import Circle, Wall
 from multinav.planner import (EmptyPath, GlobalPath, InvalidEndpoint,
-                              OccupancyGrid, Unreachable, astar,
+                              NearTable, OccupancyGrid, Unreachable, astar,
+                              dilate,
                               path_cost_counts, rasterize, running_target,
                               save_pgm)
 from multinav.scenarios import Kind, eval_suite, generate
@@ -166,6 +167,24 @@ class TestRasterize:
         assert (tmp_path / "map.pgm.json").exists()
 
 
+def assert_near_matches_scalar(grid, points, margin):
+    """occupied_near_points, without and with the dilation table, equals
+    the scalar occupied_near on every point; returns the answer."""
+    want = [grid.occupied_near(x, y, margin) for x, y in points]
+    assert grid.occupied_near_points(points, margin).tolist() == want
+    assert NearTable(grid, margin)(points).tolist() == want
+    return np.array(want, dtype=bool)
+
+
+def isolated_cells_grid():
+    """A 6 x 6 m grid of 0.1 m cells, every tenth cell along each axis
+    occupied."""
+    cells = np.zeros((60, 60), dtype=bool)
+    cells[5::10, 5::10] = True
+    return OccupancyGrid(resolution=0.1, origin=(0.0, 0.0), cells=cells,
+                         inflation_radius=0.0)
+
+
 class TestOccupiedNearPoints:
     def test_matches_scalar_test(self):
         cfg = WorldConfig(bounds=(-3, -2, 4, 5),
@@ -185,32 +204,113 @@ class TestOccupiedNearPoints:
         axis = centers + margin * np.array([[1, 0], [0, -1], [-1, 0]])[
             np.arange(3000) % 3]
         for points in (inside, outside, ring, axis):
-            want = [grid.occupied_near(x, y, margin) for x, y in points]
-            assert grid.occupied_near_points(points, margin).tolist() == want
+            assert_near_matches_scalar(grid, points, margin)
 
     def test_near_ties_follow_the_scalar_test(self):
         # isolated occupied cells and points a margin away from them; keep the
         # points where np.hypot and math.hypot round to opposite sides of the
         # margin, which a plain vectorized distance would misjudge
-        cells = np.zeros((60, 60), dtype=bool)
-        cells[5::10, 5::10] = True
-        grid = OccupancyGrid(resolution=0.1, origin=(0.0, 0.0), cells=cells,
-                             inflation_radius=0.0)
+        grid = isolated_cells_grid()
         margin = 0.15
         rng = np.random.default_rng(31)
-        centers = (np.argwhere(cells)[rng.integers(0, 36, 100000)] + 0.5) * 0.1
+        centers = (np.argwhere(grid.cells)[rng.integers(0, 36, 100000)]
+                   + 0.5) * 0.1
         theta = rng.uniform(-math.pi, math.pi, 100000)
         points = centers + margin * np.column_stack([np.cos(theta), np.sin(theta)])
         ties = [p for p, (dx, dy) in zip(points, centers - points)
                 if (np.hypot(dx, dy) <= margin) != (math.hypot(dx, dy) <= margin)]
         points = np.array(ties + list(points[:500]))
-        want = [grid.occupied_near(x, y, margin) for x, y in points]
-        assert grid.occupied_near_points(points, margin).tolist() == want
+        assert_near_matches_scalar(grid, points, margin)
 
     def test_empty_grid_and_no_points(self):
         grid = rasterize(WorldConfig(bounds=(0, 0, 2, 2)))
         assert not grid.occupied_near_points(np.full((5, 2), 1.0), 0.15).any()
         assert grid.occupied_near_points(np.zeros((0, 2)), 0.15).shape == (0,)
+        table = NearTable(grid, 0.15)
+        assert table(np.zeros((0, 2))).shape == (0,)
+        assert not table(np.full((5, 2), 1.0)).any()
+
+    # the table path: NearTable settles a point in an occupied cell or with
+    # no occupied cell in its window by one lookup in dilate(cells, r)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_dilate_marks_each_window_holding_occupancy(self, r):
+        cells = np.random.default_rng(37 + r).random((23, 17)) < 0.03
+        got = dilate(cells, r)
+        for ix, iy in np.ndindex(cells.shape):
+            window = cells[max(ix - r, 0):ix + r + 1, max(iy - r, 0):iy + r + 1]
+            assert got[ix, iy] == window.any()
+
+    def test_points_inside_occupied_cells(self):
+        # the inflated map of test_matches_scalar_test: points anywhere in an
+        # occupied cell, its corners and edges included, are near
+        cfg = WorldConfig(bounds=(-3, -2, 4, 5),
+                          circles=[Circle(0.5, 1.0, 0.6)],
+                          walls=[Wall(-2.0, -1.0, 2.5, -1.0, thickness=0.2)])
+        grid = rasterize(cfg)
+        rng = np.random.default_rng(41)
+        cells = np.argwhere(grid.cells)[rng.integers(0, grid.cells.sum(), 3000)]
+        frac = np.vstack([rng.random((2000, 2)),
+                          rng.choice([0.0, 1e-12, 1.0 - 1e-12], (1000, 2))])
+        points = np.array(grid.origin) + (cells + frac) * grid.resolution
+        on = [grid.cells[grid.world_to_cell(x, y)] for x, y in points]
+        assert np.mean(on) > 0.99
+        assert assert_near_matches_scalar(grid, points, 0.15)[on].all()
+
+    def test_windows_without_occupancy(self):
+        # bands 0.25 m wide between the rows of occupied cells: no point has
+        # an occupied cell in its 5 x 5 window
+        grid = isolated_cells_grid()
+        rng = np.random.default_rng(43)
+        points = np.column_stack([rng.uniform(0.0, 6.0, 2000),
+                                  rng.integers(0, 6, 2000)
+                                  + rng.uniform(0.0, 0.25, 2000)])
+        cells = np.floor(points / 0.1).astype(int)
+        assert not dilate(grid.cells, 2)[cells[:, 0], cells[:, 1]].any()
+        assert not assert_near_matches_scalar(grid, points, 0.15).any()
+
+    def test_off_grid_points_at_the_edge(self):
+        # occupancy along the border: a point just off the grid can still
+        # lie within the margin of a border cell's center
+        cells = np.zeros((30, 20), dtype=bool)
+        cells[0, :] = cells[-1, ::2] = cells[:, 0] = cells[5::7, -1] = True
+        grid = OccupancyGrid(resolution=0.1, origin=(-1.0, 2.0), cells=cells,
+                             inflation_radius=0.0)
+        # points within 0.2 m of each edge of the grid's [-1, 2] x [2, 4]
+        rng = np.random.default_rng(47)
+        x, y = rng.uniform(-1.2, 2.2, 1000), rng.uniform(1.8, 4.2, 1000)
+        across = rng.uniform(-0.2, 0.2, (4, 1000))
+        points = np.vstack([np.column_stack([-1.0 + across[0], y]),
+                            np.column_stack([2.0 + across[1], y]),
+                            np.column_stack([x, 2.0 + across[2]]),
+                            np.column_stack([x, 4.0 + across[3]])])
+        near = assert_near_matches_scalar(grid, points, 0.15)
+        off = [not grid.in_bounds(*grid.world_to_cell(x, y)) for x, y in points]
+        assert near[off].any() and not near[off].all()
+
+    @pytest.mark.parametrize("margin", [0.05, 0.07, 0.0707])
+    def test_margin_below_half_a_cell_diagonal(self, margin):
+        # a point in an occupied cell's corner lies farther than the margin
+        # from its center: the own-cell lookup must not call it near
+        assert margin < 0.1 * math.sqrt(2) / 2
+        grid = isolated_cells_grid()
+        rng = np.random.default_rng(53)
+        cells = np.argwhere(grid.cells)[rng.integers(0, 36, 3000)]
+        # half the points within 0.0005 m of a corner, some on it
+        corner = rng.integers(0, 2, (1500, 2))
+        frac = np.vstack([rng.random((1500, 2)), np.abs(
+            corner - rng.choice([0.0, 1e-12, 0.002, 0.005], (1500, 2)))])
+        points = (cells + frac) * 0.1
+        near = assert_near_matches_scalar(grid, points, margin)
+        assert near.any() and not near.all()
+
+    def test_two_margins_on_one_grid(self):
+        grid = isolated_cells_grid()
+        rng = np.random.default_rng(59)
+        points = rng.uniform(-0.5, 6.5, (5000, 2))
+        small = assert_near_matches_scalar(grid, points, 0.15)
+        large = assert_near_matches_scalar(grid, points, 0.35)
+        assert (large & ~small).any() and not (small & ~large).any()
 
 
 class TestAstar:

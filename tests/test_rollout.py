@@ -6,14 +6,15 @@ import sys
 
 import numpy as np
 import pytest
-from multinav import ppo, rollout
+from multinav import ppo, rollout, tracker
 from multinav.bench import (JsonlLogger, LogFlags, OrcaController,
                             PolicyController, StraightController, run_episode)
 from multinav.observations import AblationConfig, NoiseConfig
 from multinav.ppo import TrainConfig, evaluate_policy, train
 from multinav.policy import ActorCritic, NumericalDivergence, PolicyConfig
 from multinav.rollout import EnvConfig, NavEnv
-from multinav.scenarios import GeneratedScenario, Kind, ScenarioSpec, generate
+from multinav.scenarios import (GeneratedScenario, Kind, ScenarioSpec,
+                                eval_suite, generate)
 from multinav.sim import Status
 
 TINY_POLICY = PolicyConfig(conv_channels=(3, 4), conv_kernel=3, node_hidden=6,
@@ -229,6 +230,46 @@ class TestNavEnv:
         for p, q in zip(a.paths, b.paths):
             assert p.waypoints.tobytes() == q.waypoints.tobytes()
             assert p.cumulative_length.tobytes() == q.cumulative_length.tobytes()
+
+    def test_each_episode_splits_on_its_own_grid(self, monkeypatch):
+        # one env resets onto a doorway, then onto a field of circles: every
+        # static split answers as the scalar occupied_near does on the grid
+        # of the episode it runs in, never on a table left from the last one
+        calls = []
+        split = tracker.split_static
+
+        def recording(clusters, static_near):
+            dynamic = split(clusters, static_near)
+            calls.append((clusters, dynamic))
+            return dynamic
+
+        monkeypatch.setattr(tracker, "split_static", recording)
+        env = NavEnv(eval_suite(Kind.DOORWAY, 5), EnvConfig(), seed=0)
+        grids = []
+        for kind, n in ((Kind.DOORWAY, 5), (Kind.RANDOM, 10)):
+            calls.clear()
+            env.reset(generate(eval_suite(kind, n, rng_seed=3)))
+            for _ in range(3):
+                env.step([(0.4, 0.2)] * env.n_agents)
+            grids.append(env.grid)
+            assert len(calls) == 4
+
+            def static(cluster, grid):
+                return all(grid.occupied_near(x, y, tracker.STATIC_MARGIN)
+                           for x, y in cluster.points)
+
+            dropped = 0
+            for clusters, dynamic in calls:
+                for row, kept in zip(clusters, dynamic):
+                    want = [c for c in row if not static(c, env.grid)]
+                    assert [id(c) for c in kept] == [id(c) for c in want]
+                    dropped += len(row) - len(kept)
+            assert dropped > 0
+        # the second episode's circles are static on its grid, not on the
+        # doorway's: a table kept from the doorway would keep them
+        assert grids[0] is not grids[1]
+        assert any(static(c, grids[1]) and not static(c, grids[0])
+                   for clusters, _ in calls for row in clusters for c in row)
 
 
 PROTOCOL, OFF = (0.1, 0.1), (0.0, 0.0)   # neighbour position, velocity bounds

@@ -11,7 +11,7 @@ from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan,
                             apply_lidar_noise, noisy_ranges, raycast,
                             raycast_batch)
 from multinav.observations import NoiseConfig
-from multinav.planner import rasterize
+from multinav.planner import NearTable, rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import Action, Status, World, WorldConfig
@@ -255,7 +255,7 @@ class TestClusterBatchMatchesReference:
                                        y + rng.normal(0.0, 0.03, n)])
                 clusters.append(Cluster(points=pts, closest_point=pts[0]))
             observers.append(clusters)
-        got = split_static(observers, grid)
+        got = split_static(observers, NearTable(grid, STATIC_MARGIN))
         kept = 0
         for dynamic, clusters in zip(got, observers):
             want = reference_split(clusters, grid)
@@ -780,6 +780,7 @@ class TestBatchedUpdateMatchesReference:
         rng = np.random.default_rng(83)
         w = random_world(rng, 6, 2, 2)
         grid = rasterize(w.config)
+        static = NearTable(grid, STATIC_MARGIN)
         batched = [Tracker() for _ in w.robots]
         references = [Tracker() for _ in w.robots]
         velocities = rng.uniform(-0.5, 0.5, (6, 2))
@@ -790,7 +791,7 @@ class TestBatchedUpdateMatchesReference:
             poses = np.array([(*w.robots[i].position, w.robots[i].heading)
                               for i in live])
             ranges = noisy_ranges(raycast_batch(w, live), noise[0])
-            update_trackers([batched[i] for i in live], ranges, poses, grid,
+            update_trackers([batched[i] for i in live], ranges, poses, static,
                             0.1)
             for i, pose in zip(live, poses):
                 scan = LidarScan(ranges=reference_raycast(w, i), timestamp=0.0)
