@@ -8,17 +8,19 @@ prints the tracked velocity next to the ground truth.
 import numpy as np
 
 from multinav import Action, Tracker, World, WorldConfig, rasterize, raycast
+from multinav.planner import NearTable
+from multinav.tracker import STATIC_MARGIN
 
 config = WorldConfig(bounds=(-8, -8, 8, 8))
 world = World(config, starts=[(0.0, 0.0, 0.0), (-1.5, 1.5, 0.0)],
               goals=[(7.0, 7.0), (3.0, 1.5)])
-grid = rasterize(config)
+static_near = NearTable(rasterize(config), STATIC_MARGIN)  # one per grid
 tracker = Tracker()
 
 print(f"{'t':>4} {'hits':>5} {'tracked v':>16} {'true v':>14} {'err':>6}")
 for step in range(30):
     scan = raycast(world, 0)  # apply_lidar_noise(scan, rng) adds the noise
-    tracker.update(scan, (0.0, 0.0, 0.0), grid, config.dt)
+    tracker.update(scan, (0.0, 0.0, 0.0), static_near, config.dt)
     world.step([Action(0, 0), Action(0.6, 0.0)])
     dyn = tracker.dynamic_tracks()
     if dyn and step % 3 == 0:

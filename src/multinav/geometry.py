@@ -58,20 +58,6 @@ class Wall:
         return (xmin - h, ymin, xmax + h, ymax)
 
 
-def ray_circles(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
-                radii: np.ndarray) -> np.ndarray:
-    """Nearest non-negative hit parameter of each unit ray against each circle.
-
-    origin (..., 2), dirs (..., n, 2), centers (..., m, 2) and radii (..., m)
-    broadcast over their leading axes. Returns (..., n, m) t values, np.inf
-    where a ray misses. Rays starting inside a circle report t = 0.
-    """
-    oc = origin[..., None, :] - centers                     # (..., m, 2)
-    b = dirs @ np.swapaxes(oc, -1, -2)      # (..., n, m): dot(d, o - c)
-    c0 = np.einsum("...ij,...ij->...i", oc, oc) - radii ** 2  # (..., m)
-    return circle_roots(b, c0[..., None, :])
-
-
 def circle_roots(b: np.ndarray, c0: np.ndarray) -> np.ndarray:
     """Nearest non-negative root of t^2 + 2 b t + c0 = 0, elementwise over
     b and c0 broadcast: a unit ray's hit parameter on a circle, given

@@ -82,10 +82,10 @@ def _disc_ranges(origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
                  radii: np.ndarray) -> np.ndarray:
     """(k, 120) nearest hit of each observer's beams on its discs, np.inf
     where none lies in range. centers (k, m, 2) or (m, 2) and radii (k, m)
-    or (m,) broadcast against the k origins, as in geometry.ray_circles,
-    whose (k, 120, m) product this keeps whole. The roots and the min run
-    only on the observer-disc pairs in range: a farther disc's hits lie
-    beyond MAX_RANGE, where the clip puts its beams anyway."""
+    or (m,) broadcast against the k origins. The (k, 120, m) product of
+    beams and discs is kept whole; the roots and the min run only on the
+    observer-disc pairs in range: a farther disc's hits lie beyond
+    MAX_RANGE, where the clip puts its beams anyway."""
     oc = origins[:, None, :] - centers                  # (k, m, 2)
     b = dirs @ np.swapaxes(oc, -1, -2)                  # (k, 120, m)
     d2 = np.einsum("...ij,...ij->...i", oc, oc)         # (k, m)

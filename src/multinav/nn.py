@@ -82,6 +82,17 @@ class ReLU:
         return gy * self._mask
 
 
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of scores, taken over the entries where
+    mask (broadcast against scores) is True. A masked entry is exp(-inf),
+    +0.0, and a row with no kept entry divides those zeros by 1."""
+    scores = np.where(mask, scores, -np.inf)
+    smax = np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(scores - np.where(np.isfinite(smax), smax, 0.0))
+    denom = e.sum(axis=-1, keepdims=True)
+    return e / np.where(denom > 0.0, denom, 1.0)
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -182,13 +193,7 @@ class MultiHeadSelfAttention(Layer):
         k = self._split(h @ self.wk)
         v = self._split(h @ self.wv)
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
-        key_mask = mask[:, None, None, :]                  # (B, 1, 1, N)
-        scores = np.where(key_mask, scores, -np.inf)
-        smax = np.max(scores, axis=-1, keepdims=True)
-        smax = np.where(np.isfinite(smax), smax, 0.0)
-        e = np.where(key_mask, np.exp(scores - smax), 0.0)
-        denom = e.sum(axis=-1, keepdims=True)
-        att = np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
+        att = masked_softmax(scores, mask[:, None, None, :])  # (B, H, N, N)
         ctx = att @ v                                      # (B, H, N, Dh)
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, n, -1)
         out = (merged @ self.wo + self.bo) * mask[:, :, None]
@@ -237,15 +242,9 @@ class AttentiveMeanPool(Layer):
     def forward(self, h: np.ndarray, mask: np.ndarray) -> np.ndarray:
         pre = h @ self.w1.T + self.b1                      # (B, N, d_score)
         act = np.tanh(pre)
-        score = act @ self.w2                              # (B, N)
-        score = np.where(mask, score, -np.inf)
-        smax = np.max(score, axis=1, keepdims=True)
-        smax = np.where(np.isfinite(smax), smax, 0.0)
-        e = np.where(mask, np.exp(score - smax), 0.0)
-        denom = e.sum(axis=1, keepdims=True)
+        alpha = masked_softmax(act @ self.w2, mask)        # (B, N)
         counts = mask.sum(axis=1)
         nonempty = counts > 0
-        alpha = np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
         pooled_att = (alpha[:, :, None] * h).sum(axis=1)
         safe_counts = np.where(nonempty, counts, 1.0)
         pooled_mean = (h * mask[:, :, None]).sum(axis=1) / safe_counts[:, None]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lidar import BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan
-from .planner import NearTable, OccupancyGrid
+from .planner import NearTable
 
 
 CLUSTER_GAP = 0.3               # max gap between adjacent beam hits
@@ -350,10 +350,11 @@ class Tracker:
         return track
 
     def update(self, scan: LidarScan, observer_pose: tuple[float, float, float],
-               grid: OccupancyGrid, dt: float) -> list[ClusterTrack]:
-        """The tracks after this frame, coasting ones included."""
+               static_near: NearTable, dt: float) -> list[ClusterTrack]:
+        """The tracks after this frame, coasting ones included. static_near
+        is NearTable(grid, STATIC_MARGIN), built once per grid."""
         update_trackers([self], scan.ranges[None], np.array([observer_pose]),
-                        NearTable(grid, STATIC_MARGIN), dt)
+                        static_near, dt)
         return self.tracks
 
     def dynamic_tracks(self) -> list[ClusterTrack]:

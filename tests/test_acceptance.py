@@ -124,15 +124,16 @@ def test_criterion_06_tracker_fidelity():
     cfg = WorldConfig(bounds=(-10, -10, 10, 10))
     world = World(cfg, [(-1.5, 0.0, 0.0), (1.0, -1.5, math.pi / 2)],
                   [(9.0, 9.0)] * 2)
-    from multinav.planner import rasterize
-    grid = rasterize(cfg)
+    from multinav.planner import NearTable, rasterize
+    from multinav.tracker import STATIC_MARGIN
+    near = NearTable(rasterize(cfg), STATIC_MARGIN)
     trackers = [Tracker(), Tracker()]
     truths = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
     sq = []
     for step in range(50):
         for i in range(2):
             pose = (*world.robots[i].position, world.robots[i].heading)
-            trackers[i].update(raycast(world, i), pose, grid, 0.1)
+            trackers[i].update(raycast(world, i), pose, near, 0.1)
             if step >= 5:
                 dyn = trackers[i].dynamic_tracks()
                 assert len(dyn) == 1
@@ -147,7 +148,7 @@ def test_criterion_06_tracker_fidelity():
     ids = set()
     for step in range(80):
         world2.robots[1].position = np.array([2.0, -1.5 + 0.35 * 0.1 * step])
-        tracker.update(raycast(world2, 0), (0, 0, 0), grid, 0.1)
+        tracker.update(raycast(world2, 0), (0, 0, 0), near, 0.1)
         ids.update(t.id for t in tracker.dynamic_tracks())
     ok = rms < 0.15 and len(ids) == 1
     _report(6, "tracker: crossing velocity RMS < 0.15 m/s, stable track id",

@@ -3,11 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "sense_replay.py"
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_replay.py"
 
 
-def test_replay_of_its_own_recording_answers_byte_for_byte(tmp_path):
-    path = tmp_path / "sense.npz"
+def test_replay_of_its_own_recording_is_identical(tmp_path):
+    path = tmp_path / "layers.npz"
     outs = []
     for argv in (["record", str(path)],
                  ["replay", str(path), "--repeats", "1"]):
@@ -17,13 +17,20 @@ def test_replay_of_its_own_recording_answers_byte_for_byte(tmp_path):
         outs.append(proc.stdout)
     recorded, replayed = outs
     for name in ("policy-doorway10", "policy-circle20-noise"):
-        casts, queries = map(int, re.search(
-            rf"^{name}: (\d+) raycasts in \d+ worlds, (\d+) split queries",
+        casts, queries, icps, rows = map(int, re.search(
+            rf"^{name}: (\d+) raycasts in \d+ worlds, (\d+) split queries on "
+            rf"\d+ grids, (\d+) ICP calls with (\d+) rows$",
             recorded, re.M).groups())
-        assert casts > 0 and queries > 0, recorded
+        assert casts > 0 and queries > 0 and icps > 0, recorded
         for function, calls in (("raycast_batch", casts),
                                 ("occupied_near_points", queries)):
             assert re.search(
                 rf"^{name} {function}: {calls} calls, .*[\d.]+ ms per call "
                 rf"\(median of 1\), {calls} of {calls} identical$",
                 replayed, re.M), replayed
+        assert re.search(
+            rf"^{name} icp_translation: {icps} calls, {rows} rows, [\d.]+ ms "
+            rf"per call \(median of 1\)$", replayed, re.M), replayed
+    assert replayed.count("p50 0 m, p99 0 m, max 0 m") == 2, replayed
+    residuals = re.findall(r"file ([\d.]+) mm, this tree ([\d.]+) mm", replayed)
+    assert len(residuals) == 2 and all(a == b for a, b in residuals), replayed

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from multinav.geometry import (Circle, Wall, dist_aabb_surface,
-                               dist_circle_surface, ray_aabbs, ray_circles)
+from multinav.geometry import (Circle, Wall, circle_roots, dist_aabb_surface,
+                               dist_circle_surface, ray_aabbs)
 from multinav import lidar
 from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, RANGE_EPS,
                             LidarScan, ScanHistory, apply_lidar_noise,
@@ -17,6 +17,20 @@ def world_with(circles=(), walls=(), robots=((0.0, 0.0, 0.0),), radius=0.25):
     cfg = WorldConfig(bounds=(-20, -20, 20, 20), circles=list(circles),
                       walls=list(walls), robot_radius=radius)
     return World(cfg, robots, [(9.0, 9.0)] * len(robots))
+
+
+def ray_circles(origin: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
+                radii: np.ndarray) -> np.ndarray:
+    """Nearest non-negative hit parameter of each unit ray against each circle.
+
+    origin (..., 2), dirs (..., n, 2), centers (..., m, 2) and radii (..., m)
+    broadcast over their leading axes. Returns (..., n, m) t values, np.inf
+    where a ray misses. Rays starting inside a circle report t = 0.
+    """
+    oc = origin[..., None, :] - centers                     # (..., m, 2)
+    b = dirs @ np.swapaxes(oc, -1, -2)      # (..., n, m): dot(d, o - c)
+    c0 = np.einsum("...ij,...ij->...i", oc, oc) - radii ** 2  # (..., m)
+    return circle_roots(b, c0[..., None, :])
 
 
 def reference_raycast(world, agent_index):

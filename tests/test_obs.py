@@ -8,10 +8,10 @@ from multinav.lidar import MAX_RANGE, ScanHistory, raycast
 from multinav.observations import (N_MAX_NEIGHBORS, AblationConfig,
                                    NeighborGraph, ObservationBundle,
                                    apply_state_noise, build_observation)
-from multinav.planner import TargetPoint, rasterize
+from multinav.planner import NearTable, TargetPoint, rasterize
 from multinav.policy import BatchedObs, batch_obs
 from multinav.sim import V_MAX, W_MAX, Action, World, WorldConfig
-from multinav.tracker import ClusterTrack, Tracker
+from multinav.tracker import STATIC_MARGIN, ClusterTrack, Tracker
 
 
 def make_world(robots, circles=(), goal=(5.0, 0.0)):
@@ -192,7 +192,7 @@ class TestBuildObservation:
     def test_two_robot_approach_yields_node(self):
         # closed loop: within 3 steps of visibility the graph is non-empty
         w = make_world([(0, 0, 0), (2.5, 0.0, math.pi)], goal=(5, 0))
-        grid = rasterize(w.config)
+        near = NearTable(rasterize(w.config), STATIC_MARGIN)
         tracker = Tracker()
         hist = ScanHistory()
         found_at = None
@@ -200,7 +200,7 @@ class TestBuildObservation:
             scan = raycast(w, 0)
             hist.push(scan)
             tracks = tracker.update(scan, (*w.robots[0].position,
-                                           w.robots[0].heading), grid, 0.1)
+                                           w.robots[0].heading), near, 0.1)
             b = build_observation(w, 0, hist, tracker.dynamic_tracks(), None)
             if b.o_c.node_count >= 1:
                 found_at = step

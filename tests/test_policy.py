@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from multinav.nn import ReLU, softplus_grad
+from multinav.nn import ReLU, masked_softmax, softplus_grad
 from multinav.policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                              PolicyConfig, batch_obs, deterministic_action,
                              gaussian_log_prob, gaussian_sample)
@@ -399,6 +399,40 @@ class TestReLU:
         batch.z3[1, 2, 40] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericalDivergence):
             ActorCritic(PolicyConfig.reduced(), seed=10).forward_batch(batch)
+
+
+def where_softmax(scores, mask):
+    """The masked softmax as the attention and pooling layers wrote it
+    before masked_softmax: masked entries and empty rows set by np.where."""
+    scores = np.where(mask, scores, -np.inf)
+    smax = np.max(scores, axis=-1, keepdims=True)
+    smax = np.where(np.isfinite(smax), smax, 0.0)
+    e = np.where(mask, np.exp(scores - smax), 0.0)
+    denom = e.sum(axis=-1, keepdims=True)
+    return np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
+class TestMaskedSoftmax:
+    def test_matches_where_on_empty_rows_signed_zeros_and_large_scores(self):
+        rng = np.random.default_rng(39)
+        n = 12
+        # every kept count from none to all, then random masks
+        mask = np.arange(n) < np.arange(n + 1)[:, None]
+        mask = np.concatenate([mask, rng.random((51, n)) < 0.35])
+        rng.shuffle(mask, axis=1)
+        assert not mask.any(axis=1).all() and (mask.sum(axis=1) == 1).any()
+        for shape, kept in (((64, n), mask),                       # (B, N)
+                            ((64, 2, n, n), mask[:, None, None, :])):  # (B, H, N, N)
+            scores = rng.normal(size=shape)
+            scores[::5] = -0.0
+            scores[1::5] *= 1e3                      # exp underflows to 0
+            scores[2::5] = rng.choice([-0.0, 0.0, 709.0, -745.0, 1e308,
+                                       -1e308], size=scores[2::5].shape)
+            with np.errstate(over="ignore"):     # -1e308 - 1e308 is -inf
+                got = masked_softmax(scores, kept)
+                want = where_softmax(scores, kept)
+            assert got.tobytes() == want.tobytes()
+            assert (got[~np.broadcast_to(kept, shape)] == 0.0).all()
 
 
 class TestSampling:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from multinav import planner as planner_module
 from multinav import tracker as tracker_module
 from multinav.bench import StraightController
 from multinav.geometry import Wall
@@ -11,7 +12,7 @@ from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan,
                             apply_lidar_noise, noisy_ranges, raycast,
                             raycast_batch)
 from multinav.observations import NoiseConfig
-from multinav.planner import NearTable, rasterize
+from multinav.planner import NearTable, dilate, rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
 from multinav.sim import Action, Status, World, WorldConfig
@@ -32,8 +33,9 @@ def make_world(robots, circles=(), walls=()):
     return World(cfg, robots, [(9.0, 9.0)] * len(robots))
 
 
-def empty_grid():
-    return rasterize(WorldConfig(bounds=(-10, -10, 10, 10)))
+def empty_near():
+    return NearTable(rasterize(WorldConfig(bounds=(-10, -10, 10, 10))),
+                     STATIC_MARGIN)
 
 
 def scan_of(world, idx=0):
@@ -540,22 +542,22 @@ class TestAssociate:
     def test_wall_cluster_is_static(self):
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
-        grid = rasterize(cfg)
+        near = NearTable(rasterize(cfg), STATIC_MARGIN)
         w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
         tracker = Tracker()
-        assert tracker.update(scan_of(w), (0, 0, 0), grid, 0.1) == []
+        assert tracker.update(scan_of(w), (0, 0, 0), near, 0.1) == []
         assert tracker.dynamic_tracks() == []
 
     def test_moving_disc_velocity_estimate(self):
         # scripted motion: disc translating at (0.5, 0) m/s, static observer
         w = make_world([(0, 0, 0), (-1.0, 1.5, 0)])
-        grid = empty_grid()
+        near = empty_near()
         tracker = Tracker()
         dt = 0.1
         for step in range(30):
             w.robots[1].position = np.array([-1.0 + 0.5 * dt * step, 1.5])
-            tracks = tracker.update(scan_of(w), (0, 0, 0), grid, dt)
+            tracks = tracker.update(scan_of(w), (0, 0, 0), near, dt)
         dyn = tracker.dynamic_tracks()
         assert len(dyn) == 1
         assert abs(dyn[0].velocity_estimate[0] - 0.5) < 0.1
@@ -563,39 +565,39 @@ class TestAssociate:
 
     def test_teleport_spawns_new_track(self):
         w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
-        grid = empty_grid()
+        near = empty_near()
         tracker = Tracker()
-        tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+        tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
         first_ids = {t.id for t in tracker.tracks}
         w.robots[1].position = np.array([1.5, 2.0])  # 2 m jump in one frame
-        tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+        tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
         current = {t.id for t in tracker.tracks if t.misses == 0}
         assert current and not (current & first_ids)
 
     def test_track_id_stable_for_smooth_motion(self):
         w = make_world([(0, 0, 0), (2.0, -1.5, 0)])
-        grid = empty_grid()
+        near = empty_near()
         tracker = Tracker()
         dt = 0.1
         ids = set()
         for step in range(60):
             w.robots[1].position = np.array([2.0, -1.5 + 0.4 * dt * step])
-            tracker.update(scan_of(w), (0, 0, 0), grid, dt)
+            tracker.update(scan_of(w), (0, 0, 0), near, dt)
             ids.update(t.id for t in tracker.dynamic_tracks())
         assert len(ids) == 1
 
     def test_grace_then_drop(self):
         w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
-        grid = empty_grid()
+        near = empty_near()
         tracker = Tracker()
-        tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+        tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
         assert len(tracker.tracks) == 1
         empty = make_world([(0, 0, 0)])
         for k in range(GRACE_STEPS):
-            tracker.update(scan_of(empty), (0, 0, 0), grid, 0.1)
+            tracker.update(scan_of(empty), (0, 0, 0), near, 0.1)
             assert len(tracker.tracks) == 1  # coasting through the grace window
             assert tracker.dynamic_tracks() == []  # but not shown as a neighbour
-        tracker.update(scan_of(empty), (0, 0, 0), grid, 0.1)
+        tracker.update(scan_of(empty), (0, 0, 0), near, 0.1)
         assert tracker.tracks == []
 
     def test_static_clusters_cost_no_icp(self, monkeypatch):
@@ -608,13 +610,32 @@ class TestAssociate:
         monkeypatch.setattr(tracker_module, "icp_translation", counted)
         cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                           walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
-        grid = rasterize(cfg)
+        near = NearTable(rasterize(cfg), STATIC_MARGIN)
         w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
         tracker = Tracker()
         for _ in range(5):
             assert len(cluster_scan(scan_of(w), (0, 0, 0))) >= 1
-            assert tracker.update(scan_of(w), (0, 0, 0), grid, 0.1) == []
+            assert tracker.update(scan_of(w), (0, 0, 0), near, 0.1) == []
         assert sum(calls) == 0
+
+    def test_frames_share_one_dilation(self, monkeypatch):
+        # the caller builds the static-split table once per grid, so its
+        # dilation serves every frame
+        calls = []
+
+        def counted(cells, r):
+            calls.append(r)
+            return dilate(cells, r)
+
+        monkeypatch.setattr(planner_module, "dilate", counted)
+        cfg = WorldConfig(bounds=(-10, -10, 10, 10),
+                          walls=[Wall(2.0, -3.0, 2.0, 3.0, 0.2)])
+        near = NearTable(rasterize(cfg), STATIC_MARGIN)
+        w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
+        tracker = Tracker()
+        for _ in range(5):
+            tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
+        assert len(calls) == 1
 
     def test_second_frame_match_costs_one_icp(self, monkeypatch):
         calls = []                       # ICP jobs per batch
@@ -625,12 +646,12 @@ class TestAssociate:
 
         monkeypatch.setattr(tracker_module, "icp_translation", counted)
         w = make_world([(0, 0, 0), (1.5, 0.0, 0)])
-        grid = empty_grid()
+        near = empty_near()
         tracker = Tracker()
         counts = []
         for step in range(3):
             w.robots[1].position = np.array([1.5, 0.04 * step])
-            tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+            tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
             counts.append(sum(calls))
             calls.clear()
         assert counts == [0, 1, 2]  # spawn; gate only; gate plus baseline
@@ -642,11 +663,11 @@ class TestAssociate:
             x = rng.uniform(1.0, 2.5)
             cfg = WorldConfig(bounds=(-10, -10, 10, 10),
                               walls=[Wall(x, -3.0, x, 3.0, 0.2)])
-            grid = rasterize(cfg)
+            near = NearTable(rasterize(cfg), STATIC_MARGIN)
             w = World(cfg, [(0.0, 0.0, 0.0)], [(9.0, 9.0)])
             tracker = Tracker()
             for _ in range(5):
-                tracker.update(scan_of(w), (0, 0, 0), grid, 0.1)
+                tracker.update(scan_of(w), (0, 0, 0), near, 0.1)
             assert tracker.dynamic_tracks() == []
 
 
@@ -811,7 +832,7 @@ class TestClosedLoopFidelity:
         # both robots move; each tracks the other; RMS error < 0.15 m/s
         # (paths cross 0.7 m apart at closest approach, no collision)
         w = make_world([(-1.5, 0.0, 0.0), (1.0, -1.5, math.pi / 2)])
-        grid = empty_grid()
+        near = empty_near()
         trackers = [Tracker(), Tracker()]
         truths = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
         dt = 0.1
@@ -819,7 +840,7 @@ class TestClosedLoopFidelity:
         for step in range(50):
             for i in range(2):
                 pose = (*w.robots[i].position, w.robots[i].heading)
-                trackers[i].update(raycast(w, i), pose, grid, dt)
+                trackers[i].update(raycast(w, i), pose, near, dt)
                 if step >= 5:
                     dyn = trackers[i].dynamic_tracks()
                     assert len(dyn) == 1
