@@ -25,8 +25,8 @@ from .planner import (EmptyPath, GlobalPath, InvalidEndpoint, OccupancyGrid,
                       TargetPoint, Unreachable, astar, rasterize, running_target)
 from .tracker import Cluster, ClusterTrack, Tracker
 from .observations import (AblationConfig, NeighborGraph, NoiseConfig,
-                           ObservationBundle, apply_state_noise,
-                           build_observation)
+                           ObservationBundle, build_observation,
+                           build_observations)
 from .reward import progress_reward, reward_terms, social_penalty
 from .policy import (ActionDistribution, ActorCritic, NumericalDivergence,
                      PolicyConfig, deterministic_action)

@@ -1,4 +1,4 @@
-"""Per-agent observation assembly.
+"""Observation assembly, one pass for all robots of a world.
 
 Five components per agent and tick: the three-frame LiDAR stack, goal in
 body-frame polar coordinates, own velocities, the running-target summary of
@@ -6,13 +6,16 @@ the global path, and a graph of tracked dynamic neighbors (closest point in
 body-frame polar plus body-frame velocity). Everything is relative or
 body-fixed, so rigidly moving the whole world leaves observations unchanged.
 Ablation switches empty the neighbor graph or zero the path component.
+build_observations assembles the bundles of all live robots at once, as
+views of shared arrays; build_observation is its one-robot case.
 unit_scale maps a batch of stacked bundles to the policy's unit inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,6 +84,11 @@ class NeighborGraph:
 
 @dataclass
 class ObservationBundle:
+    """One robot's observation. The bundles of one build_observations call
+    are views of that call's shared arrays (o_z of one range stack, o_g,
+    o_v and o_gp of one extras row, the nodes of one node table), so
+    callers read them and never write them."""
+
     o_z: np.ndarray                  # (3, 120) ranges, oldest frame first
     o_g: np.ndarray                  # (2,) goal distance, bearing
     o_v: np.ndarray                  # (2,) linear, angular velocity
@@ -89,84 +97,130 @@ class ObservationBundle:
     world_diameter: float            # m, bounds diagonal: scales o_g, o_gp distances
 
 
-def rotate_to_body(vec: np.ndarray, heading: float) -> np.ndarray:
-    c, s = math.cos(-heading), math.sin(-heading)
-    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+def build_observations(world: World, agents: list[int],
+                       histories: list[ScanHistory],
+                       tracks: list[list[ClusterTrack]] | None,
+                       targets: list[TargetPoint | None],
+                       ablation: AblationConfig | None = None,
+                       rng: np.random.Generator | None = None
+                       ) -> list[ObservationBundle]:
+    """Assemble the observations of the robots agents (indices into
+    world.robots) in one pass, one bundle per agent in its order.
+
+    histories, tracks and targets hold one entry per agent: its scan
+    history, the neighbours to show as Tracker.dynamic_tracks() returns
+    them, and its running target (None zeroes o_gp). tracks goes unread,
+    and may be None, under the no-GNN ablation. Goals, targets and tracks
+    rotate into their robots' body frames together; each robot's nearest
+    N_MAX_NEIGHBORS tracks, by a stable sort, become its graph nodes. Pass
+    rng to perturb the node states by the noise protocol: one draw, sliced
+    per robot in agent order, position noise before velocity noise. LiDAR
+    noise is applied upstream on the scans themselves.
+    """
+    ablation = ablation or AblationConfig()
+    n = len(agents)
+    if n == 0:
+        return []
+    with_gp = not ablation.no_global_path
+    if ablation.no_gnn:
+        tracks = [()] * n
+    headings = world.headings.tolist()
+    positions = world.positions.tolist()
+    goals = world.goals.tolist()
+
+    # every vector turns into its robot's body frame in this one loop:
+    # goals, running targets (a missing one stands in as the goal and is
+    # zeroed below) and the tracks' closest points relative to the robot,
+    # the tracks' velocities as they are
+    goal_xy, target_xy, point_xy, velocity_xy = [], [], [], []
+    for a, target, shown in zip(agents, targets, tracks):
+        h = headings[a]
+        c, s = math.cos(-h), math.sin(-h)
+        x0, y0 = positions[a]
+        x, y = goals[a]
+        goal_xy.append(_turn(c, s, x - x0, y - y0))
+        if with_gp:
+            x, y = goals[a] if target is None else target.position.tolist()
+            target_xy.append(_turn(c, s, x - x0, y - y0))
+        for t in shown:
+            x, y = t.closest_point.tolist()
+            point_xy.append(_turn(c, s, x - x0, y - y0))
+            velocity_xy.append(_turn(c, s, *t.velocity_estimate.tolist()))
+    px, py = zip(*goal_xy, *target_xy, *point_xy)
+    dist = np.hypot(px, py)
+    bearing = list(map(math.atan2, py, px))
+
+    lin = world.linear_velocities.tolist()
+    ang = world.angular_velocities.tolist()
+    ahead = dist[:2 * n].tolist()
+    extras = np.array([                    # o_g, o_v, o_gp per agent
+        [ahead[r], bearing[r], lin[a], ang[a],
+         *((0.0, 0.0, 0.0) if not with_gp or target is None else
+           (ahead[n + r], bearing[n + r],
+            wrap_angle(target.path_direction - headings[a])))]
+        for r, (a, target) in enumerate(zip(agents, targets))])
+
+    counts = [len(shown) for shown in tracks]
+    kept = [min(count, N_MAX_NEIGHBORS) for count in counts]
+    ends = list(accumulate(kept))
+    starts = [e - q for e, q in zip(ends, kept)]
+    if velocity_xy:
+        # nearest first per robot, ties in track order, then the cap
+        m = len(velocity_xy)
+        owner = np.repeat(np.arange(n), counts)
+        d = dist[-m:]
+        order = np.lexsort((d, owner))
+        rank = np.arange(m) - np.repeat(np.cumsum(counts) - counts, counts)
+        nodes = np.column_stack([d, bearing[-m:], velocity_xy])[
+            order[rank < N_MAX_NEIGHBORS]]
+        if rng is not None:
+            nodes = _noisy_nodes(nodes, np.repeat(starts, kept),
+                                 np.repeat(ends, kept), rng)
+    else:
+        nodes = np.zeros((0, 4))
+
+    z = np.array([[f.ranges for f in h.frames] for h in histories])
+    xmin, ymin, xmax, ymax = world.config.bounds
+    diameter = math.hypot(xmax - xmin, ymax - ymin)
+    return [ObservationBundle(o_z=z[r], o_g=extras[r, :2], o_v=extras[r, 2:4],
+                              o_gp=extras[r, 4:],
+                              o_c=NeighborGraph(nodes=nodes[a:b]),
+                              world_diameter=diameter)
+            for r, (a, b) in enumerate(zip(starts, ends))]
 
 
-def to_body(point: np.ndarray, position: np.ndarray, heading: float) -> np.ndarray:
-    return rotate_to_body(point - position, heading)
+def _noisy_nodes(nodes: np.ndarray, start: np.ndarray, end: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Perturb node positions (per Cartesian axis, uniform within
+    STATE_POSITION_BOUND) and velocities (STATE_VELOCITY_BOUND). start and
+    end bound each node's robot's run of rows. One draw serves all robots:
+    a robot with k nodes takes 4k values in turn, its (k, 2) position noise
+    then its (k, 2) velocity noise, scaled as Generator.uniform scales, so
+    the values equal those of two uniform calls per robot in that order."""
+    pairs = rng.random((2 * len(nodes), 2))
+    j = np.arange(len(nodes))
+    b = STATE_POSITION_BOUND
+    xy = np.column_stack([nodes[:, 0] * np.cos(nodes[:, 1]),
+                          nodes[:, 0] * np.sin(nodes[:, 1])])
+    xy = xy + (-b + (b - -b) * pairs[start + j])
+    b = STATE_VELOCITY_BOUND
+    vel = nodes[:, 2:4] + (-b + (b - -b) * pairs[end + j])
+    return np.column_stack([np.hypot(xy[:, 0], xy[:, 1]),
+                            np.arctan2(xy[:, 1], xy[:, 0]), vel])
 
 
-def polar(rel: np.ndarray) -> tuple[float, float]:
-    return float(np.hypot(rel[0], rel[1])), math.atan2(rel[1], rel[0])
+def _turn(c: float, s: float, x: float, y: float) -> tuple[float, float]:
+    """(x, y) turned by the angle whose cosine and sine are c and s."""
+    return c * x - s * y, s * x + c * y
 
 
 def build_observation(world: World, agent_index: int, scan_history: ScanHistory,
                       tracks: list[ClusterTrack], target_point: TargetPoint | None,
                       ablation: AblationConfig | None = None,
                       rng: np.random.Generator | None = None) -> ObservationBundle:
-    """Assemble one agent's observation from its sensors, tracks and path.
-
-    tracks are the neighbours to show, as Tracker.dynamic_tracks() returns
-    them; the nearest N_MAX_NEIGHBORS become graph nodes. Pass rng to
-    perturb the neighbor states by the noise protocol in the same call;
-    LiDAR noise is applied upstream on the scans themselves.
-    """
-    ablation = ablation or AblationConfig()
-    robot = world.robots[agent_index]
-    pos, heading = robot.position, robot.heading
-
-    dist_g, bearing_g = polar(to_body(robot.goal, pos, heading))
-    o_g = np.array([dist_g, bearing_g])
-    o_v = np.array([robot.linear_velocity, robot.angular_velocity])
-
-    if ablation.no_global_path or target_point is None:
-        o_gp = np.zeros(3)
-    else:
-        dist_t, bearing_t = polar(to_body(target_point.position, pos, heading))
-        o_gp = np.array([dist_t, bearing_t,
-                         wrap_angle(target_point.path_direction - heading)])
-
-    if ablation.no_gnn:
-        graph = NeighborGraph()
-    else:
-        rows = []
-        for t in tracks:
-            rel = to_body(t.closest_point, pos, heading)
-            vel = rotate_to_body(t.velocity_estimate, heading)
-            rows.append((float(np.hypot(*rel)), math.atan2(rel[1], rel[0]),
-                         float(vel[0]), float(vel[1])))
-        rows.sort(key=lambda r: r[0])
-        graph = NeighborGraph(nodes=np.array(rows[:N_MAX_NEIGHBORS])
-                              if rows else np.zeros((0, 4)))
-
-    xmin, ymin, xmax, ymax = world.config.bounds
-    bundle = ObservationBundle(
-        o_z=scan_history.stacked, o_g=o_g, o_v=o_v, o_gp=o_gp, o_c=graph,
-        world_diameter=math.hypot(xmax - xmin, ymax - ymin))
-    if rng is not None:
-        bundle = apply_state_noise(bundle, rng)
-    return bundle
-
-
-def apply_state_noise(bundle: ObservationBundle,
-                      rng: np.random.Generator) -> ObservationBundle:
-    """Perturb neighbor node positions (per Cartesian axis, uniform within
-    STATE_POSITION_BOUND) and velocities (STATE_VELOCITY_BOUND)."""
-    nodes = bundle.o_c.nodes
-    if len(nodes) == 0:
-        return bundle
-    xy = np.column_stack([nodes[:, 0] * np.cos(nodes[:, 1]),
-                          nodes[:, 0] * np.sin(nodes[:, 1])])
-    xy = xy + rng.uniform(-STATE_POSITION_BOUND, STATE_POSITION_BOUND,
-                          size=xy.shape)
-    vel = nodes[:, 2:4] + rng.uniform(-STATE_VELOCITY_BOUND,
-                                      STATE_VELOCITY_BOUND,
-                                      size=(len(nodes), 2))
-    new_nodes = np.column_stack([np.hypot(xy[:, 0], xy[:, 1]),
-                                 np.arctan2(xy[:, 1], xy[:, 0]), vel])
-    return replace(bundle, o_c=NeighborGraph(nodes=new_nodes))
+    """One agent's observation: build_observations on one robot."""
+    return build_observations(world, [agent_index], [scan_history], [tracks],
+                              [target_point], ablation, rng)[0]
 
 
 # divisors of the extras o_g (2) + o_v (2) + o_gp (3); the two distances,

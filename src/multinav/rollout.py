@@ -16,13 +16,15 @@ import numpy as np
 
 from .lidar import LidarScan, ScanHistory, noisy_ranges, raycast_batch
 # raycast and apply_lidar_noise (_sense scans all robots at once), astar and
-# rasterize (GeneratedScenario.plan plans each episode), and normalize
+# rasterize (GeneratedScenario.plan plans each episode), build_observation
+# (observations builds all robots' bundles in one pass) and normalize
 # (policy.batch_obs scales a whole batch) are not called here; they stay
 # importable from this module by name for tracers that wrap them, such as
 # perfbench/spans.py
 from .lidar import apply_lidar_noise, raycast  # noqa: F401
 from .observations import (STATE_POSITION_BOUND, STATE_VELOCITY_BOUND,
-                           AblationConfig, NoiseConfig, build_observation)
+                           AblationConfig, NoiseConfig, build_observations)
+from .observations import build_observation  # noqa: F401
 from .observations import unit_scale as normalize  # noqa: F401
 from .planner import NearTable
 from .planner import TargetPoint, astar, rasterize, running_target  # noqa: F401
@@ -129,21 +131,30 @@ class NavEnv:
             ranges = noisy_ranges(ranges, self.lidar_rng)
         for i, row in zip(live, ranges):
             self.histories[i].push(LidarScan(row, world.sim_time))
+        if self.cfg.ablation.no_gnn:
+            return                 # no observation shows a track
         poses = np.column_stack([world.positions[live], world.headings[live]])
         update_trackers([self.trackers[i] for i in live], ranges, poses,
                         self.static_near, world.config.dt)
 
     def observations(self):
-        """ObservationBundle per agent; None for frozen robots."""
+        """ObservationBundle per agent, built in one pass for all live
+        robots; None for frozen robots."""
+        out = [None] * self.n_agents
         if not self.cfg.build_observations:
-            return [None] * self.n_agents
-        rng = self.obs_rng if self.cfg.noise.enabled else None
-        return [build_observation(
-                    self.world, i, self.histories[i],
-                    self.trackers[i].dynamic_tracks(), self.target_point(i),
-                    ablation=self.cfg.ablation, rng=rng)
-                if robot.status == Status.ACTIVE else None
-                for i, robot in enumerate(self.world.robots)]
+            return out
+        live = [i for i, s in enumerate(self.world.statuses)
+                if s == Status.ACTIVE]
+        ablation = self.cfg.ablation
+        tracks = (None if ablation.no_gnn else
+                  [self.trackers[i].dynamic_tracks() for i in live])
+        bundles = build_observations(
+            self.world, live, [self.histories[i] for i in live], tracks,
+            [self._targets[i] for i in live], ablation,
+            self.obs_rng if self.cfg.noise.enabled else None)
+        for i, bundle in zip(live, bundles):
+            out[i] = bundle
+        return out
 
     def noisy_neighbor_states(self, observers):
         """Ground-truth neighbour (positions (k, n - 1, 2), velocities

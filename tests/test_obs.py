@@ -1,17 +1,146 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multinav.geometry import Circle
+from multinav import rollout
+from multinav.bench import (JsonlLogger, LogFlags, PolicyController,
+                            StraightController, run_episode)
+from multinav.cli import load_train_config
+from multinav.geometry import Circle, wrap_angle
 from multinav.lidar import MAX_RANGE, ScanHistory, raycast
-from multinav.observations import (N_MAX_NEIGHBORS, AblationConfig,
-                                   NeighborGraph, ObservationBundle,
-                                   apply_state_noise, build_observation)
+from multinav.observations import (N_MAX_NEIGHBORS, STATE_POSITION_BOUND,
+                                   STATE_VELOCITY_BOUND, AblationConfig,
+                                   NeighborGraph, NoiseConfig,
+                                   ObservationBundle, build_observation)
 from multinav.planner import NearTable, TargetPoint, rasterize
-from multinav.policy import BatchedObs, batch_obs
-from multinav.sim import V_MAX, W_MAX, Action, World, WorldConfig
+from multinav.policy import ActorCritic, BatchedObs, batch_obs
+from multinav.rollout import EnvConfig, NavEnv
+from multinav.scenarios import Kind, ScenarioSpec
+from multinav.sim import V_MAX, W_MAX, Action, Status, World, WorldConfig
 from multinav.tracker import STATIC_MARGIN, ClusterTrack, Tracker
+from test_rollout import TINY_POLICY
+
+
+# ---- the per-agent build NavEnv ran before the one-pass build: the byte
+# reference for build_observations ----------------------------------------
+
+
+def rotate_to_body(vec, heading):
+    c, s = math.cos(-heading), math.sin(-heading)
+    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+
+
+def to_body(point, position, heading):
+    return rotate_to_body(point - position, heading)
+
+
+def polar(rel):
+    return float(np.hypot(rel[0], rel[1])), math.atan2(rel[1], rel[0])
+
+
+def reference_state_noise(bundle, rng):
+    nodes = bundle.o_c.nodes
+    if len(nodes) == 0:
+        return bundle
+    xy = np.column_stack([nodes[:, 0] * np.cos(nodes[:, 1]),
+                          nodes[:, 0] * np.sin(nodes[:, 1])])
+    xy = xy + rng.uniform(-STATE_POSITION_BOUND, STATE_POSITION_BOUND,
+                          size=xy.shape)
+    vel = nodes[:, 2:4] + rng.uniform(-STATE_VELOCITY_BOUND,
+                                      STATE_VELOCITY_BOUND,
+                                      size=(len(nodes), 2))
+    new_nodes = np.column_stack([np.hypot(xy[:, 0], xy[:, 1]),
+                                 np.arctan2(xy[:, 1], xy[:, 0]), vel])
+    return replace(bundle, o_c=NeighborGraph(nodes=new_nodes))
+
+
+def reference_build_observation(world, agent_index, scan_history, tracks,
+                                target_point, ablation=None, rng=None):
+    ablation = ablation or AblationConfig()
+    robot = world.robots[agent_index]
+    pos, heading = robot.position, robot.heading
+
+    dist_g, bearing_g = polar(to_body(robot.goal, pos, heading))
+    o_g = np.array([dist_g, bearing_g])
+    o_v = np.array([robot.linear_velocity, robot.angular_velocity])
+
+    if ablation.no_global_path or target_point is None:
+        o_gp = np.zeros(3)
+    else:
+        dist_t, bearing_t = polar(to_body(target_point.position, pos, heading))
+        o_gp = np.array([dist_t, bearing_t,
+                         wrap_angle(target_point.path_direction - heading)])
+
+    if ablation.no_gnn:
+        graph = NeighborGraph()
+    else:
+        rows = []
+        for t in tracks:
+            rel = to_body(t.closest_point, pos, heading)
+            vel = rotate_to_body(t.velocity_estimate, heading)
+            rows.append((float(np.hypot(*rel)), math.atan2(rel[1], rel[0]),
+                         float(vel[0]), float(vel[1])))
+        rows.sort(key=lambda r: r[0])
+        graph = NeighborGraph(nodes=np.array(rows[:N_MAX_NEIGHBORS])
+                              if rows else np.zeros((0, 4)))
+
+    xmin, ymin, xmax, ymax = world.config.bounds
+    bundle = ObservationBundle(
+        o_z=scan_history.stacked, o_g=o_g, o_v=o_v, o_gp=o_gp, o_c=graph,
+        world_diameter=math.hypot(xmax - xmin, ymax - ymin))
+    if rng is not None:
+        bundle = reference_state_noise(bundle, rng)
+    return bundle
+
+
+def reference_observations(env):
+    """NavEnv.observations() as one reference_build_observation per live
+    robot."""
+    if not env.cfg.build_observations:
+        return [None] * env.n_agents
+    rng = env.obs_rng if env.cfg.noise.enabled else None
+    return [reference_build_observation(
+                env.world, i, env.histories[i],
+                env.trackers[i].dynamic_tracks(), env.target_point(i),
+                ablation=env.cfg.ablation, rng=rng)
+            if robot.status == Status.ACTIVE else None
+            for i, robot in enumerate(env.world.robots)]
+
+
+BUNDLE_FIELDS = ("o_z", "o_g", "o_v", "o_gp")
+
+
+def assert_same_bundles(got, want):
+    """Both None, or every field equal in shape, dtype and bytes."""
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), i
+        if a is None:
+            continue
+        for f in BUNDLE_FIELDS:
+            x, y = getattr(a, f), getattr(b, f)
+            assert x.shape == y.shape and x.dtype == y.dtype, (i, f)
+            assert x.tobytes() == y.tobytes(), (i, f)
+        x, y = a.o_c.nodes, b.o_c.nodes
+        assert x.shape == y.shape and x.dtype == y.dtype, (i, "nodes")
+        assert x.tobytes() == y.tobytes(), (i, "nodes")
+        assert a.world_diameter == b.world_diameter, i
+
+
+def assert_observations_match_reference(env):
+    """env.observations() equals reference_observations(env) byte for byte,
+    and both leave obs_rng in the same state. Returns the bundles."""
+    before = env.obs_rng.bit_generator.state
+    got = env.observations()
+    after = env.obs_rng.bit_generator.state
+    env.obs_rng.bit_generator.state = before
+    want = reference_observations(env)
+    assert env.obs_rng.bit_generator.state == after
+    assert_same_bundles(got, want)
+    return got
 
 
 def make_world(robots, circles=(), goal=(5.0, 0.0)):
@@ -25,8 +154,8 @@ def history_for(world, idx=0):
     return h
 
 
-def dyn_track(x, y, vx, vy):
-    return ClusterTrack(id=0, closest_point=np.array([x, y]),
+def dyn_track(x, y, vx, vy, tid=0):
+    return ClusterTrack(id=tid, closest_point=np.array([x, y]),
                         velocity_estimate=np.array([vx, vy]), observations=3)
 
 
@@ -210,19 +339,19 @@ class TestBuildObservation:
 
 
 class TestStateNoise:
-    def bundle_with_node(self, d=1.0, bearing=0.0, vx=0.5, vy=0.0):
-        return ObservationBundle(
-            o_z=np.full((3, 120), MAX_RANGE), o_g=np.array([1.0, 0.0]),
-            o_v=np.zeros(2), o_gp=np.zeros(3),
-            o_c=NeighborGraph(nodes=np.array([[d, bearing, vx, vy]])),
-            world_diameter=20.0)
+    def noisy_node(self, world, history, rng):
+        # one track 1 m dead ahead of the robot, moving at (0.5, 0) m/s
+        b = build_observation(world, 0, history, [dyn_track(1.0, 0.0, 0.5, 0.0)],
+                              None, rng=rng)
+        return b.o_c.nodes[0]
 
     def test_uniform_position_bound(self):
         rng = np.random.default_rng(72)
+        w = make_world([(0, 0, 0)])
+        h = history_for(w)
         max_shift = 0.0
         for _ in range(2000):
-            out = apply_state_noise(self.bundle_with_node(), rng)
-            d, bearing = out.o_c.nodes[0, :2]
+            d, bearing = self.noisy_node(w, h, rng)[:2]
             x, y = d * math.cos(bearing), d * math.sin(bearing)
             shift = max(abs(x - 1.0), abs(y))
             max_shift = max(max_shift, shift)
@@ -231,9 +360,10 @@ class TestStateNoise:
 
     def test_velocity_stays_in_box(self):
         rng = np.random.default_rng(73)
+        w = make_world([(0, 0, 0)])
+        h = history_for(w)
         for _ in range(2000):
-            out = apply_state_noise(self.bundle_with_node(), rng)
-            vx, vy = out.o_c.nodes[0, 2:]
+            vx, vy = self.noisy_node(w, h, rng)[2:]
             assert 0.4 <= vx <= 0.6
             assert -0.1 <= vy <= 0.1
 
@@ -370,3 +500,161 @@ class TestBatchObsMatchesReference:
         assert [b.world_diameter for b in bundles] == diameters
         assert_same_batch(batch_obs(bundles),
                           reference_batch_obs(bundles, diameters))
+
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "train_goal_task.json"
+
+
+def compare_episode(env, controller, steps):
+    """Reset env and take up to steps control steps, comparing every
+    observation build with the reference; returns the bundle lists."""
+    env.reset()
+    seen = []
+    for _ in range(steps):
+        obs = assert_observations_match_reference(env)
+        seen.append(obs)
+        if env.done:
+            break
+        env.step(controller.act(env, obs))
+    return seen
+
+
+def node_counts(seen):
+    return [b.o_c.node_count for obs in seen for b in obs if b is not None]
+
+
+class TestObservationsMatchReference:
+    """NavEnv.observations() against one reference_build_observation per
+    live robot: every bundle field and the obs_rng state byte for byte."""
+
+    @pytest.mark.parametrize("kind, agents, noise, steps", [
+        (Kind.CIRCLE, 20, True, 40), (Kind.DOORWAY, 10, False, 30)])
+    def test_evaluation_cells(self, kind, agents, noise, steps):
+        spec = ScenarioSpec(kind=kind, scale=15.0, num_agents=agents,
+                            rng_seed=951)
+        cfg = EnvConfig(noise=NoiseConfig() if noise else
+                        NoiseConfig.disabled())
+        env = NavEnv(spec, cfg, seed=8)
+        counts = node_counts(compare_episode(
+            env, PolicyController(ActorCritic(TINY_POLICY, seed=0)), steps))
+        assert len(counts) == agents * steps
+        assert max(counts) > 1
+
+    @pytest.mark.parametrize("name", ["no-gp", "no-gnn", "drl-nav"])
+    def test_ablations(self, name):
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=6,
+                            rng_seed=5)
+        ablation = AblationConfig.from_name(name)
+        env = NavEnv(spec, EnvConfig(noise=NoiseConfig(), ablation=ablation),
+                     seed=5)
+        seen = compare_episode(env, StraightController(), 25)
+        bundles = [b for obs in seen for b in obs if b is not None]
+        assert (max(node_counts(seen)) == 0) == ablation.no_gnn
+        assert all(not b.o_gp.any() for b in bundles) == \
+            ablation.no_global_path
+
+    def test_frozen_robots_get_none(self):
+        # driven straight at each other, the robots of a small circle
+        # collide and freeze one by one while the others still observe
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=6,
+                            rng_seed=3)
+        env = NavEnv(spec, EnvConfig(noise=NoiseConfig()), seed=3)
+        seen = compare_episode(env, StraightController(), 200)
+        mixed = [obs for obs in seen
+                 if None in obs and any(b is not None for b in obs)]
+        assert mixed and env.done
+        assert seen[-1] == [None] * 6
+
+    def test_capped_graphs_beside_empty_ones(self):
+        # robot 0 holds more tracks than the cap, with ties in distance, so
+        # the cap (before the noise) and the sort's stability both show;
+        # robot 1 holds none between robots with nodes
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=6.0, num_agents=4,
+                            rng_seed=7)
+        rng = np.random.default_rng(76)
+        for noise in (NoiseConfig(), NoiseConfig.disabled()):
+            env = NavEnv(spec, EnvConfig(noise=noise), seed=7)
+            env.reset()
+            pos = env.world.positions
+            near = [dyn_track(*(pos[0] + rng.uniform(-3, 3, 2)),
+                              *rng.uniform(-0.5, 0.5, 2), tid=k)
+                    for k in range(N_MAX_NEIGHBORS + 5)]
+            # equal closest points, different velocities: exact ties
+            near += [replace(near[k], id=100 + k,
+                             velocity_estimate=rng.uniform(-0.5, 0.5, 2))
+                     for k in (2, 7, 7)]
+            env.trackers[0].tracks = near
+            env.trackers[1].tracks = []
+            env.trackers[2].tracks = near[:3]
+            env.trackers[3].tracks = near[::-1]
+            obs = assert_observations_match_reference(env)
+            assert [b.o_c.node_count for b in obs] == [N_MAX_NEIGHBORS, 0, 3,
+                                                       N_MAX_NEIGHBORS]
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_one_robot_desk_env(self, noise):
+        specs, train_cfg, policy_cfg, env_cfg = load_train_config(
+            str(DESK_CONFIG))
+        if noise:
+            env_cfg = replace(env_cfg, noise=NoiseConfig())
+        env = NavEnv(specs[0], env_cfg, seed=train_cfg.seed)
+        net = ActorCritic(policy_cfg, seed=0)
+        for _ in range(3):
+            seen = compare_episode(env, PolicyController(net), 60)
+            assert len(seen[0]) == 1
+
+
+class TestTrackerSkip:
+    """Under the ablations that hide the graph, sensing skips the tracker;
+    the episode is the one that tracked every frame."""
+
+    @pytest.mark.parametrize("name", ["no-gnn", "drl-nav"])
+    def test_episode_equals_the_tracking_one(self, name, monkeypatch,
+                                             tmp_path):
+        spec = ScenarioSpec(kind=Kind.CIRCLE, scale=4.0, num_agents=4,
+                            max_episode_time=3.0, rng_seed=3)
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return update(*args, **kw)
+
+        update = rollout.update_trackers
+        monkeypatch.setattr(rollout, "update_trackers", counted)
+
+        class Tracking(NavEnv):
+            """Senses as every ablation once did: the trackers update."""
+            def _sense(self):
+                ablation = self.cfg.ablation
+                self.cfg.ablation = replace(ablation, no_gnn=False)
+                try:
+                    super()._sense()
+                finally:
+                    self.cfg.ablation = ablation
+
+        class Recording(PolicyController):
+            def act(self, env, obs):
+                given.append(obs)
+                return super().act(env, obs)
+
+        runs = []
+        for env_type in (NavEnv, Tracking):
+            calls.clear()
+            given = []
+            env = env_type(spec, EnvConfig(
+                noise=NoiseConfig(), ablation=AblationConfig.from_name(name)),
+                seed=3)
+            path = tmp_path / f"{env_type.__name__}.jsonl"
+            logger = JsonlLogger(str(path), LogFlags())
+            run_episode(env, Recording(ActorCritic(TINY_POLICY, seed=0)),
+                        logger=logger)
+            logger.close()
+            runs.append((len(calls), path.read_bytes(), given,
+                         [r.bit_generator.state for r in
+                          (env.lidar_rng, env.state_rng, env.obs_rng)]))
+        (skipped, records, given, states), tracked = runs
+        assert skipped == 0 and tracked[0] > 0
+        assert records == tracked[1] and states == tracked[3]
+        assert len(given) == len(tracked[2]) > 10
+        for got, want in zip(given, tracked[2]):
+            assert_same_bundles(got, want)

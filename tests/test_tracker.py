@@ -9,9 +9,9 @@ from multinav import tracker as tracker_module
 from multinav.bench import StraightController
 from multinav.geometry import Wall
 from multinav.lidar import (BEAM_OFFSETS, MAX_RANGE, N_BEAMS, LidarScan,
-                            apply_lidar_noise, noisy_ranges, raycast,
-                            raycast_batch)
-from multinav.observations import NoiseConfig
+                            ScanHistory, apply_lidar_noise, noisy_ranges,
+                            raycast, raycast_batch)
+from multinav.observations import NoiseConfig, build_observation
 from multinav.planner import NearTable, dilate, rasterize
 from multinav.rollout import EnvConfig, NavEnv
 from multinav.scenarios import Kind, eval_suite, generate
@@ -853,12 +853,19 @@ class TestClosedLoopFidelity:
 
 class TestPolarRoundTrip:
     def test_closest_point_round_trips(self):
-        from multinav.observations import polar, to_body
+        # a track's graph node (distance, bearing) maps back onto its
+        # closest point
         rng = np.random.default_rng(66)
+        history = ScanHistory()
+        history.push(LidarScan(np.full(N_BEAMS, MAX_RANGE), 0.0))
         for _ in range(100):
             pos = rng.uniform(-5, 5, 2)
-            heading = rng.uniform(-math.pi, math.pi)
+            w = make_world([(*pos, rng.uniform(-math.pi, math.pi))])
+            heading = w.robots[0].heading
             point = rng.uniform(-5, 5, 2)
-            d, b = polar(to_body(point, pos, heading))
+            track = ClusterTrack(id=0, closest_point=point,
+                                 velocity_estimate=np.zeros(2))
+            d, b = build_observation(w, 0, history, [track],
+                                     None).o_c.nodes[0, :2]
             back = pos + d * np.array([math.cos(heading + b), math.sin(heading + b)])
             assert np.allclose(back, point, atol=1e-9)
